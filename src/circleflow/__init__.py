@@ -53,6 +53,7 @@ from .flow import (
     euler_step,
     flow_compose_check,
     heun_step,
+    integrate,
     simulate_path,
     stratonovich_correction,
     truncation_scale,

@@ -9,7 +9,9 @@ the norm reaches the radius is recorded as the hitting time and the path
 keeps evolving under the truncated dynamics afterwards.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,6 +28,7 @@ __all__ = [
     "truncation_scale",
     "euler_step",
     "heun_step",
+    "integrate",
     "simulate_path",
     "concatenate",
     "flow_compose_check",
@@ -37,6 +40,14 @@ __all__ = [
 
 class SimulationDiverged(RuntimeError):
     """Raised when a step produces non-finite state values."""
+
+
+def _require_ints(obj, names, error=ValueError):
+    """Raise ``error`` unless each named attribute of ``obj`` is an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,14 +62,20 @@ class SolverConfig:
     radius: float = 1.0
     k: int = 2
     scheme: str = "euler"
+    n_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+        _require_ints(self, ("mode_cutoff", "grid_size", "k"))
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError("horizon must be finite and >= 0")
         if self.horizon > 0 and self.dt > self.horizon:
             raise ValueError("dt must not exceed the horizon")
+        n = int(round(self.horizon / self.dt))
+        if abs(n * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
+            raise ValueError("horizon must be an integer number of steps")
+        object.__setattr__(self, "n_steps", n)
         if not self.radius > 0:
             raise ValueError("truncation radius must be positive")
         if self.k < 0:
@@ -69,13 +86,6 @@ class SolverConfig:
             raise ValueError("grid size must be a power of two >= 4")
         if self.scheme not in ("euler", "heun"):
             raise ValueError("scheme must be 'euler' or 'heun'")
-
-    @property
-    def n_steps(self):
-        n = int(round(self.horizon / self.dt))
-        if abs(n * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError("horizon must be an integer number of steps")
-        return n
 
     def basis(self):
         return ScaledBasis(self.alpha, self.mode_cutoff, self.grid_size)
@@ -101,7 +111,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Solution snapshot: vector part, time, and freshly computed diagnostics.
+    """Solution snapshot: vector part, time, H^k norm and stop flag.
 
     ``stopped`` latches once the H^k norm has reached the truncation radius
     (discrete first-crossing semantics); the state remains steppable since
@@ -111,12 +121,16 @@ class FlowState:
     x: CircleFunction
     t: float
     hk: float
-    min_deriv: float
     stopped: bool
 
     @classmethod
     def initial(cls, cfg):
-        return cls(CircleFunction.zero(cfg.grid_size), 0.0, 0.0, 1.0, False)
+        return cls(CircleFunction.zero(cfg.grid_size), 0.0, 0.0, False)
+
+    @property
+    def min_deriv(self):
+        """Minimum of 1 + x', computed on demand (only samples read it)."""
+        return AffineCircleMap(self.x).min_derivative
 
 
 @dataclass(frozen=True)
@@ -154,8 +168,7 @@ def _advance(prev, new_values, cfg):
         raise SimulationDiverged(f"non-finite state at t={prev.t + cfg.dt:.6g}")
     x = CircleFunction(new_values)
     hk = x.hk_norm(cfg.k)
-    min_deriv = 1.0 + float(np.min(x.derivative().dense_values()))
-    return FlowState(x, prev.t + cfg.dt, hk, min_deriv, prev.stopped or hk >= cfg.radius)
+    return FlowState(x, prev.t + cfg.dt, hk, prev.stopped or hk >= cfg.radius)
 
 
 def truncation_scale(state, cfg):
@@ -165,7 +178,7 @@ def truncation_scale(state, cfg):
     return cfg.radius / state.hk
 
 
-def _warped_points(state, cfg, weights=None):
+def _warped_points(state, cfg):
     scale = truncation_scale(state, cfg)
     return grid_points(cfg.grid_size) + scale * state.x.grid_values
 
@@ -188,42 +201,50 @@ def heun_step(state, inc, cfg, weights=None):
     """
     if weights is None:
         weights = cfg.alpha.values(cfg.mode_cutoff)
-    theta = grid_points(cfg.grid_size)
-    x0 = state.x.grid_values
     f0 = field_values(inc.delta_b, weights, _warped_points(state, cfg))
-    x_pred = x0 + f0
-    if not np.all(np.isfinite(x_pred)):
-        raise SimulationDiverged(f"non-finite predictor at t={state.t + cfg.dt:.6g}")
-    pred_fn = CircleFunction(x_pred)
-    pred_hk = pred_fn.hk_norm(cfg.k)
-    scale = 1.0 if pred_hk <= cfg.radius else cfg.radius / pred_hk
-    f1 = field_values(inc.delta_b, weights, theta + scale * x_pred)
-    return _advance(state, x0 + 0.5 * (f0 + f1), cfg)
+    pred = _advance(state, state.x.grid_values + f0, cfg)
+    f1 = field_values(inc.delta_b, weights, _warped_points(pred, cfg))
+    return _advance(state, state.x.grid_values + 0.5 * (f0 + f1), cfg)
 
 
 _STEPPERS = {"euler": euler_step, "heun": heun_step}
+
+
+def integrate(cfg, increments, start=None):
+    """Yield the state after each increment under ``cfg.scheme``.
+
+    The one stepping driver: every loop over steps iterates over it.  The
+    truncation of ``cfg`` applies at each step; ``start`` defaults to the
+    identity.  Increments are pulled lazily, so a caller that stops early
+    draws no further noise.
+    """
+    step = _STEPPERS[cfg.scheme]
+    weights = cfg.alpha.values(cfg.mode_cutoff)
+    state = FlowState.initial(cfg) if start is None else start
+    for inc in increments:
+        state = step(state, inc, cfg, weights)
+        yield state
 
 
 def simulate_path(cfg, stream, record_every=1, stop_after_hit=False, keep_snapshots=False):
     """Integrate from the identity to the horizon, recording diagnostics.
 
     The hitting time is the first grid time with H^k norm >= radius; the
-    path continues under the truncated dynamics unless ``stop_after_hit``.
-    Samples are kept every ``record_every`` steps plus the initial state,
-    the crossing step, and the final step.
+    path continues under the truncated dynamics unless ``stop_after_hit``,
+    which leaves ``stream`` at the crossing step.  Samples are kept every
+    ``record_every`` steps plus the initial state, the crossing step, and
+    the final step.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    step = _STEPPERS[cfg.scheme]
-    weights = cfg.alpha.values(cfg.mode_cutoff)
     start_step = stream.step_index
     state = FlowState.initial(cfg)
     samples = [_sample(state, keep_snapshots)]
     tau_r = None
     state_at_tau = None
     n_steps = cfg.n_steps
-    for i in range(1, n_steps + 1):
-        state = step(state, stream.next_increment(), cfg, weights)
+    increments = (stream.next_increment() for _ in range(n_steps))
+    for i, state in enumerate(integrate(cfg, increments, start=state), 1):
         crossed = state.stopped and tau_r is None
         if crossed:
             tau_r = state.t
@@ -267,24 +288,20 @@ def concatenate(first, fresh, cfg, record_every=1, keep_snapshots=False):
 
     steps_at_tau = int(round(first.tau_r / cfg.dt))
     remaining = cfg.n_steps - steps_at_tau
-    weights = cfg.alpha.values(cfg.mode_cutoff)
     xi_vals = xi.grid_values
     warp_pts = xi_map.grid_warp
 
-    kept = [s for s in first.samples if s.t <= first.tau_r + 1e-12]
-    samples = list(kept)
+    samples = [s for s in first.samples if s.t <= first.tau_r + 1e-12]
     state = FlowState.initial(cfg)
-    for i in range(1, remaining + 1):
-        state = _STEPPERS[cfg.scheme](state, fresh.next_increment(), cfg, weights)
+    increments = (fresh.next_increment() for _ in range(remaining))
+    for i, state in enumerate(integrate(cfg, increments, start=state), 1):
         if i % record_every == 0 or i == remaining:
             z = CircleFunction(xi_vals + state.x.evaluate(warp_pts))
-            hk = z.hk_norm(cfg.k)
-            md = 1.0 + float(np.min(z.derivative().dense_values()))
             samples.append(
                 PathSample(
                     first.tau_r + i * cfg.dt,
-                    hk,
-                    md,
+                    z.hk_norm(cfg.k),
+                    AffineCircleMap(z).min_derivative,
                     True,
                     z if keep_snapshots else None,
                 )
@@ -306,7 +323,7 @@ def concatenate(first, fresh, cfg, record_every=1, keep_snapshots=False):
 @dataclass(frozen=True)
 class FlowCheckReport:
     sup_error: float
-    horizon: float
+    window: float  # time of the last compared sample; None if none was compared
     n_checked: int
     runs: tuple = ()  # diagnostic series of the two runs (from id, from xi)
 
@@ -320,37 +337,35 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
     recursions coincide bit for bit; for rigid rotations the grid is mapped
     onto itself so only rounding enters; for generic warps the error is the
     band-limited interpolation of the composed state.
+
+    The identity holds for the untruncated flow only, so a sample is
+    compared only while neither run has stopped at the truncation radius.
     """
     if xi_map.grid_size != cfg.grid_size:
         raise ValueError("initial map must live on the solver grid")
-    weights = cfg.alpha.values(cfg.mode_cutoff)
     n_steps = cfg.n_steps
     incs = [stream.increment_at(stream.step_index + i) for i in range(n_steps)]
 
+    xi = xi_map.vector_part
+    xi_hk = xi.hk_norm(cfg.k)
     x_state = FlowState.initial(cfg)
-    y_state = FlowState(xi_map.vector_part, 0.0, xi_map.vector_part.hk_norm(cfg.k), xi_map.min_derivative, False)
-    xi_vals = xi_map.vector_part.grid_values
+    y_state = FlowState(xi, 0.0, xi_hk, xi_hk >= cfg.radius)
     warp_pts = xi_map.grid_warp
-    step = _STEPPERS[cfg.scheme]
 
-    sup_error = float(np.max(np.abs(y_state.x.grid_values - xi_vals - x_state.x.evaluate(warp_pts))))
-    checked = 1
-    x_samples = [_sample(x_state, False)]
-    y_samples = [_sample(y_state, False)]
-    for i in range(1, n_steps + 1):
-        x_state = step(x_state, incs[i - 1], cfg, weights)
-        y_state = step(y_state, incs[i - 1], cfg, weights)
-        if i % record_every == 0 or i == n_steps:
-            err = np.max(
-                np.abs(y_state.x.grid_values - xi_vals - x_state.x.evaluate(warp_pts))
-            )
+    pairs = zip(integrate(cfg, incs, start=x_state), integrate(cfg, incs, start=y_state))
+    recorded = (p for i, p in enumerate(pairs, 1) if i % record_every == 0 or i == n_steps)
+
+    sup_error, window, checked = 0.0, None, 0
+    x_samples, y_samples = [], []
+    for x, y in chain([(x_state, y_state)], recorded):
+        if not (x.stopped or y.stopped):
+            err = np.max(np.abs(y.x.grid_values - xi.grid_values - x.x.evaluate(warp_pts)))
             sup_error = max(sup_error, float(err))
+            window = x.t
             checked += 1
-            x_samples.append(_sample(x_state, False))
-            y_samples.append(_sample(y_state, False))
-    return FlowCheckReport(
-        sup_error, cfg.horizon, checked, (tuple(x_samples), tuple(y_samples))
-    )
+        x_samples.append(_sample(x, False))
+        y_samples.append(_sample(y, False))
+    return FlowCheckReport(sup_error, window, checked, (tuple(x_samples), tuple(y_samples)))
 
 
 def diffeo_radius(k, n_max=4096):

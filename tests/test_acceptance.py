@@ -15,7 +15,6 @@ from scipy import stats
 from circleflow import (
     AffineCircleMap,
     CircleFunction,
-    FlowState,
     ModeIncrement,
     NoiseStream,
     ScaledBasis,
@@ -26,10 +25,9 @@ from circleflow import (
     compose_derivative,
     concatenate,
     diffeo_radius,
-    euler_step,
     flow_compose_check,
-    heun_step,
     hs_bound_certificate,
+    integrate,
     lipschitz_certificate,
     simulate_path,
     sobolev_embedding_constant,
@@ -203,18 +201,16 @@ def test_criterion_05_ito_equals_stratonovich(rng):
     for dt in (4e-3, 2e-3, 1e-3):
         k = int(round(dt / fine_dt))
         coarse = fine.reshape(n_fine // k, k, 2 * n_cut + 1).sum(axis=1)
-        cfg = SolverConfig(
-            dt=dt, horizon=horizon, mode_cutoff=n_cut, grid_size=grid,
-            alpha=ALPHA, radius=1e9, k=2,
-        )
-        weights = ALPHA.values(n_cut)
-        se = FlowState.initial(cfg)
-        sh = FlowState.initial(cfg)
-        for i in range(n_fine // k):
-            inc = ModeIncrement(coarse[i], n_cut, dt)
-            se = euler_step(se, inc, cfg, weights)
-            sh = heun_step(sh, inc, cfg, weights)
-        gaps[dt] = float(np.max(np.abs(se.x.grid_values - sh.x.grid_values)))
+        incs = [ModeIncrement(row, n_cut, dt) for row in coarse]
+        final = {}
+        for scheme in ("euler", "heun"):
+            cfg = SolverConfig(
+                dt=dt, horizon=horizon, mode_cutoff=n_cut, grid_size=grid,
+                alpha=ALPHA, radius=1e9, k=2, scheme=scheme,
+            )
+            *_, state = integrate(cfg, incs)
+            final[scheme] = state.x.grid_values
+        gaps[dt] = float(np.max(np.abs(final["euler"] - final["heun"])))
     r1 = gaps[4e-3] / gaps[2e-3]
     r2 = gaps[2e-3] / gaps[1e-3]
     ratios_ok = 1.5 <= r1 <= 2.5 and 1.5 <= r2 <= 2.5

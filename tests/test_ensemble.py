@@ -4,13 +4,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from circleflow import ConfigError, RunConfig, contrast_h32, run_experiment, validation_checks
+from circleflow import ConfigError, RunConfig, run_experiment, validation_checks
 from circleflow.cli import main as cli_main
+from circleflow.ensemble import _safe_ratio
 
 SEED = 20240817
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "summary.schema.json").read_text()
-)
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+SCHEMA = json.loads((DOCS / "summary.schema.json").read_text())
 
 
 def base_config(tmp_path, **overrides):
@@ -160,17 +160,10 @@ class TestHittingExperiment:
 
 
 class TestContrastExperiment:
-    def test_zero_noise_sanity_ratio_is_one(self, tmp_path):
-        path, _ = write_config(tmp_path, experiment="contrast_h32", n_paths=2)
-        data = json.loads(path.read_text())
-        data["solver"]["grid_size"] = 256
-        data["solver"]["mode_cutoff"] = 32
-        path.write_text(json.dumps(data))
-        cfg = RunConfig.from_file(path)
-        results = contrast_h32(cfg, noise_scale=0.0, n_paths=2)
-        for family in ("exponential", "powerlaw"):
-            assert results[family]["stability_ratio"] == 1.0
-            assert all(v == 0.0 for v in results[family]["final_h3_low_cutoff"])
+    def test_safe_ratio_zero_over_zero_is_one(self):
+        assert _safe_ratio(0.0, 0.0) == 1.0
+        assert _safe_ratio(1.0, 0.0) == float("inf")
+        assert _safe_ratio(3.0, 2.0) == 1.5
 
     def test_dichotomy_recorded(self, tmp_path):
         path, raw = write_config(tmp_path, experiment="contrast_h32", n_paths=2)
@@ -219,6 +212,23 @@ class TestFlowCheckExperiment:
         check = report["checks"][0]
         assert check["passed"]
         assert check["value"] <= 1e-4
+        assert report["n_checked"] == 11  # t = 0 and every 5th of 50 steps
+        assert report["window"] == pytest.approx(0.05)
+
+    def test_documented_config_passes(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli_main(["flow-check", str(DOCS / "example-config.json"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_checked"] > 1
+        assert report["window"] < 1.0  # both runs stop before the horizon
+
+    def test_xi_at_the_radius_fails(self, tmp_path):
+        # ||0.5 sin||_{H^2} = 0.5 = radius: the run from xi starts stopped
+        path, raw = write_config(tmp_path, experiment="flow_check", xi_amplitude=0.5)
+        assert cli_main(["flow-check", str(path)]) == 1
+        report = json.loads((Path(raw["output_dir"]) / "report.json").read_text())
+        assert not report["checks"][0]["passed"]
+        assert report["n_checked"] == 0
 
 
 class TestCli:
@@ -232,6 +242,29 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert cli_main(["run", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, solver, overrides",
+        [
+            pytest.param("run", {}, {"master_seed": -1}, id="seed-negative"),
+            pytest.param("run", {}, {"master_seed": 2**64}, id="seed-2**64"),
+            pytest.param("run", {"horizon": float("nan")}, {}, id="horizon-nan"),
+            pytest.param("run", {"horizon": float("inf")}, {}, id="horizon-inf"),
+            pytest.param("run", {"horizon": 0.0105, "dt": 0.001}, {}, id="horizon-off-grid"),
+            pytest.param("run", {}, {"n_paths": 1.5}, id="n_paths-fractional"),
+            pytest.param("hitting-times", {}, {"radii": []}, id="radii-empty"),
+            pytest.param("run", {"k": 2.5}, {}, id="k-fractional"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, command, solver, overrides):
+        cfg = base_config(tmp_path, **overrides)
+        cfg["solver"].update(solver)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_seed_and_out_overrides(self, tmp_path):
         path, raw = write_config(tmp_path)

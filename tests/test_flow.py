@@ -16,9 +16,11 @@ from circleflow import (
     concatenate,
     diffeo_radius,
     euler_step,
+    field_values,
     flow_compose_check,
     grid_points,
     heun_step,
+    integrate,
     simulate_path,
     sobolev_embedding_constant,
     stratonovich_correction,
@@ -67,17 +69,17 @@ class TestSolverConfig:
 class TestTruncationScale:
     def test_inside_ball(self):
         cfg = make_config(radius=1.0)
-        state = FlowState(CircleFunction.zero(64), 0.0, 0.5, 1.0, False)
+        state = FlowState(CircleFunction.zero(64), 0.0, 0.5, False)
         assert truncation_scale(state, cfg) == 1.0
 
     def test_outside_ball(self):
         cfg = make_config(radius=1.0)
-        state = FlowState(CircleFunction.zero(64), 0.0, 2.0, 1.0, True)
+        state = FlowState(CircleFunction.zero(64), 0.0, 2.0, True)
         assert truncation_scale(state, cfg) == 0.5
 
     def test_boundary_in_the_unit_branch(self):
         cfg = make_config(radius=1.0)
-        state = FlowState(CircleFunction.zero(64), 0.0, 1.0, 1.0, False)
+        state = FlowState(CircleFunction.zero(64), 0.0, 1.0, False)
         assert truncation_scale(state, cfg) == 1.0
 
 
@@ -129,6 +131,59 @@ class TestSteps:
             heun_step(state, bad, cfg)
 
 
+def _old_heun_step(state, inc, cfg, weights):
+    """heun_step as it was before it built its predictor with _advance."""
+    theta = grid_points(cfg.grid_size)
+    x0 = state.x.grid_values
+    f0 = field_values(inc.delta_b, weights, theta + truncation_scale(state, cfg) * x0)
+    x_pred = x0 + f0
+    pred_hk = CircleFunction(x_pred).hk_norm(cfg.k)
+    scale = 1.0 if pred_hk <= cfg.radius else cfg.radius / pred_hk
+    f1 = field_values(inc.delta_b, weights, theta + scale * x_pred)
+    x = CircleFunction(x0 + 0.5 * (f0 + f1))
+    hk = x.hk_norm(cfg.k)
+    return FlowState(x, state.t + cfg.dt, hk, state.stopped or hk >= cfg.radius)
+
+
+def reference_states(cfg, increments):
+    """The hand-written stepping loop that integrate replaced."""
+    step = {"euler": euler_step, "heun": _old_heun_step}[cfg.scheme]
+    weights = cfg.alpha.values(cfg.mode_cutoff)
+    state = FlowState.initial(cfg)
+    states = []
+    for inc in increments:
+        state = step(state, inc, cfg, weights)
+        states.append(state)
+    return states
+
+
+class TestIntegrate:
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_matches_hand_loop_bit_for_bit(self, scheme):
+        cfg = make_config(horizon=0.3, radius=0.05, scheme=scheme)
+        stream = NoiseStream(SEED, 2, 8, cfg.dt)
+        incs = [stream.increment_at(i) for i in range(cfg.n_steps)]
+        got = list(integrate(cfg, incs))
+        want = reference_states(cfg, incs)
+        assert len(got) == len(want) == cfg.n_steps
+        truncated = sum(s.hk > cfg.radius for s in want)
+        assert truncated > cfg.n_steps / 2
+        for a, b in zip(got, want):
+            assert np.array_equal(a.x.grid_values, b.x.grid_values)
+            assert (a.t, a.hk, a.stopped) == (b.t, b.hk, b.stopped)
+
+    def test_start_state_is_continued(self):
+        cfg = make_config(horizon=0.02)
+        stream = NoiseStream(SEED, 0, 8, cfg.dt)
+        incs = [stream.increment_at(i) for i in range(cfg.n_steps)]
+        states = list(integrate(cfg, incs))
+        resumed = list(integrate(cfg, incs[10:], start=states[9]))
+        assert len(resumed) == cfg.n_steps - 10 > 0
+        for a, b in zip(resumed, states[10:]):
+            assert np.array_equal(a.x.grid_values, b.x.grid_values)
+            assert a.t == b.t
+
+
 class TestSimulatePath:
     def test_zero_horizon_records_initial_state_only(self):
         cfg = make_config(horizon=0.0)
@@ -171,8 +226,10 @@ class TestSimulatePath:
 
     def test_stop_after_hit_truncates_record(self):
         cfg = make_config(horizon=0.5, radius=0.05)
-        rec = simulate_path(cfg, NoiseStream(SEED, 2, 8, cfg.dt), stop_after_hit=True)
+        stream = NoiseStream(SEED, 2, 8, cfg.dt)
+        rec = simulate_path(cfg, stream, stop_after_hit=True)
         assert rec.samples[-1].t == pytest.approx(rec.tau_r)
+        assert stream.step_index == round(rec.tau_r / cfg.dt) < cfg.n_steps
 
     def test_samples_strictly_increasing(self):
         cfg = make_config(horizon=0.2, radius=0.08)
