@@ -11,6 +11,7 @@ coefficient space: the norm of ``sum c_n e_n`` is the plain l2 norm of the
 coefficients.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class ScalingSequence:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown scaling family {self.family!r}")
-        if not self.parameter > 0:
-            raise ValueError("scaling parameter must be positive")
+        if not (math.isfinite(self.parameter) and self.parameter > 0):
+            raise ValueError("scaling parameter must be finite and positive")
 
     @classmethod
     def exponential(cls, c=1.0):
@@ -89,7 +90,10 @@ class ScalingSequence:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["family"], float(d["parameter"]))
+        parameter = d["parameter"]
+        if isinstance(parameter, (bool, str)):  # float() would accept both
+            raise ValueError(f"scaling parameter must be a number, got {parameter!r}")
+        return cls(d["family"], float(parameter))
 
 
 @dataclass(frozen=True)

@@ -176,16 +176,13 @@ class CircleFunction:
         return np.fft.irfft(spec, n=p)
 
     def evaluate(self, points):
-        """Trigonometric summation of the coefficient table at arbitrary angles.
+        """The band-limited interpolant at arbitrary angles (any array shape).
 
-        O(M * P) but exact for band-limited f, which matters more than speed
-        at the scales used here.
+        Summed by ``trig_sum`` with ``c_n = a_n - i b_n``, Nyquist term
+        included: one ``exp`` per point plus M/2 complex multiply-adds.
         """
-        points = np.asarray(points, dtype=float)
         a, b = self.coefficients
-        n = np.arange(1, a.size)
-        ang = np.multiply.outer(points, n)
-        return a[0] + np.cos(ang) @ a[1:] + np.sin(ang) @ b[1:]
+        return trig_sum(a[0], a[1:] - 1j * b[1:], points)
 
     # -- arithmetic (same grid) ----------------------------------------------
 
@@ -212,6 +209,26 @@ class CircleFunction:
 
     def __repr__(self):
         return f"CircleFunction(M={self.grid_size})"
+
+
+def trig_sum(c0, c, points):
+    """``c0 + Re sum_{n=1}^{N} c[n-1] z^n`` with ``z = exp(i * points)``.
+
+    Horner's rule in ``z`` (Clenshaw, Math. Comp. 9, 1955): one ``exp`` per
+    point and N complex multiply-adds, instead of N ``cos`` and ``sin`` calls
+    per point.  Every update is elementwise, so a point's value does not
+    depend on the shape of ``points``.  The product goes to a second buffer
+    because NumPy's in-place complex multiply rounds a one-element array
+    differently from a longer one.  ``c`` must hold at least one term.
+    """
+    z = np.exp(1j * np.asarray(points, dtype=float))
+    acc = np.full(z.shape, c[-1], dtype=complex)
+    prod = np.empty_like(acc)
+    for cn in c[-2::-1]:
+        np.multiply(acc, z, prod)
+        np.add(prod, cn, acc)
+    np.multiply(acc, z, prod)
+    return c0 + prod.real
 
 
 def _analyze(values):

@@ -28,6 +28,7 @@ from .flow import (
     FlowState,
     SolverConfig,
     _require_ints,
+    _require_reals,
     euler_step,
     flow_compose_check,
     simulate_path,
@@ -79,16 +80,28 @@ class RunConfig:
         _require_ints(self, ("master_seed", "n_paths", "record_every", "workers"), ConfigError)
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must lie in [0, 2**64)")
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be >= 1")
+        # The upper limits reject sizes no run can finish: the path list is
+        # built up front, and each worker is an operating-system process.
+        if not 1 <= self.n_paths <= 2**32:
+            raise ConfigError("n_paths must lie in [1, 2**32]")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not 1 <= self.workers <= 256:
+            raise ConfigError("workers must lie in [1, 256]")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not self.radii:
             raise ConfigError("radii must not be empty")
+        _require_reals({f"radii[{i}]": r for i, r in enumerate(self.radii)}, ConfigError)
+        if min(self.radii) <= 0:
+            raise ConfigError("radii must be positive")
         if self.xi_kind not in ("identity", "rotation", "sine"):
             raise ConfigError("xi_kind must be identity, rotation, or sine")
+        _require_reals({"xi_amplitude": self.xi_amplitude}, ConfigError)
+        if self.flow_tolerance is not None:
+            _require_reals({"flow_tolerance": self.flow_tolerance}, ConfigError)
+            if self.flow_tolerance < 0:
+                raise ConfigError("flow_tolerance must be >= 0")
 
     def to_dict(self):
         d = {
@@ -116,7 +129,7 @@ class RunConfig:
             return cls(solver=solver, **d)
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
     @classmethod

@@ -50,6 +50,18 @@ def _require_ints(obj, names, error=ValueError):
             raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _require_reals(values, error=ValueError):
+    """Raise ``error`` unless each value of the ``name -> value`` dict is a
+    finite number."""
+    for name, value in values.items():
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value)
+        ):
+            raise error(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization and truncation parameters for one flow simulation."""
@@ -66,24 +78,33 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_ints(self, ("mode_cutoff", "grid_size", "k"))
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be finite and positive")
-        if not (math.isfinite(self.horizon) and self.horizon >= 0):
-            raise ValueError("horizon must be finite and >= 0")
+        _require_reals({"dt": self.dt, "horizon": self.horizon, "radius": self.radius})
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
+        if self.horizon < 0:
+            raise ValueError("horizon must be >= 0")
         if self.horizon > 0 and self.dt > self.horizon:
             raise ValueError("dt must not exceed the horizon")
         n = int(round(self.horizon / self.dt))
         if abs(n * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ValueError("horizon must be an integer number of steps")
+        if n >= 2**64:
+            raise ValueError("the step index must fit the 64-bit noise counter")
         object.__setattr__(self, "n_steps", n)
         if not self.radius > 0:
             raise ValueError("truncation radius must be positive")
+        if self.mode_cutoff < 1:
+            raise ValueError("mode cutoff must be >= 1")
         if self.k < 0:
             raise ValueError("Sobolev index must be >= 0")
         if self.grid_size < 4 * self.mode_cutoff:
             raise ValueError("grid size must be at least 4 * mode_cutoff")
         if self.grid_size & (self.grid_size - 1) or self.grid_size < 4:
             raise ValueError("grid size must be a power of two >= 4")
+        if self.grid_size > 2**24:  # 128 MiB per state; larger fails in allocation
+            raise ValueError("grid size must not exceed 2**24")
+        if 2 * self.k * math.log2(self.grid_size // 2) >= 1024:
+            raise ValueError("the H^k weight n^(2k) overflows at the top grid mode")
         if self.scheme not in ("euler", "heun"):
             raise ValueError("scheme must be 'euler' or 'heun'")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .circlefn import CircleFunction
+from .circlefn import CircleFunction, trig_sum
 
 __all__ = ["ModeIncrement", "NoiseStream", "noise_field", "field_values"]
 
@@ -88,21 +88,21 @@ def field_values(delta_b, weights, points):
     """sum_n dB_n e_n evaluated at arbitrary angles, as a raw array.
 
     ``weights[n]`` is the basis scale for |n| = n; the sign convention for
-    negative modes is sin(n theta) with n < 0, i.e. -sin(|n| theta).
+    negative modes is sin(n theta) with n < 0, i.e. -sin(|n| theta).  So the
+    sum is ``Re sum_n c_n exp(i n theta)`` with ``c_n = w_n (dB_n + i dB_-n)``,
+    evaluated by Horner's rule (``trig_sum``).
     """
     n_cut = (delta_b.size - 1) // 2
-    n = np.arange(1, n_cut + 1)
-    ang = np.multiply.outer(points, n)
-    cos_part = np.cos(ang) @ (weights[1:] * delta_b[n_cut + 1 :])
-    sin_part = np.sin(ang) @ (weights[1:] * delta_b[n_cut - 1 :: -1])
-    return weights[0] * delta_b[n_cut] + cos_part - sin_part
+    c = weights[1:] * (delta_b[n_cut + 1 :] + 1j * delta_b[n_cut - 1 :: -1])
+    return trig_sum(weights[0] * delta_b[n_cut], c, points)
 
 
 def noise_field(inc, basis, warp):
     """The increment field theta -> sum_n dB_n e_n(warp(theta)) on the grid.
 
-    Evaluated by exact trig summation at the warped grid points; this is the
-    one-step composition-operator action on the noise in a single object.
+    Summed by Horner's rule (``field_values``) at the warped grid points; this
+    is the one-step composition-operator action on the noise in a single
+    object.
     """
     if basis.mode_cutoff != inc.mode_cutoff:
         raise ValueError("mode cutoffs of increment and basis disagree")

@@ -1,8 +1,15 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleflow import ConfigError, RunConfig, run_experiment, validation_checks
 from circleflow.cli import main as cli_main
@@ -11,6 +18,33 @@ from circleflow.ensemble import _safe_ratio
 SEED = 20240817
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 SCHEMA = json.loads((DOCS / "summary.schema.json").read_text())
+
+# Values a hand-edited or generated config can carry in any one field.
+MUTATION_POOL = (
+    float("nan"), float("inf"), float("-inf"), -1, 0, 1.5, "x", None, [], 2**64, True,
+)
+
+
+def _mutable_fields():
+    doc = json.loads((DOCS / "example-config.json").read_text())
+    fields = [(key,) for key in doc] + [("flow_tolerance",)]
+    fields += [("solver", key) for key in doc["solver"]]
+    fields += [("solver", "alpha", key) for key in doc["solver"]["alpha"]]
+    return fields
+
+
+MUTABLE_FIELDS = _mutable_fields()
+
+
+@contextmanager
+def _inside(directory):
+    """Run the block with ``directory`` as the working directory."""
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
 
 
 def base_config(tmp_path, **overrides):
@@ -254,6 +288,34 @@ class TestCli:
             pytest.param("run", {}, {"n_paths": 1.5}, id="n_paths-fractional"),
             pytest.param("hitting-times", {}, {"radii": []}, id="radii-empty"),
             pytest.param("run", {"k": 2.5}, {}, id="k-fractional"),
+            pytest.param("hitting-times", {}, {"radii": ["a"]}, id="radii-string"),
+            pytest.param("hitting-times", {}, {"radii": [-0.1]}, id="radii-negative"),
+            pytest.param("hitting-times", {}, {"radii": [float("nan")]}, id="radii-nan"),
+            pytest.param("flow-check", {}, {"xi_amplitude": "x"}, id="xi_amplitude-string"),
+            pytest.param("flow-check", {}, {"xi_amplitude": float("nan")}, id="xi_amplitude-nan"),
+            pytest.param("flow-check", {}, {"flow_tolerance": "x"}, id="flow_tolerance-string"),
+            pytest.param(
+                "run",
+                {"alpha": {"family": "exponential", "parameter": float("inf")}},
+                {},
+                id="alpha-parameter-inf",
+            ),
+            pytest.param(
+                "run",
+                {"alpha": {"family": "exponential", "parameter": "1.5"}},
+                {},
+                id="alpha-parameter-string",
+            ),
+            # Sizes no run can finish go through `validate`, which starts no
+            # pool and integrates nothing, should the validation ever let
+            # them through.
+            pytest.param("validate", {}, {"workers": 2**64}, id="workers-2**64"),
+            pytest.param("validate", {}, {"n_paths": 2**64}, id="n_paths-2**64"),
+            pytest.param("validate", {"grid_size": 2**64}, {}, id="grid_size-2**64"),
+            pytest.param("validate", {"horizon": 2**64}, {}, id="horizon-2**64"),
+            pytest.param("run", {"mode_cutoff": 0}, {}, id="mode_cutoff-zero"),
+            pytest.param("run", {"k": 2**64}, {}, id="k-2**64"),
+            pytest.param("run", {}, {"output_dir": True}, id="output_dir-bool"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, solver, overrides):
@@ -265,6 +327,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(MUTABLE_FIELDS), value=st.sampled_from(MUTATION_POOL))
+    def test_mutated_example_config_exits_cleanly(self, field, value):
+        cfg = json.loads((DOCS / "example-config.json").read_text())
+        cfg["n_paths"] = 1
+        cfg["solver"]["horizon"] = 2 * cfg["solver"]["dt"]
+        *parents, leaf = field
+        target = cfg
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
+        try:
+            parsed = RunConfig.from_dict(cfg)
+        except ConfigError:
+            parsed = None
+        rejected = parsed is None
+        if not rejected:
+            # The largest run the pool can make valid is horizon 1.5 (1500
+            # steps); anything bigger means the validation let through a
+            # size that no run finishes, so stop before starting it.
+            assert parsed.workers == 1
+            assert parsed.n_paths * parsed.solver.n_steps * parsed.solver.grid_size <= 1500 * 128
+        with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
+            Path("config.json").write_text(json.dumps(cfg))
+            for command in ("hitting-times", "flow-check"):
+                err = io.StringIO()
+                with redirect_stderr(err), mock.patch.dict(os.environ, {"CIRCLEFLOW_OUTDIR": "out"}):
+                    code = cli_main([command, "config.json"])
+                assert code in (0, 1, 2), (command, err.getvalue())
+                assert (code == 2) == rejected, (command, err.getvalue())
 
     def test_seed_and_out_overrides(self, tmp_path):
         path, raw = write_config(tmp_path)
