@@ -21,7 +21,6 @@ from .bell import (
     expansion_term_count,
     hs_bound_certificate,
     lipschitz_certificate,
-    phi_apply,
     warp_expansion_terms,
 )
 from .circlefn import (
@@ -36,7 +35,6 @@ from .ensemble import (
     EnsembleSummary,
     RunConfig,
     contrast_h32,
-    hitting_time_stats,
     run_ensemble,
     run_experiment,
     validation_checks,

@@ -217,16 +217,15 @@ def hlambda_norm(f, basis):
     return float(np.linalg.norm(basis_coefficients(f, basis)))
 
 
-def inclusion_hs_norm(pair, n_cutoff):
-    """Hilbert-Schmidt norm of the truncated inclusion of the alpha space.
+def inclusion_hs_norm(n_cutoff):
+    """Hilbert-Schmidt norm of the truncated inclusion of the alpha space
+    into the lam space of a ``BasisPair``; it does not depend on alpha.
 
     The inclusion sends the alpha mode n to ``(1/|n|)`` times the lam mode
     (coefficient 1 at n = 0), so the squared norm is the partial sum
     ``1 + sum_{0 < |n| <= N} 1/n^2``.  The dropped tail is below
     ``inclusion_tail_bound(N)``.
     """
-    if not isinstance(pair, BasisPair):
-        raise TypeError("expected a BasisPair")
     if n_cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     n = np.arange(1, n_cutoff + 1, dtype=float)
@@ -238,9 +237,9 @@ def inclusion_tail_bound(n_cutoff):
     return 2.0 / n_cutoff
 
 
-def q_lambda_trace(pair, n_cutoff):
+def q_lambda_trace(n_cutoff):
     """Trace of the truncated covariance = squared HS norm of the inclusion."""
-    return inclusion_hs_norm(pair, n_cutoff) ** 2
+    return inclusion_hs_norm(n_cutoff) ** 2
 
 
 def verify_rapid_decay(seq, k_max, n_max):

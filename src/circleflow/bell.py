@@ -21,7 +21,6 @@ __all__ = [
     "compose_derivative",
     "warp_expansion_terms",
     "expansion_term_count",
-    "phi_apply",
     "HSBoundReport",
     "LipschitzReport",
     "hs_bound_certificate",
@@ -167,11 +166,6 @@ def warp_expansion_terms(k):
 def expansion_term_count(k):
     """Number of expanded terms at order k, counted with multiplicity."""
     return sum(coef for coef, _, _ in warp_expansion_terms(k))
-
-
-def phi_apply(f, g):
-    """The left-translation operator applied to g: returns g o (id + f)."""
-    return compose(g, AffineCircleMap(f))
 
 
 @dataclass(frozen=True)

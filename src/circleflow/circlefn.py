@@ -167,13 +167,7 @@ class CircleFunction:
         if oversample < 1:
             raise ValueError("oversample must be >= 1")
         a, b = self.coefficients
-        p = oversample * self.grid_size
-        spec = np.zeros(p // 2 + 1, dtype=complex)
-        spec[: a.size] = (a - 1j * b) * (p / 2.0)
-        spec[0] = a[0] * p
-        if oversample > 1:
-            spec[a.size - 1] *= 0.5  # original Nyquist is interior after padding
-        return np.fft.irfft(spec, n=p)
+        return _synthesize(a, b, oversample * self.grid_size)
 
     def evaluate(self, points):
         """The band-limited interpolant at arbitrary angles (any array shape).
@@ -245,12 +239,15 @@ def _analyze(values):
     return a, b
 
 
-def _synthesize(a, b, m):
-    spec = np.empty(m // 2 + 1, dtype=complex)
-    spec[0] = a[0] * m
-    spec[1:] = (a[1:] - 1j * b[1:]) * (m / 2.0)
-    spec[-1] = a[-1] * m
-    return np.fft.irfft(spec, n=m)
+def _synthesize(a, b, p):
+    """Samples at ``p >= M`` uniform angles of the function with coefficient
+    tables ``(a, b)``, Nyquist cosine included in full (zero padding)."""
+    spec = np.zeros(p // 2 + 1, dtype=complex)
+    spec[: a.size] = (a - 1j * b) * (p / 2.0)
+    spec[0] = a[0] * p
+    if a.size == spec.size:
+        spec[-1] = a[-1] * p  # the irfft counts its own Nyquist bin once
+    return np.fft.irfft(spec, n=p)
 
 
 class AffineCircleMap:

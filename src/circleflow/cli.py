@@ -8,8 +8,8 @@
 
 Exit codes: 0 all asserted checks pass, 1 a validation check failed,
 2 the config failed to parse or validate, 3 the integration produced
-non-finite values.  ``--seed`` and ``--out`` override the config file;
-CIRCLEFLOW_OUTDIR supplies a default output directory.
+non-finite values.  ``--seed``, ``--out`` and ``--workers`` override the
+config file; CIRCLEFLOW_OUTDIR supplies a default output directory.
 """
 
 import argparse

@@ -8,6 +8,7 @@ identical configs give byte-identical outputs.
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -16,7 +17,6 @@ import numpy as np
 
 from . import bell
 from .basis import (
-    BasisPair,
     ScaledBasis,
     ScalingSequence,
     inclusion_hs_norm,
@@ -43,7 +43,6 @@ __all__ = [
     "EnsembleSummary",
     "run_experiment",
     "run_ensemble",
-    "hitting_time_stats",
     "contrast_h32",
     "validation_checks",
     "SUMMARY_SCHEMA_VERSION",
@@ -185,10 +184,17 @@ def _run_one_path(args):
     )
 
 
-def run_ensemble(cfg, stop_after_hit=False):
-    """All paths of the configured ensemble, in path-id order."""
+def run_ensemble(cfg, solvers, stop_after_hit=False):
+    """Paths ``0..cfg.n_paths-1`` of each solver in ``solvers``, solver-major.
+
+    The one fan-out: every path of every solver is one task of a single pool
+    of ``cfg.workers`` processes (in-process at 1 worker), and the records
+    come back in task order, so the result does not depend on the worker
+    count.
+    """
     args = [
-        (cfg.solver, cfg.master_seed, pid, cfg.record_every, stop_after_hit)
+        (solver, cfg.master_seed, pid, cfg.record_every, stop_after_hit)
+        for solver in solvers
         for pid in range(cfg.n_paths)
     ]
     if cfg.workers > 1:
@@ -249,8 +255,13 @@ def run_experiment(cfg):
     return EXPERIMENTS[cfg.experiment](cfg, out)
 
 
+def _per_solver(records, n_paths):
+    """Split solver-major ``run_ensemble`` records into one list per solver."""
+    return [records[i : i + n_paths] for i in range(0, len(records), n_paths)]
+
+
 def _run_simulate(cfg, out):
-    records = run_ensemble(cfg)
+    records = run_ensemble(cfg, [cfg.solver])
     summary = summarize(records, cfg)
     _write_paths_csv(out / "paths.csv", records)
     _write_json(out / "summary.json", summary.to_dict())
@@ -258,27 +269,26 @@ def _run_simulate(cfg, out):
 
 
 def _run_hitting(cfg, out):
-    rows, all_records = [], []
-    base = 0
-    for radius in cfg.radii:
-        sub = replace(cfg, solver=replace(cfg.solver, radius=radius))
-        records = run_ensemble(sub, stop_after_hit=True)
-        for r in records:
-            all_records.append((base + r.path_id, r))
-        rows.append(hitting_row(radius, records, cfg.solver.horizon))
-        base += cfg.n_paths
-    summary = summarize([r for _, r in all_records], cfg)
+    solvers = [replace(cfg.solver, radius=radius) for radius in cfg.radii]
+    records = run_ensemble(cfg, solvers, stop_after_hit=True)
+    rows = [
+        hitting_row(radius, recs, cfg.solver.horizon)
+        for radius, recs in zip(cfg.radii, _per_solver(records, cfg.n_paths))
+    ]
+    summary = summarize(records, cfg)
     summary.extra["hitting_table"] = rows
     means = [row["mean_tau"] for row in rows]
+    # with every path censored the means are all the horizon: nothing to order
+    any_hit = any(row["n_censored"] < cfg.n_paths for row in rows)
     summary.checks.append(
         {
             "name": "mean_tau_nondecreasing_in_radius",
             "value": means,
             "bound": "nondecreasing",
-            "passed": all(a <= b for a, b in zip(means, means[1:])),
+            "passed": any_hit and all(a <= b for a, b in zip(means, means[1:])),
         }
     )
-    _write_paths_csv(out / "paths.csv", [r for _, r in all_records], ids=[i for i, _ in all_records])
+    _write_paths_csv(out / "paths.csv", records)
     _write_json(out / "summary.json", summary.to_dict())
     code = 0 if summary.all_passed() else 1
     return code, [out / "paths.csv", out / "summary.json"]
@@ -297,12 +307,6 @@ def hitting_row(radius, records, horizon):
         "n_censored": censored,
         "mean_is_lower_bound": censored > 0,
     }
-
-
-def hitting_time_stats(summary):
-    """The hitting table of a summary produced by the hitting experiment."""
-    extra = summary.extra if hasattr(summary, "extra") else summary["extra"]
-    return extra["hitting_table"]
 
 
 def _xi_map(cfg):
@@ -359,27 +363,27 @@ def contrast_h32(cfg):
     """
     low, high = 32, 64
     grid = max(cfg.solver.grid_size, 4 * high)
-    results = {}
-    for name, seq in (
+    families = (
         ("exponential", ScalingSequence.exponential(1.0)),
         ("powerlaw", ScalingSequence.powerlaw(1.5)),
-    ):
-        norms = {low: [], high: []}
-        min_derivs = []
-        for pid in range(cfg.n_paths):
-            for c in (low, high):
-                solver = replace(cfg.solver, mode_cutoff=c, grid_size=grid, alpha=seq)
-                stream = NoiseStream(cfg.master_seed, pid, c, solver.dt)
-                rec = simulate_path(solver, stream, record_every=max(1, solver.n_steps))
-                norms[c].append(rec.final_state.hk_norm(3))
-                if c == high:
-                    min_derivs.append(rec.samples[-1].min_deriv)
-        ratios = [_safe_ratio(hi, lo) for hi, lo in zip(norms[high], norms[low])]
+    )
+    solvers = [
+        replace(cfg.solver, mode_cutoff=c, grid_size=grid, alpha=seq)
+        for _, seq in families
+        for c in (low, high)
+    ]
+    records = run_ensemble(replace(cfg, record_every=max(1, cfg.solver.n_steps)), solvers)
+    per_solver = _per_solver(records, cfg.n_paths)
+    results = {}
+    for (name, _), lo_recs, hi_recs in zip(families, per_solver[0::2], per_solver[1::2]):
+        norms_lo = [r.final_state.hk_norm(3) for r in lo_recs]
+        norms_hi = [r.final_state.hk_norm(3) for r in hi_recs]
+        ratios = [_safe_ratio(hi, lo) for hi, lo in zip(norms_hi, norms_lo)]
         results[name] = {
             "stability_ratio": float(np.mean(ratios)),
-            "final_h3_low_cutoff": [float(v) for v in norms[low]],
-            "final_h3_high_cutoff": [float(v) for v in norms[high]],
-            "min_deriv": [float(v) for v in min_derivs],
+            "final_h3_low_cutoff": [float(v) for v in norms_lo],
+            "final_h3_high_cutoff": [float(v) for v in norms_hi],
+            "min_deriv": [float(r.samples[-1].min_deriv) for r in hi_recs],
         }
     return results
 
@@ -525,12 +529,16 @@ def validation_checks(seed=20240817):
         worst = max(worst, 0.0 if rep.c_r == 0 else rep.ratio / rep.c_r)
     record("lipschitz_ratio_vs_constant", worst, 1.0, worst <= 1.0)
 
-    # 11. Inclusion norms and trace identity
-    pair = BasisPair(ScalingSequence.exponential(1.0))
-    hs1 = inclusion_hs_norm(pair, 1)
+    # 11. Inclusion norm, and the trace against 1 + 2 sum_{n<=10} 1/n^2
+    # summed here independently.  Ten positive terms, the square root and the
+    # square round by under 9 eps relative in all; a partial sum off by one
+    # term is off by at least 2/121.
+    hs1 = inclusion_hs_norm(1)
     record("inclusion_hs_norm_n1", hs1, float(np.sqrt(3.0)), abs(hs1 - np.sqrt(3.0)) < 1e-14, kind="==")
-    tr = q_lambda_trace(pair, 10)
-    record("trace_equals_hs_squared", tr, inclusion_hs_norm(pair, 10) ** 2, tr == inclusion_hs_norm(pair, 10) ** 2, kind="==")
+    tr = q_lambda_trace(10)
+    partial = 1.0 + 2.0 * math.fsum(1.0 / n**2 for n in range(1, 11))
+    close = abs(tr - partial) <= 16 * np.finfo(float).eps * partial
+    record("trace_matches_partial_sum", tr, partial, close, kind="==")
 
     # 12. Rapid decay classification
     ok = verify_rapid_decay(ScalingSequence.exponential(1.0), 6, 200) and not verify_rapid_decay(
@@ -606,12 +614,12 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 
 
-def _write_paths_csv(path, records, ids=None):
+def _write_paths_csv(path, records):
+    """One row per sample; a path's id is its position in ``records``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "t", "hk", "min_deriv", "stopped"])
-        for idx, rec in enumerate(records):
-            pid = ids[idx] if ids is not None else rec.path_id
+        for pid, rec in enumerate(records):
             for s in rec.samples:
                 writer.writerow([pid, repr(s.t), repr(s.hk), repr(s.min_deriv), int(s.stopped)])
 

@@ -64,7 +64,11 @@ def _require_reals(values, error=ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization and truncation parameters for one flow simulation."""
+    """Discretization and truncation parameters for one flow simulation.
+
+    ``n_steps`` and the mode weights ``weights = alpha(0..mode_cutoff)`` are
+    derived once, at construction; the steppers read them from here.
+    """
 
     dt: float
     horizon: float
@@ -75,6 +79,7 @@ class SolverConfig:
     k: int = 2
     scheme: str = "euler"
     n_steps: int = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_ints(self, ("mode_cutoff", "grid_size", "k"))
@@ -107,6 +112,9 @@ class SolverConfig:
             raise ValueError("the H^k weight n^(2k) overflows at the top grid mode")
         if self.scheme not in ("euler", "heun"):
             raise ValueError("scheme must be 'euler' or 'heun'")
+        weights = self.alpha.values(self.mode_cutoff)
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
 
     def basis(self):
         return ScaledBasis(self.alpha, self.mode_cutoff, self.grid_size)
@@ -165,13 +173,10 @@ class PathSample:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """Sampled trajectory with hitting time and replay provenance."""
+    """Sampled trajectory with hitting time and the states it ended at."""
 
     samples: tuple
     tau_r: float
-    master_seed: int
-    path_id: int
-    start_step: int
     state_at_tau: CircleFunction = None
     final_state: CircleFunction = None
 
@@ -204,27 +209,23 @@ def _warped_points(state, cfg):
     return grid_points(cfg.grid_size) + scale * state.x.grid_values
 
 
-def euler_step(state, inc, cfg, weights=None):
+def euler_step(state, inc, cfg):
     """One explicit step: x += field(id + x); drift-free since the
     stochastic contraction of the mode sum cancels identically."""
-    if weights is None:
-        weights = cfg.alpha.values(cfg.mode_cutoff)
-    fld = field_values(inc.delta_b, weights, _warped_points(state, cfg))
+    fld = field_values(inc.delta_b, cfg.weights, _warped_points(state, cfg))
     return _advance(state, state.x.grid_values + fld, cfg)
 
 
-def heun_step(state, inc, cfg, weights=None):
+def heun_step(state, inc, cfg):
     """Midpoint predictor-corrector for the same increments.
 
     Used to probe the Ito/Stratonovich agreement numerically; the truncation
     rule is applied at both stage states so the scheme integrates the same
     truncated dynamics as the explicit step.
     """
-    if weights is None:
-        weights = cfg.alpha.values(cfg.mode_cutoff)
-    f0 = field_values(inc.delta_b, weights, _warped_points(state, cfg))
+    f0 = field_values(inc.delta_b, cfg.weights, _warped_points(state, cfg))
     pred = _advance(state, state.x.grid_values + f0, cfg)
-    f1 = field_values(inc.delta_b, weights, _warped_points(pred, cfg))
+    f1 = field_values(inc.delta_b, cfg.weights, _warped_points(pred, cfg))
     return _advance(state, state.x.grid_values + 0.5 * (f0 + f1), cfg)
 
 
@@ -240,10 +241,9 @@ def integrate(cfg, increments, start=None):
     draws no further noise.
     """
     step = _STEPPERS[cfg.scheme]
-    weights = cfg.alpha.values(cfg.mode_cutoff)
     state = FlowState.initial(cfg) if start is None else start
     for inc in increments:
-        state = step(state, inc, cfg, weights)
+        state = step(state, inc, cfg)
         yield state
 
 
@@ -258,7 +258,6 @@ def simulate_path(cfg, stream, record_every=1, stop_after_hit=False, keep_snapsh
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    start_step = stream.step_index
     state = FlowState.initial(cfg)
     samples = [_sample(state, keep_snapshots)]
     tau_r = None
@@ -277,9 +276,6 @@ def simulate_path(cfg, stream, record_every=1, stop_after_hit=False, keep_snapsh
     return PathRecord(
         samples=tuple(samples),
         tau_r=tau_r,
-        master_seed=stream.master_seed,
-        path_id=stream.path_id,
-        start_step=start_step,
         state_at_tau=state_at_tau,
         final_state=state.x,
     )
@@ -333,9 +329,6 @@ def concatenate(first, fresh, cfg, record_every=1, keep_snapshots=False):
     return PathRecord(
         samples=tuple(samples),
         tau_r=first.tau_r,
-        master_seed=first.master_seed,
-        path_id=first.path_id,
-        start_step=first.start_step,
         state_at_tau=first.state_at_tau,
         final_state=final,
     )

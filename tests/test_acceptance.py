@@ -8,6 +8,7 @@ seed for every stochastic criterion is 20240817.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy import stats
@@ -17,6 +18,7 @@ from circleflow import (
     CircleFunction,
     ModeIncrement,
     NoiseStream,
+    RunConfig,
     ScaledBasis,
     ScalingSequence,
     SolverConfig,
@@ -24,16 +26,19 @@ from circleflow import (
     compose,
     compose_derivative,
     concatenate,
+    contrast_h32,
     diffeo_radius,
     flow_compose_check,
     hs_bound_certificate,
     integrate,
     lipschitz_certificate,
+    run_ensemble,
     simulate_path,
     sobolev_embedding_constant,
     stratonovich_correction,
 )
 from circleflow.cli import main as cli_main
+from circleflow.ensemble import hitting_row
 from conftest import random_band_limited
 from test_bell import bell_via_partitions
 
@@ -329,19 +334,13 @@ def test_criterion_08_concatenation_consistency():
 def test_criterion_09_non_explosion_evidence():
     start = time.time()
     radii = (0.05, 0.1, 0.2, 0.4)
+    solver = SolverConfig(dt=1e-3, horizon=2.0, mode_cutoff=32, grid_size=128, alpha=ALPHA, k=2)
+    cfg = RunConfig(solver, n_paths=200, master_seed=SEED, record_every=10**6, workers=2)
+    records = run_ensemble(cfg, [replace(solver, radius=r) for r in radii], stop_after_hit=True)
     rows = []
-    for radius in radii:
-        cfg = SolverConfig(
-            dt=1e-3, horizon=2.0, mode_cutoff=32, grid_size=128, alpha=ALPHA, radius=radius, k=2
-        )
-        taus = []
-        for pid in range(200):
-            rec = simulate_path(
-                cfg, NoiseStream(SEED, pid, 32, cfg.dt), record_every=10**6, stop_after_hit=True
-            )
-            taus.append(rec.tau_r if rec.tau_r is not None else cfg.horizon)
-        taus = np.array(taus)
-        rows.append((radius, taus.mean(), taus.std(ddof=1) / np.sqrt(taus.size)))
+    for i, radius in enumerate(radii):
+        row = hitting_row(radius, records[200 * i : 200 * (i + 1)], solver.horizon)
+        rows.append((radius, row["mean_tau"], row["stderr"]))
     increasing = all(a[1] < b[1] for a, b in zip(rows, rows[1:]))
     separated = all(a[1] + a[2] < b[1] - b[2] for a, b in zip(rows, rows[1:]))
     elapsed = time.time() - start
@@ -356,24 +355,12 @@ def test_criterion_09_non_explosion_evidence():
 
 def test_criterion_10_smoothness_dichotomy():
     start = time.time()
-    horizon, dt, grid = 0.5, 1e-3, 256
-    ratios = {}
-    for name, seq in (
-        ("exponential", ScalingSequence.exponential(1.0)),
-        ("powerlaw", ScalingSequence.powerlaw(1.5)),
-    ):
-        per_path = []
-        for pid in range(50):
-            norms = {}
-            for cutoff in (32, 64):
-                cfg = SolverConfig(
-                    dt=dt, horizon=horizon, mode_cutoff=cutoff, grid_size=grid,
-                    alpha=seq, radius=1e9, k=2,
-                )
-                rec = simulate_path(cfg, NoiseStream(SEED, pid, cutoff, dt), record_every=10**6)
-                norms[cutoff] = rec.final_state.hk_norm(3)
-            per_path.append(norms[64] / norms[32])
-        ratios[name] = float(np.mean(per_path))
+    # contrast_h32 runs both families at cutoffs 32 and 64 on a 256 grid
+    solver = SolverConfig(
+        dt=1e-3, horizon=0.5, mode_cutoff=32, grid_size=256, alpha=ALPHA, radius=1e9, k=2
+    )
+    results = contrast_h32(RunConfig(solver, n_paths=50, master_seed=SEED, workers=2))
+    ratios = {name: results[name]["stability_ratio"] for name in ("exponential", "powerlaw")}
     elapsed = time.time() - start
     passed = ratios["exponential"] < 1.05 and ratios["powerlaw"] > 1.20 and elapsed < 300.0
     report(

@@ -99,23 +99,21 @@ class TestBasisPair:
             assert coeffs[n + 8] == pytest.approx(1.0 / abs(n), rel=1e-15)
 
     def test_inclusion_hs_norm_small_cutoffs(self):
-        pair = BasisPair(ScalingSequence.exponential(1.0))
-        assert inclusion_hs_norm(pair, 1) == pytest.approx(np.sqrt(3.0), rel=1e-14)
+        assert inclusion_hs_norm(1) == pytest.approx(np.sqrt(3.0), rel=1e-14)
         # partial sums approach 1 + pi^2/3 within the reported tail bound
         limit_sq = 1.0 + np.pi**2 / 3.0
         for n in (10, 100, 1000):
-            partial_sq = inclusion_hs_norm(pair, n) ** 2
+            partial_sq = inclusion_hs_norm(n) ** 2
             assert partial_sq < limit_sq
             assert limit_sq - partial_sq < inclusion_tail_bound(n)
 
     def test_trace_values(self):
-        pair = BasisPair(ScalingSequence.exponential(1.0))
-        assert q_lambda_trace(pair, 1) == pytest.approx(3.0, rel=1e-14)
+        assert q_lambda_trace(1) == pytest.approx(3.0, rel=1e-14)
         # partial-sum oracle: 1 + 2 * sum_{n<=10} 1/n^2
         oracle = 1.0 + 2.0 * sum(1.0 / n**2 for n in range(1, 11))
-        assert q_lambda_trace(pair, 10) == pytest.approx(oracle, rel=1e-13)
+        assert q_lambda_trace(10) == pytest.approx(oracle, rel=1e-13)
         for n in (1, 5, 50):
-            assert q_lambda_trace(pair, n) == inclusion_hs_norm(pair, n) ** 2
+            assert q_lambda_trace(n) == inclusion_hs_norm(n) ** 2
 
 
 class TestRapidDecayProbe:

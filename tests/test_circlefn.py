@@ -110,6 +110,37 @@ class TestNorms:
             assert g.hk_norm(0) <= g.hk_norm(2) + 1e-12
 
 
+class TestDenseValues:
+    """The oversampled interpolant keeps every mode, the Nyquist cosine in full.
+
+    Tolerance: an FFT of length n has 2-norm error below about
+    ``4 eps log2(n)`` relative (Higham, Accuracy and Stability, 2nd ed.,
+    section 24.1); the grid values pass through one forward and one inverse
+    transform, so ``8 eps log2(p)`` times their 2-norm bounds the error.
+    Dropping half the Nyquist term misses by about 0.1 here.
+    """
+
+    @pytest.mark.parametrize("oversample", [1, 2, 4])
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_subsampling_reproduces_grid_values(self, rng, m, oversample):
+        f = CircleFunction.from_grid(rng.normal(size=m))  # full band
+        assert f.coefficients[0][-1] != 0.0
+        dense = f.dense_values(oversample)
+        p = oversample * m
+        assert dense.size == p
+        tol = 8 * np.finfo(float).eps * np.log2(p) * np.linalg.norm(f.grid_values)
+        assert np.max(np.abs(dense[::oversample] - f.grid_values)) <= tol
+
+    @pytest.mark.parametrize("oversample", [1, 2, 4])
+    def test_nyquist_harmonic(self, oversample):
+        f = CircleFunction.harmonic(16, 8, cos_amp=1.0)
+        p = 16 * oversample
+        want = np.cos(8 * grid_points(p))
+        tol = 8 * np.finfo(float).eps * np.log2(p) * np.linalg.norm(want)
+        assert np.max(np.abs(f.dense_values(oversample) - want)) <= tol
+        assert f.linf_norm() == pytest.approx(1.0, abs=tol)
+
+
 class TestEvaluate:
     def test_sine_at_half_pi(self):
         f = CircleFunction.harmonic(16, 1, sin_amp=1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circleflow import ConfigError, RunConfig, run_experiment, validation_checks
+from circleflow import (
+    ConfigError,
+    RunConfig,
+    inclusion_hs_norm,
+    q_lambda_trace,
+    run_ensemble,
+    run_experiment,
+    validation_checks,
+)
+from circleflow import basis
 from circleflow.cli import main as cli_main
 from circleflow.ensemble import _safe_ratio
 
@@ -160,6 +170,39 @@ class TestSimulateExperiment:
             assert lo <= hi + 1e-15
 
 
+class TestRunEnsemble:
+    @staticmethod
+    def outcome(records):
+        return [(r.samples, r.tau_r) for r in records]
+
+    def test_solver_major_and_independent_of_workers(self, tmp_path):
+        cfg = RunConfig.from_dict(base_config(tmp_path, n_paths=3, record_every=5))
+        solvers = [dataclasses.replace(cfg.solver, radius=r) for r in (0.02, 0.5)]
+        serial = run_ensemble(cfg, solvers, stop_after_hit=True)
+        assert len(serial) == 6
+        for i, solver in enumerate(solvers):
+            alone = run_ensemble(cfg, [solver], stop_after_hit=True)
+            assert self.outcome(serial[3 * i : 3 * i + 3]) == self.outcome(alone)
+        pooled = run_ensemble(dataclasses.replace(cfg, workers=2), solvers, stop_after_hit=True)
+        assert self.outcome(pooled) == self.outcome(serial)
+        # the small radius is hit, and stop_after_hit ends those paths early
+        assert all(r.tau_r is not None for r in serial[:3])
+        assert all(r.samples[-1].t == r.tau_r for r in serial[:3])
+
+    @pytest.mark.parametrize("command", ["hitting-times", "contrast"])
+    def test_artifacts_identical_across_workers(self, tmp_path, command):
+        cfg = base_config(tmp_path, n_paths=3, radii=[0.02, 0.05])
+        cfg["solver"].update(grid_size=256, mode_cutoff=32, horizon=0.01)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        blobs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert cli_main([command, str(path), "--workers", workers, "--out", str(out)]) == 0
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert blobs[0] == blobs[1]
+
+
 class TestHittingExperiment:
     def test_tiny_radius_crosses_immediately(self, tmp_path):
         path, raw = write_config(tmp_path, experiment="hitting_times", radii=[1e-9], n_paths=4)
@@ -192,6 +235,21 @@ class TestHittingExperiment:
         names = [c["name"] for c in summary["checks"]]
         assert "mean_tau_nondecreasing_in_radius" in names
 
+    def test_fails_when_no_path_hits(self, tmp_path):
+        # at horizon 0 every path is censored at t = 0: the means are all 0.0
+        cfg = json.loads((DOCS / "example-config.json").read_text())
+        cfg["n_paths"] = 2
+        cfg["solver"]["horizon"] = 0.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli_main(["hitting-times", str(path), "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        check = summary["checks"][0]
+        assert check["value"] == [0.0] * 4
+        assert not check["passed"]
+        assert all(row["n_censored"] == 2 for row in summary["extra"]["hitting_table"])
+
 
 class TestContrastExperiment:
     def test_safe_ratio_zero_over_zero_is_one(self):
@@ -220,6 +278,16 @@ class TestValidationBattery:
         assert len(checks) >= 10
         failed = [c["name"] for c in checks if not c["passed"]]
         assert failed == []
+
+    def test_trace_check_fails_on_a_wrong_partial_sum(self, monkeypatch):
+        # The partial sum one term short, 1 + 2 sum_{n<=9} 1/n^2, inside the
+        # definition q_lambda_trace squares: trace and squared HS norm still
+        # agree, but the independently summed value does not.
+        monkeypatch.setattr(basis, "inclusion_hs_norm", lambda n: inclusion_hs_norm(n - 1))
+        assert q_lambda_trace(10) == inclusion_hs_norm(9) ** 2
+        checks = {c["name"]: c["passed"] for c in validation_checks(SEED)}
+        assert checks.pop("trace_matches_partial_sum") is False
+        assert all(checks.values())
 
     def test_writes_report_with_values_and_bounds(self, tmp_path):
         path, raw = write_config(tmp_path, experiment="validate")

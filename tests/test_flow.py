@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,6 +65,18 @@ class TestSolverConfig:
     def test_round_trips_through_dict(self):
         cfg = make_config()
         assert SolverConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_weights_computed_once_per_config(self):
+        cfg = make_config(horizon=0.02)
+        assert np.array_equal(cfg.weights, ALPHA.values(cfg.mode_cutoff))
+        assert not cfg.weights.flags.writeable
+        assert np.array_equal(dataclasses.replace(cfg, mode_cutoff=4).weights, ALPHA.values(4))
+        stream = NoiseStream(SEED, 0, cfg.mode_cutoff, cfg.dt)
+        incs = [stream.increment_at(i) for i in range(cfg.n_steps)]
+        configs = [cfg, dataclasses.replace(cfg, scheme="heun")]
+        with mock.patch.object(ScalingSequence, "values", side_effect=AssertionError("per step")):
+            for c in configs:
+                assert len(list(integrate(c, incs))) == cfg.n_steps
 
 
 class TestTruncationScale:
@@ -131,8 +144,9 @@ class TestSteps:
             heun_step(state, bad, cfg)
 
 
-def _old_heun_step(state, inc, cfg, weights):
+def _old_heun_step(state, inc, cfg):
     """heun_step as it was before it built its predictor with _advance."""
+    weights = cfg.alpha.values(cfg.mode_cutoff)
     theta = grid_points(cfg.grid_size)
     x0 = state.x.grid_values
     f0 = field_values(inc.delta_b, weights, theta + truncation_scale(state, cfg) * x0)
@@ -148,11 +162,10 @@ def _old_heun_step(state, inc, cfg, weights):
 def reference_states(cfg, increments):
     """The hand-written stepping loop that integrate replaced."""
     step = {"euler": euler_step, "heun": _old_heun_step}[cfg.scheme]
-    weights = cfg.alpha.values(cfg.mode_cutoff)
     state = FlowState.initial(cfg)
     states = []
     for inc in increments:
-        state = step(state, inc, cfg, weights)
+        state = step(state, inc, cfg)
         states.append(state)
     return states
 
