@@ -21,6 +21,7 @@ __all__ = [
     "AffineCircleMap",
     "compose",
     "grid_points",
+    "hk_norms",
     "sobolev_embedding_constant",
 ]
 
@@ -148,15 +149,7 @@ class CircleFunction:
 
     def hk_norm(self, k):
         """Two-term Sobolev norm sqrt(||f||_L2^2 + ||f^(k)||_L2^2)."""
-        if k < 0:
-            raise ValueError("Sobolev index must be >= 0")
-        a, b = self.coefficients
-        l2sq = a[0] ** 2 + 0.5 * np.sum(a[1:] ** 2 + b[1:] ** 2)
-        if k == 0:
-            return float(np.sqrt(2.0 * l2sq))
-        n = np.arange(1, a.size, dtype=float)
-        dsq = 0.5 * np.sum(n ** (2 * k) * (a[1:] ** 2 + b[1:] ** 2))
-        return float(np.sqrt(l2sq + dsq))
+        return float(_hk_norm(*self.coefficients, k))
 
     def linf_norm(self, oversample=4):
         """Max |f| over a grid ``oversample`` times denser than the stored one."""
@@ -206,34 +199,67 @@ class CircleFunction:
 
 
 def trig_sum(c0, c, points):
-    """``c0 + Re sum_{n=1}^{N} c[n-1] z^n`` with ``z = exp(i * points)``.
+    """``c0 + Re sum_{n=1}^{N} c[..., n-1] z^n`` with ``z = exp(i * points)``.
 
     Horner's rule in ``z`` (Clenshaw, Math. Comp. 9, 1955): one ``exp`` per
     point and N complex multiply-adds, instead of N ``cos`` and ``sin`` calls
-    per point.  Every update is elementwise, so a point's value does not
-    depend on the shape of ``points``.  The product goes to a second buffer
-    because NumPy's in-place complex multiply rounds a one-element array
-    differently from a longer one.  ``c`` must hold at least one term.
+    per point.  The modes lie on the last axis of ``c``.  A 1-d ``c`` is one
+    sum, evaluated at ``points`` of any shape; a ``(P, N)`` ``c`` with ``(P,)``
+    ``c0`` is P sums, row ``p`` evaluated at the row ``points[p]`` of ``(P, M)``
+    points.  Every update is elementwise, so a point's value does not depend
+    on the shape of ``points`` or on the number of rows.  The product goes to
+    a second buffer because NumPy's in-place complex multiply rounds a
+    one-element array differently from a longer one.  ``c`` must hold at
+    least one term.
     """
     z = np.exp(1j * np.asarray(points, dtype=float))
-    acc = np.full(z.shape, c[-1], dtype=complex)
+    terms = np.asarray(c)
+    if terms.ndim > 1:  # one coefficient row per row of points
+        c0 = np.asarray(c0)[:, None]
+        # NumPy adds a scalar faster than a broadcast column, so a single
+        # row keeps scalar coefficients
+        terms = terms[0] if terms.shape[0] == 1 else terms.T[:, :, None]
+    acc = np.empty(z.shape, dtype=complex)
+    acc[...] = terms[-1]
     prod = np.empty_like(acc)
-    for cn in c[-2::-1]:
+    for cn in terms[-2::-1]:
         np.multiply(acc, z, prod)
         np.add(prod, cn, acc)
     np.multiply(acc, z, prod)
     return c0 + prod.real
 
 
+def hk_norms(values, k):
+    """H^k norms of the functions sampled on the last axis of ``values``.
+
+    One ``rfft`` over all rows and the formula of ``CircleFunction.hk_norm``
+    (``_hk_norm``), so a row's norm is bitwise ``CircleFunction(row).hk_norm(k)``.
+    """
+    return _hk_norm(*_analyze(values), k)
+
+
+def _hk_norm(a, b, k):
+    """Two-term H^k norms from coefficient tables with modes on the last axis."""
+    if k < 0:
+        raise ValueError("Sobolev index must be >= 0")
+    l2sq = a[..., 0] ** 2 + 0.5 * np.sum(a[..., 1:] ** 2 + b[..., 1:] ** 2, axis=-1)
+    if k == 0:
+        return np.sqrt(2.0 * l2sq)
+    n = np.arange(1, a.shape[-1], dtype=float)
+    dsq = 0.5 * np.sum(n ** (2 * k) * (a[..., 1:] ** 2 + b[..., 1:] ** 2), axis=-1)
+    return np.sqrt(l2sq + dsq)
+
+
 def _analyze(values):
-    m = values.size
-    spec = np.fft.rfft(values)
-    a = np.empty(m // 2 + 1)
-    b = np.zeros(m // 2 + 1)
-    a[0] = spec[0].real / m
-    a[1 : m // 2] = 2.0 * spec[1 : m // 2].real / m
-    b[1 : m // 2] = -2.0 * spec[1 : m // 2].imag / m
-    a[m // 2] = spec[m // 2].real / m
+    """Coefficient tables ``(a, b)`` of the samples on the last axis."""
+    m = values.shape[-1]
+    spec = np.fft.rfft(values, axis=-1)
+    a = np.empty(spec.shape)
+    b = np.zeros(spec.shape)
+    a[..., 0] = spec[..., 0].real / m
+    a[..., 1 : m // 2] = 2.0 * spec[..., 1 : m // 2].real / m
+    b[..., 1 : m // 2] = -2.0 * spec[..., 1 : m // 2].imag / m
+    a[..., m // 2] = spec[..., m // 2].real / m
     for arr in (a, b):
         arr.flags.writeable = False
     return a, b

@@ -29,10 +29,12 @@ from .flow import (
     SolverConfig,
     _require_ints,
     _require_reals,
-    euler_step,
     flow_compose_check,
-    simulate_path,
+    integrate,
+    simulate_path,  # unused here; perfbench's tracer wraps it at this site
+    simulate_paths,
     stratonovich_correction,
+    stratonovich_rounding_bound,
     truncation_scale,
 )
 from .noise import ModeIncrement, NoiseStream
@@ -176,45 +178,74 @@ class EnsembleSummary:
 # ---------------------------------------------------------------------------
 
 
+# Rows per block task: a task's memory stays O(BLOCK_ROWS * grid_size) at
+# any n_paths.
+BLOCK_ROWS = 64
+
+
 def _run_one_path(args):
-    solver, seed, path_id, record_every, stop_after_hit = args
-    stream = NoiseStream(seed, path_id, solver.mode_cutoff, solver.dt)
-    return simulate_path(
-        solver, stream, record_every=record_every, stop_after_hit=stop_after_hit
-    )
+    """One block task: paths ``first..stop-1`` of one solver, stepped as one
+    block.  (The name predates blocks; perfbench's tracer wraps it by name.)"""
+    solver, seed, first, stop, record_every, stop_after_hit = args
+    streams = [
+        NoiseStream(seed, pid, solver.mode_cutoff, solver.dt) for pid in range(first, stop)
+    ]
+    return simulate_paths(solver, streams, record_every, stop_after_hit)
+
+
+def _blocks(n_paths, workers):
+    """Contiguous ``(first, stop)`` path-id ranges: at least ``workers`` of
+    them (when there are that many paths), none longer than BLOCK_ROWS."""
+    n = min(n_paths, max(workers, -(-n_paths // BLOCK_ROWS)))
+    bounds = [n_paths * i // n for i in range(n + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def run_ensemble(cfg, solvers, stop_after_hit=False):
     """Paths ``0..cfg.n_paths-1`` of each solver in ``solvers``, solver-major.
 
-    The one fan-out: every path of every solver is one task of a single pool
-    of ``cfg.workers`` processes (in-process at 1 worker), and the records
-    come back in task order, so the result does not depend on the worker
-    count.
+    The one fan-out: each solver's paths are split into contiguous blocks
+    (``_blocks``), every block is one task of a single pool of
+    ``cfg.workers`` processes (in-process at 1 worker), and the records come
+    back in task order.  Paths never mix within a block, so the result does
+    not depend on the worker count or the block sizes.
     """
     args = [
-        (solver, cfg.master_seed, pid, cfg.record_every, stop_after_hit)
+        (solver, cfg.master_seed, first, stop, cfg.record_every, stop_after_hit)
         for solver in solvers
-        for pid in range(cfg.n_paths)
+        for first, stop in _blocks(cfg.n_paths, cfg.workers)
     ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(_run_one_path, args))
-    return [_run_one_path(a) for a in args]
+            blocks = list(pool.map(_run_one_path, args))
+    else:
+        blocks = [_run_one_path(a) for a in args]
+    return [record for block in blocks for record in block]
 
 
 def summarize(records, cfg):
-    """Quantile series, hitting times, and the spectral decay fit."""
+    """Quantile series, hitting times, and the spectral decay fit.
+
+    The quantiles run over the record-grid times (the initial state, every
+    ``record_every``-th step and the last step) that every path recorded; a
+    crossing sample off that grid stays in paths.csv only.
+    """
     tau = [r.tau_r for r in records]
-    aligned = len({tuple(s.t for s in r.samples) for r in records}) == 1
-    times, hk_q, md_q = [], {}, {}
-    if aligned:
-        times = [s.t for s in records[0].samples]
-        hk = np.array([[s.hk for s in r.samples] for r in records])
-        md = np.array([[s.min_deriv for s in r.samples] for r in records])
+    every, n_steps, dt = cfg.record_every, cfg.solver.n_steps, cfg.solver.dt
+
+    def on_grid(t):
+        i = round(t / dt)
+        return i % every == 0 or i == n_steps
+
+    by_time = [{s.t: s for s in r.samples if on_grid(s.t)} for r in records]
+    times = sorted(set.intersection(*map(set, by_time))) if records else []
+    hk_q, md_q = {}, {}
+    if times:
+        hk = np.sort([[row[t].hk for t in times] for row in by_time], axis=0)
+        md = np.sort([[row[t].min_deriv for t in times] for row in by_time], axis=0)
         qs = (5, 50, 95)
-        hk_q = {f"p{q:02d}": np.percentile(hk, q, axis=0).tolist() for q in qs}
-        md_q = {f"p{q:02d}": np.percentile(md, q, axis=0).tolist() for q in qs}
+        hk_q = {f"p{q:02d}": _percentile(hk, q).tolist() for q in qs}
+        md_q = {f"p{q:02d}": _percentile(md, q).tolist() for q in qs}
     return EnsembleSummary(
         n_paths=len(records),
         tau_r=tau,
@@ -223,6 +254,19 @@ def summarize(records, cfg):
         min_deriv_quantiles=md_q,
         decay_fit_exponent=_decay_fit([r.final_state for r in records]),
     )
+
+
+def _percentile(ordered, q):
+    """``np.percentile(ordered, q, axis=0)`` of rows sorted along axis 0.
+
+    NumPy's linear interpolation, written out: ``np.percentile`` reaches
+    ``np.unique``, which imports ``numpy.ma`` (1.6 MB of peak memory).
+    """
+    h = (ordered.shape[0] - 1) * (q / 100)
+    lo = math.floor(h)
+    t = h - lo
+    a, b = ordered[lo], ordered[min(lo + 1, ordered.shape[0] - 1)]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _decay_fit(finals):
@@ -546,13 +590,14 @@ def validation_checks(seed=20240817):
     )
     record("rapid_decay_classification", int(ok), 1, ok, kind="==")
 
-    # 13. Stratonovich correction vanishes identically
+    # 13. Stratonovich correction vanishes up to its rounding bound
     worst = 0.0
     basis = ScaledBasis(ScalingSequence.exponential(1.0), 16, 64)
     for _ in range(20):
         w = AffineCircleMap(CircleFunction(rng.normal(0, 0.3, 64)))
         worst = max(worst, float(np.max(np.abs(stratonovich_correction(w, basis)))))
-    record("stratonovich_correction_zero", worst, 0.0, worst == 0.0, kind="==")
+    bound = stratonovich_rounding_bound(basis)
+    record("stratonovich_correction_zero", worst, bound, worst <= bound)
 
     # 14. Noise determinism
     s1 = NoiseStream(seed, 3, 8, 1e-3)
@@ -573,7 +618,7 @@ def validation_checks(seed=20240817):
     )
     state = FlowState.initial(solver)
     zero_inc = ModeIncrement(np.zeros(17), 8, 1e-3)
-    stepped = euler_step(state, zero_inc, solver)
+    stepped = next(integrate(solver, [zero_inc], start=state))
     fixed = np.array_equal(stepped.x.grid_values, state.x.grid_values)
     boundary = truncation_scale(
         FlowState(CircleFunction.zero(64), 0.0, solver.radius, False), solver

@@ -7,16 +7,27 @@ state (the additive update still lands on the true state), which is the
 globally Lipschitz truncation of the dynamics; the first grid time at which
 the norm reaches the radius is recorded as the hitting time and the path
 keeps evolving under the truncated dynamics afterwards.
+
+Paths are stepped in blocks: P states held as one ``(P, M)`` array, each
+row driven by its own increments.  Every update is elementwise or per row,
+so a row's values do not depend on the other rows or on P; one state is
+the block with P = 1.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
 from .basis import ScaledBasis, ScalingSequence
-from .circlefn import AffineCircleMap, CircleFunction, grid_points, sobolev_embedding_constant
+from .circlefn import (
+    AffineCircleMap,
+    CircleFunction,
+    grid_points,
+    hk_norms,
+    sobolev_embedding_constant,
+)
 from .noise import field_values
 
 __all__ = [
@@ -30,11 +41,13 @@ __all__ = [
     "heun_step",
     "integrate",
     "simulate_path",
+    "simulate_paths",
     "concatenate",
     "flow_compose_check",
     "FlowCheckReport",
     "diffeo_radius",
     "stratonovich_correction",
+    "stratonovich_rounding_bound",
 ]
 
 
@@ -189,96 +202,181 @@ class PathRecord:
         return t, hk, md, stopped
 
 
+@dataclass(frozen=True)
+class _Block:
+    """P solution rows stepped as one array: the ``(P, M)`` vector parts,
+    their H^k norms and stop flags, all at time ``t``."""
+
+    x: np.ndarray
+    t: float
+    hk: np.ndarray
+    stopped: np.ndarray
+
+    @classmethod
+    def of(cls, states):
+        """The block of the given states (all at one time)."""
+        return cls(
+            np.array([s.x.grid_values for s in states]),
+            states[0].t,
+            np.array([s.hk for s in states], dtype=float),
+            np.array([s.stopped for s in states], dtype=bool),
+        )
+
+    def take(self, rows):
+        return _Block(self.x[rows], self.t, self.hk[rows], self.stopped[rows])
+
+    def row(self, i):
+        x = CircleFunction(self.x[i])
+        return FlowState(x, self.t, float(self.hk[i]), bool(self.stopped[i]))
+
+
 def _advance(prev, new_values, cfg):
+    """The block after a step to ``new_values``: finite check, H^k norms
+    (one ``rfft`` over the rows) and the latched stop flags."""
     if not np.all(np.isfinite(new_values)):
         raise SimulationDiverged(f"non-finite state at t={prev.t + cfg.dt:.6g}")
-    x = CircleFunction(new_values)
-    hk = x.hk_norm(cfg.k)
-    return FlowState(x, prev.t + cfg.dt, hk, prev.stopped or hk >= cfg.radius)
+    new_values.flags.writeable = False
+    hk = hk_norms(new_values, cfg.k)
+    return _Block(new_values, prev.t + cfg.dt, hk, prev.stopped | (hk >= cfg.radius))
 
 
 def truncation_scale(state, cfg):
-    """Applied radial scale: 1 inside the ball, R/||x|| outside (boundary in)."""
-    if state.hk <= cfg.radius:
-        return 1.0
-    return cfg.radius / state.hk
+    """Applied radial scale: 1 inside the ball, R/||x|| outside (boundary in).
+
+    Row by row when ``state`` is a block of states.
+    """
+    return cfg.radius / np.maximum(state.hk, cfg.radius)  # R / R is exactly 1
 
 
-def _warped_points(state, cfg):
-    scale = truncation_scale(state, cfg)
-    return grid_points(cfg.grid_size) + scale * state.x.grid_values
+def _warped_points(block, cfg):
+    return grid_points(cfg.grid_size) + truncation_scale(block, cfg)[:, None] * block.x
 
 
-def euler_step(state, inc, cfg):
-    """One explicit step: x += field(id + x); drift-free since the
-    stochastic contraction of the mode sum cancels identically."""
-    fld = field_values(inc.delta_b, cfg.weights, _warped_points(state, cfg))
-    return _advance(state, state.x.grid_values + fld, cfg)
+def _euler(block, db, cfg):
+    """One explicit step of a block, row ``p`` driven by the increments
+    ``db[p]``: x += field(id + x); drift-free since the stochastic
+    contraction of the mode sum cancels (``stratonovich_correction``)."""
+    fld = field_values(db, cfg.weights, _warped_points(block, cfg))
+    return _advance(block, block.x + fld, cfg)
 
 
-def heun_step(state, inc, cfg):
+def _heun(block, db, cfg):
     """Midpoint predictor-corrector for the same increments.
 
     Used to probe the Ito/Stratonovich agreement numerically; the truncation
     rule is applied at both stage states so the scheme integrates the same
     truncated dynamics as the explicit step.
     """
-    f0 = field_values(inc.delta_b, cfg.weights, _warped_points(state, cfg))
-    pred = _advance(state, state.x.grid_values + f0, cfg)
-    f1 = field_values(inc.delta_b, cfg.weights, _warped_points(pred, cfg))
-    return _advance(state, state.x.grid_values + 0.5 * (f0 + f1), cfg)
+    f0 = field_values(db, cfg.weights, _warped_points(block, cfg))
+    pred = _advance(block, block.x + f0, cfg)
+    f1 = field_values(db, cfg.weights, _warped_points(pred, cfg))
+    return _advance(block, block.x + 0.5 * (f0 + f1), cfg)
 
 
-_STEPPERS = {"euler": euler_step, "heun": heun_step}
+_STEPPERS = {"euler": _euler, "heun": _heun}
+
+
+def euler_step(state, inc, cfg):
+    """One explicit step of one state (the block step at P = 1)."""
+    return _euler(_Block.of([state]), inc.delta_b[None], cfg).row(0)
+
+
+def heun_step(state, inc, cfg):
+    """One predictor-corrector step of one state (the block step at P = 1)."""
+    return _heun(_Block.of([state]), inc.delta_b[None], cfg).row(0)
+
+
+def _integrate(cfg, block, draw, drop_stopped=False):
+    """The one stepping loop: step ``block`` under ``cfg.scheme``.
+
+    Yields ``(rows, block)`` after each step, ``rows`` being the indices into
+    the starting block of the rows stepped.  ``draw(rows)`` returns their
+    ``(len(rows), 2N+1)`` increments, or None to end; it is called only
+    when the next step is wanted, so a caller that stops early draws no
+    further noise.  With ``drop_stopped`` a row leaves the block after the
+    step at which it stopped, and its noise is no longer drawn.
+    """
+    step = _STEPPERS[cfg.scheme]
+    rows = np.arange(block.hk.size)
+    while True:
+        if drop_stopped and block.stopped.any():
+            keep = ~block.stopped
+            rows, block = rows[keep], block.take(keep)
+        db = draw(rows) if rows.size else None
+        if db is None:
+            return
+        block = step(block, db, cfg)
+        yield rows, block
 
 
 def integrate(cfg, increments, start=None):
     """Yield the state after each increment under ``cfg.scheme``.
 
-    The one stepping driver: every loop over steps iterates over it.  The
-    truncation of ``cfg`` applies at each step; ``start`` defaults to the
-    identity.  Increments are pulled lazily, so a caller that stops early
-    draws no further noise.
+    The block loop at P = 1.  The truncation of ``cfg`` applies at each
+    step; ``start`` defaults to the identity.  Increments are pulled lazily,
+    so a caller that stops early draws no further noise.
     """
-    step = _STEPPERS[cfg.scheme]
-    state = FlowState.initial(cfg) if start is None else start
-    for inc in increments:
-        state = step(state, inc, cfg)
-        yield state
+    incs = iter(increments)
+
+    def draw(rows):
+        inc = next(incs, None)
+        return None if inc is None else inc.delta_b[None]
+
+    block = _Block.of([FlowState.initial(cfg) if start is None else start])
+    for _, block in _integrate(cfg, block, draw):
+        yield block.row(0)
 
 
-def simulate_path(cfg, stream, record_every=1, stop_after_hit=False, keep_snapshots=False):
-    """Integrate from the identity to the horizon, recording diagnostics.
+def simulate_paths(cfg, streams, record_every=1, stop_after_hit=False, keep_snapshots=False):
+    """Integrate one path per stream, as one block, from the identity to the
+    horizon; returns their records in stream order.
 
-    The hitting time is the first grid time with H^k norm >= radius; the
-    path continues under the truncated dynamics unless ``stop_after_hit``,
-    which leaves ``stream`` at the crossing step.  Samples are kept every
-    ``record_every`` steps plus the initial state, the crossing step, and
-    the final step.
+    The hitting time is the first grid time with H^k norm >= radius; a path
+    continues under the truncated dynamics unless ``stop_after_hit``, which
+    drops it from the block and leaves its stream at the crossing step.
+    Samples are kept every ``record_every`` steps plus the initial state,
+    the crossing step, and the final step.  Rows never mix, so a path's
+    record does not depend on the other streams of the block.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    state = FlowState.initial(cfg)
-    samples = [_sample(state, keep_snapshots)]
-    tau_r = None
-    state_at_tau = None
-    n_steps = cfg.n_steps
-    increments = (stream.next_increment() for _ in range(n_steps))
-    for i, state in enumerate(integrate(cfg, increments, start=state), 1):
-        crossed = state.stopped and tau_r is None
-        if crossed:
-            tau_r = state.t
-            state_at_tau = state.x
-        if crossed or i % record_every == 0 or i == n_steps:
-            samples.append(_sample(state, keep_snapshots))
-        if crossed and stop_after_hit:
-            break
-    return PathRecord(
-        samples=tuple(samples),
-        tau_r=tau_r,
-        state_at_tau=state_at_tau,
-        final_state=state.x,
-    )
+    n_paths, n_steps = len(streams), cfg.n_steps
+    start = FlowState.initial(cfg)
+    block = _Block.of([start] * n_paths)
+    samples = [[_sample(start, keep_snapshots)] for _ in range(n_paths)]
+    hit = np.zeros(n_paths, dtype=bool)
+    tau_r = [None] * n_paths
+    state_at_tau = [None] * n_paths
+
+    def draw(rows):
+        return np.array([streams[r].next_increment().delta_b for r in rows])
+
+    rows = np.arange(n_paths)  # the last block's rows, also when n_steps is 0
+    stepped = _integrate(cfg, block, draw, drop_stopped=stop_after_hit)
+    for i, (rows, block) in zip(range(1, n_steps + 1), stepped):
+        crossed = block.stopped & ~hit[rows]
+        on_grid = i % record_every == 0 or i == n_steps
+        for j in range(rows.size) if on_grid else np.flatnonzero(crossed):
+            r = rows[j]
+            state = block.row(j)
+            if crossed[j]:
+                hit[r] = True
+                tau_r[r] = state.t
+                state_at_tau[r] = state.x
+            samples[r].append(_sample(state, keep_snapshots))
+    # a row missing from the last block left it at its crossing step
+    final = list(state_at_tau)
+    for j, r in enumerate(rows):
+        final[r] = CircleFunction(block.x[j])
+    return [
+        PathRecord(tuple(s), tau, at_tau, fin)
+        for s, tau, at_tau, fin in zip(samples, tau_r, state_at_tau, final)
+    ]
+
+
+def simulate_path(cfg, stream, record_every=1, stop_after_hit=False, keep_snapshots=False):
+    """``simulate_paths`` for one stream."""
+    return simulate_paths(cfg, [stream], record_every, stop_after_hit, keep_snapshots)[0]
 
 
 def _sample(state, keep):
@@ -345,9 +443,9 @@ class FlowCheckReport:
 def flow_compose_check(cfg, stream, xi_map, record_every=1):
     """Left-invariance probe: evolve from id and from xi with one noise path.
 
-    Runs x from 0 and y from the vector part of ``xi_map`` with identical
-    increments and reports sup over recorded times and grid points of
-    |(id + y)(theta) - (id + x)(xi(theta))|.  For the identity the two
+    Runs x from 0 and y from the vector part of ``xi_map`` as one 2-row
+    block fed the same increment each step, and reports sup over recorded
+    times and grid points of |(id + y)(theta) - (id + x)(xi(theta))|.  For the identity the two
     recursions coincide bit for bit; for rigid rotations the grid is mapped
     onto itself so only rounding enters; for generic warps the error is the
     band-limited interpolation of the composed state.
@@ -358,7 +456,11 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
     if xi_map.grid_size != cfg.grid_size:
         raise ValueError("initial map must live on the solver grid")
     n_steps = cfg.n_steps
-    incs = [stream.increment_at(stream.step_index + i) for i in range(n_steps)]
+    steps = count(stream.step_index)
+
+    def draw(rows):
+        db = stream.increment_at(next(steps)).delta_b
+        return np.array([db, db])
 
     xi = xi_map.vector_part
     xi_hk = xi.hk_norm(cfg.k)
@@ -366,8 +468,10 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
     y_state = FlowState(xi, 0.0, xi_hk, xi_hk >= cfg.radius)
     warp_pts = xi_map.grid_warp
 
-    pairs = zip(integrate(cfg, incs, start=x_state), integrate(cfg, incs, start=y_state))
-    recorded = (p for i, p in enumerate(pairs, 1) if i % record_every == 0 or i == n_steps)
+    stepped = zip(range(1, n_steps + 1), _integrate(cfg, _Block.of([x_state, y_state]), draw))
+    recorded = (
+        (b.row(0), b.row(1)) for i, (_, b) in stepped if i % record_every == 0 or i == n_steps
+    )
 
     sup_error, window, checked = 0.0, None, 0
     x_samples, y_samples = [], []
@@ -394,18 +498,35 @@ def diffeo_radius(k, n_max=4096):
 
 
 def stratonovich_correction(warp, basis):
-    """The Ito-Stratonovich correction drift, written out term by term.
+    """The Ito-Stratonovich correction drift ``1/2 sum_n e_n'(w) e_n(w)``.
 
-    For each mode pair the contraction contributes
-    ``alpha(n)^2 * (-sin(n w) cos(n w) + sin(n w) cos(n w))``; the evaluator
-    computes both products literally so the cancellation is exact in floating
-    point, and the flow steppers accordingly integrate without any drift.
+    Summed over the basis functions ``e_n``, ``|n| <= cutoff``, at the warped
+    grid ``w``.  The modes n and -n contribute
+    ``n (lam(-n)^2 - lam(n)^2) sin(n w) cos(n w) / 2``, so with equal cos and
+    sin weights the drift vanishes, up to the rounding bounded by
+    ``stratonovich_rounding_bound``, and the steppers integrate without any.
     """
     w = warp.grid_warp
-    weights = basis.weights()
     out = np.zeros_like(w)
     for n in range(1, basis.mode_cutoff + 1):
-        s = np.sin(n * w)
-        c = np.cos(n * w)
-        out += weights[n] ** 2 * (-(s * c) + s * c)
-    return out
+        pair = [basis.basis_function(m) for m in (n, -n)]
+        out += sum(e.derivative().evaluate(w) * e.evaluate(w) for e in pair)
+    return 0.5 * out
+
+
+def stratonovich_rounding_bound(basis):
+    """Bound on ``|stratonovich_correction|`` when its exact value is zero.
+
+    Horner's rule evaluates ``lam cos(n w)`` within ``4 eps (n + 1) lam``
+    and the derivative, whose coefficient ``n lam`` is rounded once, within
+    ``eps (4n + 5) n lam`` (the bound of ``trig_sum``).  A product of the two
+    is then off by at most ``eps (8n + 10) n lam^2``, its own rounding and
+    the second-order terms included, and the sums that follow add only
+    second-order terms to values that are zero exactly.  The correction is
+    half the sum over the modes n and -n, so with ``n <= N`` it is within
+    ``eps (8N + 10) sum_n n (lam(n)^2 + lam(-n)^2) / 2``.
+    """
+    n = np.arange(1, basis.mode_cutoff + 1)
+    lam_sq = np.array([basis.weight(m) ** 2 + basis.weight(-m) ** 2 for m in n]) / 2
+    eps = np.finfo(float).eps
+    return float(eps * (8 * basis.mode_cutoff + 10) * np.sum(n * lam_sq))

@@ -39,6 +39,7 @@ from circleflow import (
 )
 from circleflow.cli import main as cli_main
 from circleflow.ensemble import hitting_row
+from circleflow.flow import simulate_paths, stratonovich_rounding_bound
 from conftest import random_band_limited
 from test_bell import bell_via_partitions
 
@@ -193,7 +194,8 @@ def test_criterion_05_ito_equals_stratonovich(rng):
     for _ in range(100):
         warp = AffineCircleMap(CircleFunction(rng.normal(0.0, 0.7, 64)))
         worst = max(worst, float(np.max(np.abs(stratonovich_correction(warp, basis)))))
-    correction_ok = worst == 0.0
+    # zero up to the rounding bound derived in stratonovich_rounding_bound
+    correction_ok = worst <= stratonovich_rounding_bound(basis)
 
     # Euler vs Heun on one documented Brownian path with nested increments.
     # Single-path Richardson ratios scatter (the mode fields do not commute);
@@ -260,10 +262,8 @@ def test_criterion_07_diffeomorphism_preservation():
     n_paths = 200
     clean = 0
     worst_min_deriv = np.inf
-    for pid in range(n_paths):
-        rec = simulate_path(
-            cfg, NoiseStream(SEED, pid, 32, cfg.dt), record_every=1, stop_after_hit=True
-        )
+    streams = [NoiseStream(SEED, pid, 32, cfg.dt) for pid in range(n_paths)]
+    for rec in simulate_paths(cfg, streams, record_every=1, stop_after_hit=True):
         md = rec.series()[2]
         worst_min_deriv = min(worst_min_deriv, float(md.min()))
         if np.all(md > 0.0):
@@ -311,14 +311,15 @@ def test_criterion_08_concatenation_consistency():
     ks_cfg = SolverConfig(
         dt=1e-3, horizon=2.0, mode_cutoff=32, grid_size=128, alpha=ALPHA, radius=0.4, k=2
     )
-    taus_first, taus_second = [], []
-    for pid in range(200):
-        s = NoiseStream(SEED, pid, 32, ks_cfg.dt)
-        r1 = simulate_path(ks_cfg, s, record_every=10**6, stop_after_hit=True)
-        taus_first.append(r1.tau_r)
-        offset = NoiseStream(SEED, pid, 32, ks_cfg.dt, step_index=int(round(r1.tau_r / ks_cfg.dt)))
-        r2 = simulate_path(ks_cfg, offset, record_every=10**6, stop_after_hit=True)
-        taus_second.append(r2.tau_r)
+    streams = [NoiseStream(SEED, pid, 32, ks_cfg.dt) for pid in range(200)]
+    firsts = simulate_paths(ks_cfg, streams, record_every=10**6, stop_after_hit=True)
+    taus_first = [r.tau_r for r in firsts]
+    offsets = [
+        NoiseStream(SEED, pid, 32, ks_cfg.dt, step_index=int(round(r.tau_r / ks_cfg.dt)))
+        for pid, r in enumerate(firsts)
+    ]
+    seconds = simulate_paths(ks_cfg, offsets, record_every=10**6, stop_after_hit=True)
+    taus_second = [r.tau_r for r in seconds]
     assert all(t is not None for t in taus_first + taus_second)
     ks = stats.ks_2samp(taus_first, taus_second)
     ks_ok = ks.pvalue >= 0.01

@@ -8,6 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +22,9 @@ from circleflow import (
     run_experiment,
     validation_checks,
 )
-from circleflow import basis
+from circleflow import basis, ensemble
 from circleflow.cli import main as cli_main
-from circleflow.ensemble import _safe_ratio
+from circleflow.ensemble import _percentile, _safe_ratio
 
 SEED = 20240817
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -159,6 +160,31 @@ class TestSimulateExperiment:
         assert len(summary["tau_r"]) == 2
         assert summary["hk_quantiles"]["p05"] is not None
 
+    def test_documented_config_quantiles_cover_the_record_grid(self, tmp_path):
+        # paths cross the radius at different off-grid steps; the quantiles
+        # still run over every recorded grid time, t = 0 .. 1 every 10 steps
+        cfg = json.loads((DOCS / "example-config.json").read_text())
+        cfg["n_paths"] = 4
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert any(t is not None for t in summary["tau_r"])
+        assert len(summary["times"]) == 101
+        assert summary["times"][0] == 0.0 and summary["times"][-1] == pytest.approx(1.0)
+        for quantiles in (summary["hk_quantiles"], summary["min_deriv_quantiles"]):
+            assert sorted(quantiles) == ["p05", "p50", "p95"]
+            assert all(len(series) == 101 for series in quantiles.values())
+
+    def test_percentile_equals_numpy(self, rng):
+        for n_paths in range(1, 12):
+            values = rng.normal(size=(n_paths, 7)) * rng.uniform(0.1, 10.0)
+            ordered = np.sort(values, axis=0)
+            for q in (0, 5, 33, 50, 95, 100):
+                got = _percentile(ordered, q)
+                assert np.array_equal(got, np.percentile(values, q, axis=0))
+
     def test_quantiles_monotone(self, tmp_path):
         path, raw = write_config(tmp_path, n_paths=5)
         run_experiment(RunConfig.from_file(path))
@@ -188,6 +214,49 @@ class TestRunEnsemble:
         # the small radius is hit, and stop_after_hit ends those paths early
         assert all(r.tau_r is not None for r in serial[:3])
         assert all(r.samples[-1].t == r.tau_r for r in serial[:3])
+
+    @staticmethod
+    def fingerprint(records):
+        """Everything a record holds, states as raw bytes."""
+        def state(f):
+            return None if f is None else f.grid_values.tobytes()
+
+        return [
+            (r.samples, r.tau_r, state(r.state_at_tau), state(r.final_state)) for r in records
+        ]
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("stop_after_hit", [False, True])
+    def test_paths_identical_across_block_sizes_and_workers(
+        self, tmp_path, monkeypatch, scheme, stop_after_hit
+    ):
+        cfg = RunConfig.from_dict(base_config(tmp_path, n_paths=9, record_every=3))
+        solvers = [
+            dataclasses.replace(cfg.solver, radius=r, horizon=0.05, scheme=scheme)
+            for r in (0.1, 1.0)
+        ]
+        runs = []
+        for rows in (1, 7, cfg.n_paths):
+            monkeypatch.setattr(ensemble, "BLOCK_ROWS", rows)
+            for workers in (1, 2):
+                pool_cfg = dataclasses.replace(cfg, workers=workers)
+                runs.append(self.fingerprint(run_ensemble(pool_cfg, solvers, stop_after_hit)))
+        assert all(run == runs[0] for run in runs[1:])
+        # the small radius is hit at different steps (under stop_after_hit
+        # the rows leave their block one by one)
+        taus = {r[1] for r in runs[0][: cfg.n_paths]}
+        assert None not in taus and len(taus) > 1
+
+    def test_block_tasks_cover_the_paths(self):
+        assert ensemble._blocks(4, 1) == [(0, 4)]
+        assert ensemble._blocks(50, 2) == [(0, 25), (25, 50)]
+        assert ensemble._blocks(3, 8) == [(0, 1), (1, 2), (2, 3)]
+        for n_paths, workers in ((1, 1), (200, 1), (200, 2), (129, 3), (1000, 16)):
+            blocks = ensemble._blocks(n_paths, workers)
+            assert len(blocks) >= min(n_paths, workers)
+            assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+            assert blocks[0][0] == 0 and blocks[-1][1] == n_paths
+            assert max(stop - first for first, stop in blocks) <= ensemble.BLOCK_ROWS
 
     @pytest.mark.parametrize("command", ["hitting-times", "contrast"])
     def test_artifacts_identical_across_workers(self, tmp_path, command):

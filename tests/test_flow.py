@@ -27,6 +27,7 @@ from circleflow import (
     stratonovich_correction,
     truncation_scale,
 )
+from circleflow.flow import stratonovich_rounding_bound
 from conftest import random_band_limited
 
 SEED = 20240817
@@ -358,10 +359,42 @@ class TestDiffeoRadius:
         assert AffineCircleMap(f).min_derivative > 0.0
 
 
+@dataclasses.dataclass(frozen=True)
+class _Lopsided:
+    """``base`` with the sin weight of one mode multiplied by ``factor``."""
+
+    base: ScalingSequence
+    mode: int
+    factor: float
+
+    def value_at(self, n):
+        return self.base.value_at(n) * (self.factor if n == -self.mode else 1.0)
+
+    def values(self, n_max):
+        return self.base.values(n_max)
+
+
 class TestStratonovichCorrection:
-    def test_identically_zero_for_random_states(self, rng):
+    def test_zero_within_rounding_bound_for_random_states(self, rng):
         basis = ScaledBasis(ALPHA, 16, 64)
+        bound = stratonovich_rounding_bound(basis)
+        worst = 0.0
         for _ in range(50):
             warp = AffineCircleMap(CircleFunction(rng.normal(0, 0.5, 64)))
             correction = stratonovich_correction(warp, basis)
-            assert np.all(correction == 0.0)
+            worst = max(worst, float(np.max(np.abs(correction))))
+        assert worst <= bound
+
+    def test_unequal_weights_give_the_predicted_drift(self, rng):
+        # negative control: sin weight of mode 3 doubled, so the pair 3, -3
+        # leaves n (lam(-n)^2 - lam(n)^2) sin(n w) cos(n w) / 2
+        n, lam = 3, ALPHA.value_at(3)
+        basis = ScaledBasis(_Lopsided(ALPHA, n, 2.0), 8, 64)
+        warp = AffineCircleMap(CircleFunction(rng.normal(0, 0.5, 64)))
+        w = warp.grid_warp
+        predicted = n * ((2 * lam) ** 2 - lam**2) * np.sin(n * w) * np.cos(n * w) / 2
+        correction = stratonovich_correction(warp, basis)
+        bound = stratonovich_rounding_bound(basis)
+        slack = 4 * np.finfo(float).eps * np.max(np.abs(predicted))
+        assert np.max(np.abs(correction - predicted)) <= bound + slack
+        assert np.max(np.abs(correction)) > 1e6 * bound

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats
 
 from circleflow import (
@@ -55,6 +56,27 @@ class TestDeterminism:
         large = NoiseStream(SEED, 3, 16, 1e-3).increment_at(5)
         for n in range(-8, 9):
             assert small.mode(n) == large.mode(n)
+
+    def test_reused_generator_matches_a_fresh_one(self):
+        # oracle: the documented counter layout, one fresh generator per draw
+        rng = np.random.default_rng(7)
+        streams = [
+            NoiseStream(int(rng.integers(0, 2**63)) * 2 + 1, int(rng.integers(0, 2**32)), n, 1e-3)
+            for n in (1, 8, 32)
+        ]
+        steps = [0, 1, 2**31, 2**63, 2**64 - 1] + [int(v) for v in rng.integers(0, 2**40, 20)]
+        for step in steps:  # out of order, the other streams drawing in between
+            for s in streams:
+                counter = np.array([0, s.path_id, step, 0], dtype=np.uint64)
+                z = Generator(Philox(key=s.master_seed, counter=counter)).standard_normal(
+                    2 * s.mode_cutoff + 1
+                )
+                n = s.mode_cutoff
+                want = np.empty_like(z)
+                want[n] = z[0]
+                want[n + 1 :] = z[1::2]
+                want[n - 1 :: -1] = z[2::2]
+                assert np.array_equal(s.increment_at(step).delta_b, want * np.sqrt(1e-3))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from circleflow import CircleFunction, NoiseStream, ScalingSequence, field_values, grid_points
-from circleflow.circlefn import trig_sum
+from circleflow.circlefn import hk_norms, trig_sum
 
 from conftest import random_band_limited
 
@@ -146,3 +146,26 @@ def test_value_at_a_point_does_not_depend_on_the_shape(rng):
         chunks = [f.evaluate(points[i : i + size]) for i in range(0, points.size, size)]
         assert np.array_equal(whole, np.concatenate(chunks))
     assert np.array_equal(whole[:100].reshape(4, 25), f.evaluate(points[:100].reshape(4, 25)))
+
+
+@pytest.mark.parametrize("rows, n_cut, grid_size", [(1, 4, 32), (7, 32, 128), (3, 64, 256)])
+def test_block_rows_equal_single_evaluations(rng, rows, n_cut, grid_size):
+    # a (P, 2N+1) block of increments at (P, M) points, row by row
+    weights = ScalingSequence.exponential(1.0).values(n_cut)
+    streams = [NoiseStream(SEED, p, n_cut, 1e-3) for p in range(rows)]
+    delta_b = np.array([s.increment_at(0).delta_b for s in streams])
+    points = np.array([warped_grid(rng, grid_size) for _ in range(rows)])
+    block = field_values(delta_b, weights, points)
+    assert block.shape == points.shape
+    for p in range(rows):
+        assert np.array_equal(block[p], field_values(delta_b[p], weights, points[p]))
+
+
+def test_block_hk_norms_equal_single_norms(rng):
+    fns = [random_band_limited(rng, 128, 30) for _ in range(5)]
+    values = np.array([f.grid_values for f in fns])
+    for k in (0, 2, 3):
+        got = hk_norms(values, k)
+        assert got.shape == (5,)
+        for norm, f in zip(got, fns):
+            assert norm == CircleFunction(f.grid_values).hk_norm(k)
