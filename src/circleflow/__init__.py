@@ -48,14 +48,12 @@ from .flow import (
     SolverConfig,
     concatenate,
     diffeo_radius,
-    euler_step,
     flow_compose_check,
-    heun_step,
     integrate,
     simulate_path,
     stratonovich_correction,
     truncation_scale,
 )
-from .noise import ModeIncrement, NoiseStream, field_values, noise_field
+from .noise import ModeIncrement, NoiseStream, field_values
 
 __version__ = "0.1.0"

@@ -60,11 +60,6 @@ class CircleFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_grid(cls, values):
-        """Wrap raw samples; the coefficient view stays unset until needed."""
-        return cls(values)
-
-    @classmethod
     def from_coefficients(cls, a, b):
         """Build from real cos/sin coefficient tables of length M/2 + 1.
 

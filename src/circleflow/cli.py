@@ -7,9 +7,10 @@
     circleflow contrast <config.json>       cutoff-doubling smoothness contrast
 
 Exit codes: 0 all asserted checks pass, 1 a validation check failed,
-2 the config failed to parse or validate, 3 the integration produced
-non-finite values.  ``--seed``, ``--out`` and ``--workers`` override the
-config file; CIRCLEFLOW_OUTDIR supplies a default output directory.
+2 the config failed to parse or validate or its output directory cannot be
+created, 3 the integration produced non-finite values.  ``--seed``,
+``--out`` and ``--workers`` override the config file; CIRCLEFLOW_OUTDIR
+supplies a default output directory.
 """
 
 import argparse
@@ -60,12 +61,10 @@ def load_config(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
+        code, artifacts = run_experiment(load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        code, artifacts = run_experiment(cfg)
     except SimulationDiverged as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

@@ -27,6 +27,7 @@ from .circlefn import AffineCircleMap, CircleFunction, compose, grid_points, sob
 from .flow import (
     FlowState,
     SolverConfig,
+    _on_record_grid,
     _require_ints,
     _require_reals,
     flow_compose_check,
@@ -103,6 +104,11 @@ class RunConfig:
             _require_reals({"flow_tolerance": self.flow_tolerance}, ConfigError)
             if self.flow_tolerance < 0:
                 raise ConfigError("flow_tolerance must be >= 0")
+        if self.experiment == "contrast_h32":
+            try:
+                _contrast_solvers(self.solver)
+            except ValueError as exc:
+                raise ConfigError(f"contrast solver: {exc}") from exc
 
     def to_dict(self):
         d = {
@@ -147,11 +153,11 @@ class EnsembleSummary:
     """Aggregated diagnostics for one ensemble run."""
 
     n_paths: int
-    tau_r: list
-    times: list
-    hk_quantiles: dict
-    min_deriv_quantiles: dict
-    decay_fit_exponent: float
+    tau_r: list = field(default_factory=list)
+    times: list = field(default_factory=list)
+    hk_quantiles: dict = field(default_factory=dict)
+    min_deriv_quantiles: dict = field(default_factory=dict)
+    decay_fit_exponent: float = float("nan")
     checks: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
@@ -232,12 +238,10 @@ def summarize(records, cfg):
     """
     tau = [r.tau_r for r in records]
     every, n_steps, dt = cfg.record_every, cfg.solver.n_steps, cfg.solver.dt
-
-    def on_grid(t):
-        i = round(t / dt)
-        return i % every == 0 or i == n_steps
-
-    by_time = [{s.t: s for s in r.samples if on_grid(s.t)} for r in records]
+    by_time = [
+        {s.t: s for s in r.samples if _on_record_grid(round(s.t / dt), every, n_steps)}
+        for r in records
+    ]
     times = sorted(set.intersection(*map(set, by_time))) if records else []
     hk_q, md_q = {}, {}
     if times:
@@ -293,10 +297,41 @@ def _decay_fit(finals):
 
 
 def run_experiment(cfg):
-    """Run the configured experiment; returns (exit_code, artifacts)."""
+    """Run the configured experiment and write its artifacts; returns
+    ``(exit_code, artifacts)``.
+
+    The one artifact tail.  Each runner returns ``(summary, runs, report)``:
+    ``runs`` are the sample sequences of ``paths.csv`` (None: no CSV), and
+    ``report`` the fields ``report.json`` holds beside the checks (None: no
+    report).  An output directory that cannot be created is a ConfigError,
+    raised before any path is stepped.
+    """
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return EXPERIMENTS[cfg.experiment](cfg, out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    summary, runs, report = EXPERIMENTS[cfg.experiment](cfg)
+    artifacts = []
+    if runs is not None:
+        artifacts.append(out / "paths.csv")
+        _write_sample_csv(artifacts[-1], runs)
+    artifacts.append(out / "summary.json")
+    _write_json(artifacts[-1], summary.to_dict())
+    if report is not None:
+        artifacts.append(out / "report.json")
+        _write_json(
+            artifacts[-1], {"schema": SUMMARY_SCHEMA_VERSION, "checks": summary.checks, **report}
+        )
+    return (0 if summary.all_passed() else 1), artifacts
+
+
+def _check(name, value, bound, passed, kind=None):
+    """One check entry of ``summary.json`` (and ``report.json``)."""
+    check = {"name": name, "value": value, "bound": bound, "passed": bool(passed)}
+    if kind is not None:
+        check["kind"] = kind
+    return check
 
 
 def _per_solver(records, n_paths):
@@ -304,15 +339,12 @@ def _per_solver(records, n_paths):
     return [records[i : i + n_paths] for i in range(0, len(records), n_paths)]
 
 
-def _run_simulate(cfg, out):
+def _run_simulate(cfg):
     records = run_ensemble(cfg, [cfg.solver])
-    summary = summarize(records, cfg)
-    _write_paths_csv(out / "paths.csv", records)
-    _write_json(out / "summary.json", summary.to_dict())
-    return 0, [out / "paths.csv", out / "summary.json"]
+    return summarize(records, cfg), [r.samples for r in records], None
 
 
-def _run_hitting(cfg, out):
+def _run_hitting(cfg):
     solvers = [replace(cfg.solver, radius=radius) for radius in cfg.radii]
     records = run_ensemble(cfg, solvers, stop_after_hit=True)
     rows = [
@@ -324,18 +356,10 @@ def _run_hitting(cfg, out):
     means = [row["mean_tau"] for row in rows]
     # with every path censored the means are all the horizon: nothing to order
     any_hit = any(row["n_censored"] < cfg.n_paths for row in rows)
-    summary.checks.append(
-        {
-            "name": "mean_tau_nondecreasing_in_radius",
-            "value": means,
-            "bound": "nondecreasing",
-            "passed": any_hit and all(a <= b for a, b in zip(means, means[1:])),
-        }
-    )
-    _write_paths_csv(out / "paths.csv", records)
-    _write_json(out / "summary.json", summary.to_dict())
-    code = 0 if summary.all_passed() else 1
-    return code, [out / "paths.csv", out / "summary.json"]
+    ordered = any_hit and all(a <= b for a, b in zip(means, means[1:]))
+    check = _check("mean_tau_nondecreasing_in_radius", means, "nondecreasing", ordered)
+    summary.checks.append(check)
+    return summary, [r.samples for r in records], None
 
 
 def hitting_row(radius, records, horizon):
@@ -362,37 +386,44 @@ def _xi_map(cfg):
     return AffineCircleMap(CircleFunction.harmonic(m, 1, sin_amp=cfg.xi_amplitude))
 
 
-def _run_flow_check(cfg, out):
+def _run_flow_check(cfg):
     stream = NoiseStream(cfg.master_seed, 0, cfg.solver.mode_cutoff, cfg.solver.dt)
     xi = _xi_map(cfg)
     report = flow_compose_check(cfg.solver, stream, xi, record_every=cfg.record_every)
     tol = cfg.flow_tolerance
     if tol is None:
         tol = 1e-10 if cfg.xi_kind in ("identity", "rotation") else 1e-4
-    checks = [
-        {
-            "name": f"flow_compose_sup_error_{cfg.xi_kind}",
-            "value": report.sup_error,
-            "bound": tol,
-            # a check over the t = 0 sample alone compares nothing
-            "passed": report.sup_error <= tol and report.n_checked > 1,
-        }
-    ]
+    # a check over the t = 0 sample alone compares nothing
+    passed = report.sup_error <= tol and report.n_checked > 1
+    check = _check(f"flow_compose_sup_error_{cfg.xi_kind}", report.sup_error, tol, passed)
     compared = {"n_checked": report.n_checked, "window": report.window}
-    summary = EnsembleSummary(1, [], [], {}, {}, float("nan"), checks=checks)
+    summary = EnsembleSummary(1, checks=[check])
     summary.extra["flow_check"] = {
         "xi_kind": cfg.xi_kind,
         "xi_amplitude": cfg.xi_amplitude,
         "sup_error": report.sup_error,
         **compared,
     }
-    _write_sample_csv(out / "paths.csv", report.runs)
-    _write_json(out / "summary.json", summary.to_dict())
-    _write_json(out / "report.json", {"schema": SUMMARY_SCHEMA_VERSION, "checks": checks, **compared})
-    return (0 if summary.all_passed() else 1), [
-        out / "paths.csv",
-        out / "summary.json",
-        out / "report.json",
+    return summary, report.runs, compared
+
+
+_CONTRAST_FAMILIES = (
+    ("exponential", ScalingSequence.exponential(1.0)),
+    ("powerlaw", ScalingSequence.powerlaw(1.5)),
+)
+
+
+def _contrast_solvers(solver):
+    """The solvers of ``contrast_h32``, family-major: each family of
+    ``_CONTRAST_FAMILIES`` at cutoffs 32 and 64, on a grid of at least 4 * 64
+    points.  RunConfig builds them at load, so a config they reject is a
+    ConfigError there."""
+    low, high = 32, 64
+    grid = max(solver.grid_size, 4 * high)
+    return [
+        replace(solver, mode_cutoff=c, grid_size=grid, alpha=seq)
+        for _, seq in _CONTRAST_FAMILIES
+        for c in (low, high)
     ]
 
 
@@ -405,21 +436,12 @@ def contrast_h32(cfg):
     reports the mean per-path ratio of final H^3 norms plus the ensemble
     minimum of the warp derivative.
     """
-    low, high = 32, 64
-    grid = max(cfg.solver.grid_size, 4 * high)
-    families = (
-        ("exponential", ScalingSequence.exponential(1.0)),
-        ("powerlaw", ScalingSequence.powerlaw(1.5)),
-    )
-    solvers = [
-        replace(cfg.solver, mode_cutoff=c, grid_size=grid, alpha=seq)
-        for _, seq in families
-        for c in (low, high)
-    ]
+    solvers = _contrast_solvers(cfg.solver)
     records = run_ensemble(replace(cfg, record_every=max(1, cfg.solver.n_steps)), solvers)
     per_solver = _per_solver(records, cfg.n_paths)
     results = {}
-    for (name, _), lo_recs, hi_recs in zip(families, per_solver[0::2], per_solver[1::2]):
+    pairs = zip(_CONTRAST_FAMILIES, per_solver[0::2], per_solver[1::2])
+    for (name, _), lo_recs, hi_recs in pairs:
         norms_lo = [r.final_state.hk_norm(3) for r in lo_recs]
         norms_hi = [r.final_state.hk_norm(3) for r in hi_recs]
         ratios = [_safe_ratio(hi, lo) for hi, lo in zip(norms_hi, norms_lo)]
@@ -438,26 +460,17 @@ def _safe_ratio(num, den):
     return num / den
 
 
-def _run_contrast(cfg, out):
+def _run_contrast(cfg):
     results = contrast_h32(cfg)
+    stable = results["exponential"]["stability_ratio"]
+    unstable = results["powerlaw"]["stability_ratio"]
     checks = [
-        {
-            "name": "exponential_cutoff_doubling_stable",
-            "value": results["exponential"]["stability_ratio"],
-            "bound": 1.05,
-            "passed": results["exponential"]["stability_ratio"] < 1.05,
-        },
-        {
-            "name": "powerlaw_cutoff_doubling_unstable",
-            "value": results["powerlaw"]["stability_ratio"],
-            "bound": 1.20,
-            "passed": results["powerlaw"]["stability_ratio"] > 1.20,
-        },
+        _check("exponential_cutoff_doubling_stable", stable, 1.05, stable < 1.05),
+        _check("powerlaw_cutoff_doubling_unstable", unstable, 1.20, unstable > 1.20),
     ]
-    summary = EnsembleSummary(cfg.n_paths, [], [], {}, {}, float("nan"), checks=checks)
+    summary = EnsembleSummary(cfg.n_paths, checks=checks)
     summary.extra["contrast"] = results
-    _write_json(out / "summary.json", summary.to_dict())
-    return (0 if summary.all_passed() else 1), [out / "summary.json"]
+    return summary, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +484,7 @@ def validation_checks(seed=20240817):
     checks = []
 
     def record(name, value, bound, passed, kind="<="):
-        checks.append(
-            {"name": name, "value": value, "bound": bound, "kind": kind, "passed": bool(passed)}
-        )
+        checks.append(_check(name, value, bound, passed, kind))
 
     m = 128
     theta = grid_points(m)
@@ -629,18 +640,9 @@ def validation_checks(seed=20240817):
     return checks
 
 
-def _run_validate(cfg, out):
-    checks = validation_checks(cfg.master_seed)
-    report = {"schema": SUMMARY_SCHEMA_VERSION, "checks": checks}
-    summary = EnsembleSummary(0, [], [], {}, {}, float("nan"), checks=checks)
-    _write_sample_csv(out / "paths.csv", ())  # no paths; header only
-    _write_json(out / "summary.json", summary.to_dict())
-    _write_json(out / "report.json", report)
-    return (0 if all(c["passed"] for c in checks) else 1), [
-        out / "paths.csv",
-        out / "summary.json",
-        out / "report.json",
-    ]
+def _run_validate(cfg):
+    # no paths: paths.csv is the header alone
+    return EnsembleSummary(0, checks=validation_checks(cfg.master_seed)), (), {}
 
 
 # The one experiment registry: RunConfig validates names against it and
@@ -659,23 +661,18 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 
 
-def _write_paths_csv(path, records):
-    """One row per sample; a path's id is its position in ``records``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "t", "hk", "min_deriv", "stopped"])
-        for pid, rec in enumerate(records):
-            for s in rec.samples:
-                writer.writerow([pid, repr(s.t), repr(s.hk), repr(s.min_deriv), int(s.stopped)])
-
-
 def _write_sample_csv(path, runs):
+    """One row per sample; a path's id is its position in ``runs``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "t", "hk", "min_deriv", "stopped"])
         for pid, samples in enumerate(runs):
             for s in samples:
                 writer.writerow([pid, repr(s.t), repr(s.hk), repr(s.min_deriv), int(s.stopped)])
+
+
+# Not called: perfbench's tracer wraps the writers by both names.
+_write_paths_csv = _write_sample_csv
 
 
 def _json_default(value):

@@ -37,8 +37,6 @@ __all__ = [
     "PathSample",
     "PathRecord",
     "truncation_scale",
-    "euler_step",
-    "heun_step",
     "integrate",
     "simulate_path",
     "simulate_paths",
@@ -276,14 +274,10 @@ def _heun(block, db, cfg):
 _STEPPERS = {"euler": _euler, "heun": _heun}
 
 
-def euler_step(state, inc, cfg):
-    """One explicit step of one state (the block step at P = 1)."""
-    return _euler(_Block.of([state]), inc.delta_b[None], cfg).row(0)
-
-
-def heun_step(state, inc, cfg):
-    """One predictor-corrector step of one state (the block step at P = 1)."""
-    return _heun(_Block.of([state]), inc.delta_b[None], cfg).row(0)
+def _on_record_grid(step, record_every, n_steps):
+    """Whether step ``step`` of ``n_steps`` is on the record grid: step 0,
+    every ``record_every``-th step, and the last step."""
+    return step % record_every == 0 or step == n_steps
 
 
 def _integrate(cfg, block, draw, drop_stopped=False):
@@ -355,7 +349,7 @@ def simulate_paths(cfg, streams, record_every=1, stop_after_hit=False, keep_snap
     stepped = _integrate(cfg, block, draw, drop_stopped=stop_after_hit)
     for i, (rows, block) in zip(range(1, n_steps + 1), stepped):
         crossed = block.stopped & ~hit[rows]
-        on_grid = i % record_every == 0 or i == n_steps
+        on_grid = _on_record_grid(i, record_every, n_steps)
         for j in range(rows.size) if on_grid else np.flatnonzero(crossed):
             r = rows[j]
             state = block.row(j)
@@ -410,7 +404,7 @@ def concatenate(first, fresh, cfg, record_every=1, keep_snapshots=False):
     state = FlowState.initial(cfg)
     increments = (fresh.next_increment() for _ in range(remaining))
     for i, state in enumerate(integrate(cfg, increments, start=state), 1):
-        if i % record_every == 0 or i == remaining:
+        if _on_record_grid(i, record_every, remaining):
             z = CircleFunction(xi_vals + state.x.evaluate(warp_pts))
             samples.append(
                 PathSample(
@@ -470,7 +464,7 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
 
     stepped = zip(range(1, n_steps + 1), _integrate(cfg, _Block.of([x_state, y_state]), draw))
     recorded = (
-        (b.row(0), b.row(1)) for i, (_, b) in stepped if i % record_every == 0 or i == n_steps
+        (b.row(0), b.row(1)) for i, (_, b) in stepped if _on_record_grid(i, record_every, n_steps)
     )
 
     sup_error, window, checked = 0.0, None, 0

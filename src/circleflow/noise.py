@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .circlefn import CircleFunction, trig_sum
+from .circlefn import trig_sum
 
-__all__ = ["ModeIncrement", "NoiseStream", "noise_field", "field_values"]
+__all__ = ["ModeIncrement", "NoiseStream", "field_values"]
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,3 @@ def field_values(delta_b, weights, points):
     n_cut = (delta_b.shape[-1] - 1) // 2
     c = weights[1:] * (delta_b[..., n_cut + 1 :] + 1j * delta_b[..., n_cut - 1 :: -1])
     return trig_sum(weights[0] * delta_b[..., n_cut], c, points)
-
-
-def noise_field(inc, basis, warp):
-    """The increment field theta -> sum_n dB_n e_n(warp(theta)) on the grid.
-
-    Summed by Horner's rule (``field_values``) at the warped grid points; this
-    is the one-step composition-operator action on the noise in a single
-    object.
-    """
-    if basis.mode_cutoff != inc.mode_cutoff:
-        raise ValueError("mode cutoffs of increment and basis disagree")
-    vals = field_values(inc.delta_b, basis.weights(), warp.grid_warp)
-    return CircleFunction(vals)

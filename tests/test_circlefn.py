@@ -13,14 +13,14 @@ from conftest import quadrature_norms, random_band_limited
 
 class TestFromGrid:
     def test_zero_function(self):
-        f = CircleFunction.from_grid(np.zeros(8))
+        f = CircleFunction(np.zeros(8))
         assert f.l2_norm() == 0.0
         assert f.hk_norm(3) == 0.0
         assert f.linf_norm() == 0.0
 
     def test_pure_sine_coefficients(self):
         theta = grid_points(8)
-        f = CircleFunction.from_grid(np.sin(theta))
+        f = CircleFunction(np.sin(theta))
         a, b = f.coefficients
         assert b[1] == pytest.approx(1.0, abs=1e-15)
         others = np.concatenate([a, b[2:]])
@@ -28,7 +28,7 @@ class TestFromGrid:
 
     def test_mean_plus_cosine(self):
         theta = grid_points(16)
-        f = CircleFunction.from_grid(3.0 + np.cos(2 * theta))
+        f = CircleFunction(3.0 + np.cos(2 * theta))
         a, b = f.coefficients
         assert a[0] == pytest.approx(3.0, abs=1e-14)
         assert a[2] == pytest.approx(1.0, abs=1e-14)
@@ -37,7 +37,7 @@ class TestFromGrid:
     @pytest.mark.parametrize("m", [2, 6, 12, 100])
     def test_rejects_bad_grid_sizes(self, m):
         with pytest.raises(ValueError):
-            CircleFunction.from_grid(np.zeros(m))
+            CircleFunction(np.zeros(m))
 
     def test_round_trip_grid_coefficients_grid(self, rng):
         for _ in range(50):
@@ -123,7 +123,7 @@ class TestDenseValues:
     @pytest.mark.parametrize("oversample", [1, 2, 4])
     @pytest.mark.parametrize("m", [16, 64])
     def test_subsampling_reproduces_grid_values(self, rng, m, oversample):
-        f = CircleFunction.from_grid(rng.normal(size=m))  # full band
+        f = CircleFunction(rng.normal(size=m))  # full band
         assert f.coefficients[0][-1] != 0.0
         dense = f.dense_values(oversample)
         p = oversample * m
@@ -148,7 +148,7 @@ class TestEvaluate:
 
     def test_grid_consistency(self):
         theta = grid_points(32)
-        f = CircleFunction.from_grid(np.cos(theta))
+        f = CircleFunction(np.cos(theta))
         assert np.max(np.abs(f.evaluate(theta) - f.grid_values)) < 1e-12
 
     def test_cos2_at_quarter_pi(self):

@@ -177,6 +177,15 @@ class TestSimulateExperiment:
             assert sorted(quantiles) == ["p05", "p50", "p95"]
             assert all(len(series) == 101 for series in quantiles.values())
 
+    def test_quantile_times_end_at_the_last_step(self, tmp_path):
+        path, raw = write_config(tmp_path)
+        data = json.loads(path.read_text())
+        data["solver"]["horizon"] = 0.023  # 23 steps at record_every 10
+        path.write_text(json.dumps(data))
+        run_experiment(RunConfig.from_file(path))
+        summary = json.loads((Path(raw["output_dir"]) / "summary.json").read_text())
+        assert [round(t / 0.001) for t in summary["times"]] == [0, 10, 20, 23]
+
     def test_percentile_equals_numpy(self, rng):
         for n_paths in range(1, 12):
             values = rng.normal(size=(n_paths, 7)) * rng.uniform(0.1, 10.0)
@@ -258,8 +267,10 @@ class TestRunEnsemble:
             assert blocks[0][0] == 0 and blocks[-1][1] == n_paths
             assert max(stop - first for first, stop in blocks) <= ensemble.BLOCK_ROWS
 
-    @pytest.mark.parametrize("command", ["hitting-times", "contrast"])
-    def test_artifacts_identical_across_workers(self, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command", ["run", "validate", "flow-check", "hitting-times", "contrast"]
+    )
+    def test_artifacts_identical_across_workers(self, tmp_path, capsys, command):
         cfg = base_config(tmp_path, n_paths=3, radii=[0.02, 0.05])
         cfg["solver"].update(grid_size=256, mode_cutoff=32, horizon=0.01)
         path = tmp_path / "config.json"
@@ -268,8 +279,14 @@ class TestRunEnsemble:
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}"
             assert cli_main([command, str(path), "--workers", workers, "--out", str(out)]) == 0
+            printed = capsys.readouterr().out.splitlines()
+            assert sorted(printed) == sorted(str(p) for p in out.iterdir())
             blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert blobs[0] == blobs[1]
+        if command in ("validate", "flow-check"):
+            report = json.loads(blobs[0]["report.json"])
+            summary = json.loads(blobs[0]["summary.json"])
+            assert report["checks"] == summary["checks"] != []
 
 
 class TestHittingExperiment:
@@ -453,6 +470,8 @@ class TestCli:
             pytest.param("run", {"mode_cutoff": 0}, {}, id="mode_cutoff-zero"),
             pytest.param("run", {"k": 2**64}, {}, id="k-2**64"),
             pytest.param("run", {}, {"output_dir": True}, id="output_dir-bool"),
+            # valid at grid 64, but n^(2k) overflows on contrast's grid 256
+            pytest.param("contrast", {"k": 80}, {}, id="contrast-k-80"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, solver, overrides):
@@ -464,6 +483,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+    def test_uncreatable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, below):
+        path, _ = write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setattr(ensemble, "run_ensemble", mock.Mock(side_effect=AssertionError))
+        assert cli_main(["run", str(path), "--out", str(blocker / below)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert blocker.read_text() == ""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(field=st.sampled_from(MUTABLE_FIELDS), value=st.sampled_from(MUTATION_POOL))

@@ -16,11 +16,9 @@ from circleflow import (
     SolverConfig,
     concatenate,
     diffeo_radius,
-    euler_step,
     field_values,
     flow_compose_check,
     grid_points,
-    heun_step,
     integrate,
     simulate_path,
     sobolev_embedding_constant,
@@ -41,6 +39,11 @@ def make_config(**kw):
     )
     base.update(kw)
     return SolverConfig(**base)
+
+
+def one_step(cfg, state, inc):
+    """One step of ``state`` under ``cfg.scheme``."""
+    return next(integrate(cfg, [inc], start=state))
 
 
 def single_mode_increment(cfg, n, value):
@@ -101,28 +104,28 @@ class TestSteps:
     def test_zero_increment_advances_time_only(self):
         cfg = make_config()
         state = FlowState.initial(cfg)
-        nxt = euler_step(state, single_mode_increment(cfg, 0, 0.0), cfg)
+        nxt = one_step(cfg, state, single_mode_increment(cfg, 0, 0.0))
         assert np.array_equal(nxt.x.grid_values, state.x.grid_values)
         assert nxt.t == pytest.approx(cfg.dt)
 
     def test_constant_mode_gives_rigid_rotation(self):
         cfg = make_config()
         state = FlowState.initial(cfg)
-        nxt = euler_step(state, single_mode_increment(cfg, 0, 0.25), cfg)
+        nxt = one_step(cfg, state, single_mode_increment(cfg, 0, 0.25))
         assert np.allclose(nxt.x.grid_values, 0.25 * ALPHA.value_at(0))
         assert nxt.min_deriv == pytest.approx(1.0, abs=1e-12)
 
     def test_first_cosine_mode_from_identity(self):
         cfg = make_config()
         state = FlowState.initial(cfg)
-        nxt = euler_step(state, single_mode_increment(cfg, 1, 0.5), cfg)
+        nxt = one_step(cfg, state, single_mode_increment(cfg, 1, 0.5))
         expected = 0.5 * ALPHA.value_at(1) * np.cos(grid_points(64))
         assert np.max(np.abs(nxt.x.grid_values - expected)) < 1e-15
 
     def test_heun_zero_increment(self):
         cfg = make_config(scheme="heun")
         state = FlowState.initial(cfg)
-        nxt = heun_step(state, single_mode_increment(cfg, 0, 0.0), cfg)
+        nxt = one_step(cfg, state, single_mode_increment(cfg, 0, 0.0))
         assert np.array_equal(nxt.x.grid_values, state.x.grid_values)
 
     def test_heun_equals_euler_for_additive_mode(self):
@@ -130,9 +133,10 @@ class TestSteps:
         cfg = make_config()
         state = FlowState.initial(cfg)
         inc = single_mode_increment(cfg, 0, 0.3)
+        heun = dataclasses.replace(cfg, scheme="heun")
         assert np.array_equal(
-            heun_step(state, inc, cfg).x.grid_values,
-            euler_step(state, inc, cfg).x.grid_values,
+            one_step(heun, state, inc).x.grid_values,
+            one_step(cfg, state, inc).x.grid_values,
         )
 
     def test_non_finite_increment_aborts(self):
@@ -140,13 +144,25 @@ class TestSteps:
         state = FlowState.initial(cfg)
         bad = single_mode_increment(cfg, 1, np.nan)
         with pytest.raises(SimulationDiverged):
-            euler_step(state, bad, cfg)
+            one_step(cfg, state, bad)
         with pytest.raises(SimulationDiverged):
-            heun_step(state, bad, cfg)
+            one_step(dataclasses.replace(cfg, scheme="heun"), state, bad)
+
+
+def _old_euler_step(state, inc, cfg):
+    """The explicit step of one state, written out as before the block kernel."""
+    weights = cfg.alpha.values(cfg.mode_cutoff)
+    theta = grid_points(cfg.grid_size)
+    x0 = state.x.grid_values
+    f0 = field_values(inc.delta_b, weights, theta + truncation_scale(state, cfg) * x0)
+    x = CircleFunction(x0 + f0)
+    hk = x.hk_norm(cfg.k)
+    return FlowState(x, state.t + cfg.dt, hk, state.stopped or hk >= cfg.radius)
 
 
 def _old_heun_step(state, inc, cfg):
-    """heun_step as it was before it built its predictor with _advance."""
+    """The predictor-corrector step of one state, written out as before the
+    block kernel built its predictor with _advance."""
     weights = cfg.alpha.values(cfg.mode_cutoff)
     theta = grid_points(cfg.grid_size)
     x0 = state.x.grid_values
@@ -162,7 +178,7 @@ def _old_heun_step(state, inc, cfg):
 
 def reference_states(cfg, increments):
     """The hand-written stepping loop that integrate replaced."""
-    step = {"euler": euler_step, "heun": _old_heun_step}[cfg.scheme]
+    step = {"euler": _old_euler_step, "heun": _old_heun_step}[cfg.scheme]
     state = FlowState.initial(cfg)
     states = []
     for inc in increments:
@@ -315,6 +331,26 @@ class TestConcatenate:
                 assert np.max(np.abs(s.x.grid_values - ref.grid_values)) < 1e-4
                 checked += 1
         assert checked > 100
+
+
+def test_every_recording_loop_keeps_the_last_step():
+    # 23 steps at record_every 10: the record grid is steps 0, 10, 20 and 23
+    cfg = make_config(horizon=0.023, radius=1e9)
+
+    def steps(samples):
+        return [round(s.t / cfg.dt) for s in samples]
+
+    rec = simulate_path(cfg, NoiseStream(SEED, 0, 8, cfg.dt), record_every=10)
+    assert steps(rec.samples) == [0, 10, 20, 23]
+    rep = flow_compose_check(
+        cfg, NoiseStream(SEED, 0, 8, cfg.dt), AffineCircleMap.identity(64), record_every=10
+    )
+    assert rep.n_checked == 4 and steps(rep.runs[0]) == [0, 10, 20, 23]
+    stop = dataclasses.replace(cfg, horizon=0.3, radius=0.05)
+    first = simulate_path(stop, NoiseStream(SEED, 1, 8, stop.dt), stop_after_hit=True)
+    remaining = stop.n_steps - round(first.tau_r / stop.dt)
+    out = concatenate(first, _ZeroStream(8, stop.dt), stop, record_every=remaining - 1)
+    assert steps(out.samples)[-2:] == [stop.n_steps - 1, stop.n_steps]
 
 
 class TestFlowComposeCheck:
