@@ -54,6 +54,6 @@ from .flow import (
     stratonovich_correction,
     truncation_scale,
 )
-from .noise import ModeIncrement, NoiseStream, field_values
+from .noise import NoiseStream, field_values
 
 __version__ = "0.1.0"

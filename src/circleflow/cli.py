@@ -7,10 +7,10 @@
     circleflow contrast <config.json>       cutoff-doubling smoothness contrast
 
 Exit codes: 0 all asserted checks pass, 1 a validation check failed,
-2 the config failed to parse or validate or its output directory cannot be
-created, 3 the integration produced non-finite values.  ``--seed``,
-``--out`` and ``--workers`` override the config file; CIRCLEFLOW_OUTDIR
-supplies a default output directory.
+2 the config failed to parse or validate, its output directory cannot be
+created or an artifact cannot be written, 3 the integration produced
+non-finite values.  ``--seed``, ``--out`` and ``--workers`` override the
+config file; CIRCLEFLOW_OUTDIR supplies a default output directory.
 """
 
 import argparse

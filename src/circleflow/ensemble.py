@@ -38,7 +38,7 @@ from .flow import (
     stratonovich_rounding_bound,
     truncation_scale,
 )
-from .noise import ModeIncrement, NoiseStream
+from .noise import NoiseStream
 
 __all__ = [
     "ConfigError",
@@ -74,7 +74,6 @@ class RunConfig:
     radii: tuple = DEFAULT_RADII
     xi_kind: str = "sine"
     xi_amplitude: float = 0.1
-    flow_tolerance: float = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -100,10 +99,6 @@ class RunConfig:
         if self.xi_kind not in ("identity", "rotation", "sine"):
             raise ConfigError("xi_kind must be identity, rotation, or sine")
         _require_reals({"xi_amplitude": self.xi_amplitude}, ConfigError)
-        if self.flow_tolerance is not None:
-            _require_reals({"flow_tolerance": self.flow_tolerance}, ConfigError)
-            if self.flow_tolerance < 0:
-                raise ConfigError("flow_tolerance must be >= 0")
         if self.experiment == "contrast_h32":
             try:
                 _contrast_solvers(self.solver)
@@ -111,7 +106,7 @@ class RunConfig:
                 raise ConfigError(f"contrast solver: {exc}") from exc
 
     def to_dict(self):
-        d = {
+        return {
             "experiment": self.experiment,
             "n_paths": self.n_paths,
             "master_seed": self.master_seed,
@@ -123,9 +118,6 @@ class RunConfig:
             "xi_amplitude": self.xi_amplitude,
             "solver": self.solver.to_dict(),
         }
-        if self.flow_tolerance is not None:
-            d["flow_tolerance"] = self.flow_tolerance
-        return d
 
     @classmethod
     def from_dict(cls, d):
@@ -304,7 +296,8 @@ def run_experiment(cfg):
     ``runs`` are the sample sequences of ``paths.csv`` (None: no CSV), and
     ``report`` the fields ``report.json`` holds beside the checks (None: no
     report).  An output directory that cannot be created is a ConfigError,
-    raised before any path is stepped.
+    raised before any path is stepped; so is an artifact that cannot be
+    written.
     """
     out = Path(cfg.output_dir)
     try:
@@ -313,16 +306,19 @@ def run_experiment(cfg):
         raise ConfigError(f"cannot create output directory: {exc}") from exc
     summary, runs, report = EXPERIMENTS[cfg.experiment](cfg)
     artifacts = []
-    if runs is not None:
-        artifacts.append(out / "paths.csv")
-        _write_sample_csv(artifacts[-1], runs)
-    artifacts.append(out / "summary.json")
-    _write_json(artifacts[-1], summary.to_dict())
-    if report is not None:
-        artifacts.append(out / "report.json")
-        _write_json(
-            artifacts[-1], {"schema": SUMMARY_SCHEMA_VERSION, "checks": summary.checks, **report}
-        )
+    try:
+        if runs is not None:
+            artifacts.append(out / "paths.csv")
+            _write_sample_csv(artifacts[-1], runs)
+        artifacts.append(out / "summary.json")
+        _write_json(artifacts[-1], summary.to_dict())
+        if report is not None:
+            artifacts.append(out / "report.json")
+            _write_json(
+                artifacts[-1], {"schema": SUMMARY_SCHEMA_VERSION, "checks": summary.checks, **report}
+            )
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifact: {exc}") from exc
     return (0 if summary.all_passed() else 1), artifacts
 
 
@@ -390,9 +386,7 @@ def _run_flow_check(cfg):
     stream = NoiseStream(cfg.master_seed, 0, cfg.solver.mode_cutoff, cfg.solver.dt)
     xi = _xi_map(cfg)
     report = flow_compose_check(cfg.solver, stream, xi, record_every=cfg.record_every)
-    tol = cfg.flow_tolerance
-    if tol is None:
-        tol = 1e-10 if cfg.xi_kind in ("identity", "rotation") else 1e-4
+    tol = 1e-10 if cfg.xi_kind in ("identity", "rotation") else 1e-4
     # a check over the t = 0 sample alone compares nothing
     passed = report.sup_error <= tol and report.n_checked > 1
     check = _check(f"flow_compose_sup_error_{cfg.xi_kind}", report.sup_error, tol, passed)
@@ -613,12 +607,12 @@ def validation_checks(seed=20240817):
     # 14. Noise determinism
     s1 = NoiseStream(seed, 3, 8, 1e-3)
     s2 = NoiseStream(seed, 3, 8, 1e-3)
-    same = np.array_equal(s1.next_increment().delta_b, s2.next_increment().delta_b)
+    same = np.array_equal(s1.next_increment(), s2.next_increment())
     record("noise_replay_identical", int(same), 1, same, kind="==")
 
     # 15. Increment variance in a generous band
     s = NoiseStream(seed, 0, 4, 1e-3)
-    draws = np.array([s.next_increment().delta_b for _ in range(4000)])
+    draws = np.array([s.next_increment() for _ in range(4000)])
     var = float(draws.var())
     record("increment_variance_near_dt", var, [0.9e-3, 1.1e-3], 0.9e-3 <= var <= 1.1e-3, kind="in")
 
@@ -628,8 +622,7 @@ def validation_checks(seed=20240817):
         alpha=ScalingSequence.exponential(1.0), radius=0.5,
     )
     state = FlowState.initial(solver)
-    zero_inc = ModeIncrement(np.zeros(17), 8, 1e-3)
-    stepped = next(integrate(solver, [zero_inc], start=state))
+    stepped = next(integrate(solver, [np.zeros(17)], start=state))
     fixed = np.array_equal(stepped.x.grid_values, state.x.grid_values)
     boundary = truncation_scale(
         FlowState(CircleFunction.zero(64), 0.0, solver.radius, False), solver

@@ -20,7 +20,7 @@ from itertools import chain, count
 
 import numpy as np
 
-from .basis import ScaledBasis, ScalingSequence
+from .basis import ScalingSequence
 from .circlefn import (
     AffineCircleMap,
     CircleFunction,
@@ -126,9 +126,6 @@ class SolverConfig:
         weights = self.alpha.values(self.mode_cutoff)
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-
-    def basis(self):
-        return ScaledBasis(self.alpha, self.mode_cutoff, self.grid_size)
 
     def to_dict(self):
         return {
@@ -306,22 +303,24 @@ def _integrate(cfg, block, draw, drop_stopped=False):
 def integrate(cfg, increments, start=None):
     """Yield the state after each increment under ``cfg.scheme``.
 
-    The block loop at P = 1.  The truncation of ``cfg`` applies at each
-    step; ``start`` defaults to the identity.  Increments are pulled lazily,
-    so a caller that stops early draws no further noise.
+    The block loop at P = 1.  ``increments`` yields one ``(2N+1,)`` array
+    per step, mode ``i - N`` at index ``i`` (as ``NoiseStream`` draws them).
+    The truncation of ``cfg`` applies at each step; ``start`` defaults to the
+    identity.  Increments are pulled lazily, so a caller that stops early
+    draws no further noise.
     """
     incs = iter(increments)
 
     def draw(rows):
         inc = next(incs, None)
-        return None if inc is None else inc.delta_b[None]
+        return None if inc is None else inc[None]
 
     block = _Block.of([FlowState.initial(cfg) if start is None else start])
     for _, block in _integrate(cfg, block, draw):
         yield block.row(0)
 
 
-def simulate_paths(cfg, streams, record_every=1, stop_after_hit=False, keep_snapshots=False):
+def simulate_paths(cfg, streams, record_every=1, stop_after_hit=False):
     """Integrate one path per stream, as one block, from the identity to the
     horizon; returns their records in stream order.
 
@@ -337,13 +336,13 @@ def simulate_paths(cfg, streams, record_every=1, stop_after_hit=False, keep_snap
     n_paths, n_steps = len(streams), cfg.n_steps
     start = FlowState.initial(cfg)
     block = _Block.of([start] * n_paths)
-    samples = [[_sample(start, keep_snapshots)] for _ in range(n_paths)]
+    samples = [[_sample(start)] for _ in range(n_paths)]
     hit = np.zeros(n_paths, dtype=bool)
     tau_r = [None] * n_paths
     state_at_tau = [None] * n_paths
 
     def draw(rows):
-        return np.array([streams[r].next_increment().delta_b for r in rows])
+        return np.array([streams[r].next_increment() for r in rows])
 
     rows = np.arange(n_paths)  # the last block's rows, also when n_steps is 0
     stepped = _integrate(cfg, block, draw, drop_stopped=stop_after_hit)
@@ -357,7 +356,7 @@ def simulate_paths(cfg, streams, record_every=1, stop_after_hit=False, keep_snap
                 hit[r] = True
                 tau_r[r] = state.t
                 state_at_tau[r] = state.x
-            samples[r].append(_sample(state, keep_snapshots))
+            samples[r].append(_sample(state))
     # a row missing from the last block left it at its crossing step
     final = list(state_at_tau)
     for j, r in enumerate(rows):
@@ -368,23 +367,24 @@ def simulate_paths(cfg, streams, record_every=1, stop_after_hit=False, keep_snap
     ]
 
 
-def simulate_path(cfg, stream, record_every=1, stop_after_hit=False, keep_snapshots=False):
+def simulate_path(cfg, stream, record_every=1, stop_after_hit=False):
     """``simulate_paths`` for one stream."""
-    return simulate_paths(cfg, [stream], record_every, stop_after_hit, keep_snapshots)[0]
+    return simulate_paths(cfg, [stream], record_every, stop_after_hit)[0]
 
 
-def _sample(state, keep):
-    return PathSample(state.t, state.hk, state.min_deriv, state.stopped, state.x if keep else None)
+def _sample(state):
+    return PathSample(state.t, state.hk, state.min_deriv, state.stopped)
 
 
-def concatenate(first, fresh, cfg, record_every=1, keep_snapshots=False):
+def concatenate(first, fresh, cfg, record_every=1):
     """Continue a stopped path by restarting from the identity and composing.
 
     A fresh solution y is run from the identity with the given stream for the
     remaining steps; the returned record extends ``first`` with the samples of
     ``t -> (id + y_{t - tau}) o (id + xi)`` where xi is the state at the
-    hitting time.  The map id + xi must be a diffeomorphism for the
-    composition to be a reparameterization.
+    hitting time, each sample keeping its composed state as ``x``.  The map
+    id + xi must be a diffeomorphism for the composition to be a
+    reparameterization.
     """
     if first.tau_r is None:
         raise ValueError("first record has no hitting time to continue from")
@@ -401,23 +401,20 @@ def concatenate(first, fresh, cfg, record_every=1, keep_snapshots=False):
     warp_pts = xi_map.grid_warp
 
     samples = [s for s in first.samples if s.t <= first.tau_r + 1e-12]
-    state = FlowState.initial(cfg)
+    final = xi
     increments = (fresh.next_increment() for _ in range(remaining))
-    for i, state in enumerate(integrate(cfg, increments, start=state), 1):
+    for i, state in enumerate(integrate(cfg, increments), 1):
         if _on_record_grid(i, record_every, remaining):
-            z = CircleFunction(xi_vals + state.x.evaluate(warp_pts))
+            final = CircleFunction(xi_vals + state.x.evaluate(warp_pts))
             samples.append(
                 PathSample(
                     first.tau_r + i * cfg.dt,
-                    z.hk_norm(cfg.k),
-                    AffineCircleMap(z).min_derivative,
+                    final.hk_norm(cfg.k),
+                    AffineCircleMap(final).min_derivative,
                     True,
-                    z if keep_snapshots else None,
+                    final,
                 )
             )
-    final = samples[-1].x
-    if final is None:
-        final = CircleFunction(xi_vals + state.x.evaluate(warp_pts))
     return PathRecord(
         samples=tuple(samples),
         tau_r=first.tau_r,
@@ -453,7 +450,7 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
     steps = count(stream.step_index)
 
     def draw(rows):
-        db = stream.increment_at(next(steps)).delta_b
+        db = stream.increment_at(next(steps))
         return np.array([db, db])
 
     xi = xi_map.vector_part
@@ -475,8 +472,8 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
             sup_error = max(sup_error, float(err))
             window = x.t
             checked += 1
-        x_samples.append(_sample(x, False))
-        y_samples.append(_sample(y, False))
+        x_samples.append(_sample(x))
+        y_samples.append(_sample(y))
     return FlowCheckReport(sup_error, window, checked, (tuple(x_samples), tuple(y_samples)))
 
 

@@ -7,6 +7,9 @@ regenerated independently and ensembles parallelize without shared state.
 A stream keeps one generator and resets its counter for each draw, which is
 the same as building a fresh one at that counter.
 
+A step's increments are one read-only ``(2N+1,)`` array of N(0, dt) draws
+holding mode ``i - N`` at index ``i``, the row the block kernel steps on.
+
 Within a step the normals are laid out in the interleaved mode order
 ``0, +1, -1, +2, -2, ...``.  That makes the draw for a given mode independent
 of the cutoff: a run with a larger cutoff sees exactly the same increments on
@@ -21,24 +24,7 @@ from numpy.random import Generator, Philox
 
 from .circlefn import trig_sum
 
-__all__ = ["ModeIncrement", "NoiseStream", "field_values"]
-
-
-@dataclass(frozen=True)
-class ModeIncrement:
-    """Gaussian increments for modes -N..N, each distributed N(0, dt).
-
-    ``delta_b[i]`` holds mode ``i - mode_cutoff``.
-    """
-
-    delta_b: np.ndarray
-    mode_cutoff: int
-    dt: float
-
-    def mode(self, n):
-        if abs(n) > self.mode_cutoff:
-            raise ValueError("mode outside cutoff")
-        return float(self.delta_b[n + self.mode_cutoff])
+__all__ = ["NoiseStream", "field_values"]
 
 
 @dataclass
@@ -56,8 +42,9 @@ class NoiseStream:
     def __post_init__(self):
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master seed must fit in 64 bits")
-        if self.path_id < 0 or self.step_index < 0:
-            raise ValueError("path id and step index must be non-negative")
+        # both are Philox counter words
+        if not (0 <= self.path_id < 2**64 and 0 <= self.step_index < 2**64):
+            raise ValueError("path id and step index must lie in [0, 2**64)")
         if self.mode_cutoff < 1:
             raise ValueError("mode cutoff must be >= 1")
         if not self.dt > 0:
@@ -81,18 +68,12 @@ class NoiseStream:
         d[n - 1 :: -1] = z[2::2]
         d *= np.sqrt(self.dt)
         d.flags.writeable = False
-        return ModeIncrement(d, n, self.dt)
+        return d
 
     def next_increment(self):
         inc = self.increment_at(self.step_index)
         self.step_index += 1
         return inc
-
-    def continuation(self, start_step):
-        """A fresh view of the same Brownian path starting at a later step."""
-        return NoiseStream(
-            self.master_seed, self.path_id, self.mode_cutoff, self.dt, start_step
-        )
 
 
 def field_values(delta_b, weights, points):

@@ -448,6 +448,8 @@ class TestCli:
             pytest.param("flow-check", {}, {"xi_amplitude": "x"}, id="xi_amplitude-string"),
             pytest.param("flow-check", {}, {"xi_amplitude": float("nan")}, id="xi_amplitude-nan"),
             pytest.param("flow-check", {}, {"flow_tolerance": "x"}, id="flow_tolerance-string"),
+            # the field is gone; the bound is derived from xi_kind
+            pytest.param("flow-check", {}, {"flow_tolerance": 1e-4}, id="flow_tolerance-removed"),
             pytest.param(
                 "run",
                 {"alpha": {"family": "exponential", "parameter": float("inf")}},
@@ -495,6 +497,18 @@ class TestCli:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "command, artifact", [("validate", "paths.csv"), ("flow-check", "summary.json")]
+    )
+    def test_unwritable_artifact_exits_2(self, tmp_path, capsys, command, artifact):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)  # a directory where the file goes
+        assert cli_main([command, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write artifact:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(field=st.sampled_from(MUTABLE_FIELDS), value=st.sampled_from(MUTATION_POOL))

@@ -8,7 +8,6 @@ from circleflow import (
     AffineCircleMap,
     CircleFunction,
     FlowState,
-    ModeIncrement,
     NoiseStream,
     ScaledBasis,
     ScalingSequence,
@@ -49,7 +48,7 @@ def one_step(cfg, state, inc):
 def single_mode_increment(cfg, n, value):
     delta = np.zeros(2 * cfg.mode_cutoff + 1)
     delta[cfg.mode_cutoff + n] = value
-    return ModeIncrement(delta, cfg.mode_cutoff, cfg.dt)
+    return delta
 
 
 class TestSolverConfig:
@@ -154,7 +153,7 @@ def _old_euler_step(state, inc, cfg):
     weights = cfg.alpha.values(cfg.mode_cutoff)
     theta = grid_points(cfg.grid_size)
     x0 = state.x.grid_values
-    f0 = field_values(inc.delta_b, weights, theta + truncation_scale(state, cfg) * x0)
+    f0 = field_values(inc, weights, theta + truncation_scale(state, cfg) * x0)
     x = CircleFunction(x0 + f0)
     hk = x.hk_norm(cfg.k)
     return FlowState(x, state.t + cfg.dt, hk, state.stopped or hk >= cfg.radius)
@@ -166,11 +165,11 @@ def _old_heun_step(state, inc, cfg):
     weights = cfg.alpha.values(cfg.mode_cutoff)
     theta = grid_points(cfg.grid_size)
     x0 = state.x.grid_values
-    f0 = field_values(inc.delta_b, weights, theta + truncation_scale(state, cfg) * x0)
+    f0 = field_values(inc, weights, theta + truncation_scale(state, cfg) * x0)
     x_pred = x0 + f0
     pred_hk = CircleFunction(x_pred).hk_norm(cfg.k)
     scale = 1.0 if pred_hk <= cfg.radius else cfg.radius / pred_hk
-    f1 = field_values(inc.delta_b, weights, theta + scale * x_pred)
+    f1 = field_values(inc, weights, theta + scale * x_pred)
     x = CircleFunction(x0 + 0.5 * (f0 + f1))
     hk = x.hk_norm(cfg.k)
     return FlowState(x, state.t + cfg.dt, hk, state.stopped or hk >= cfg.radius)
@@ -271,11 +270,11 @@ class TestSimulatePath:
 class _ZeroStream:
     """Stand-in noise source that always returns zero increments."""
 
-    def __init__(self, cutoff, dt):
-        self.cutoff, self.dt = cutoff, dt
+    def __init__(self, cutoff):
+        self.cutoff = cutoff
 
     def next_increment(self):
-        return ModeIncrement(np.zeros(2 * self.cutoff + 1), self.cutoff, self.dt)
+        return np.zeros(2 * self.cutoff + 1)
 
 
 class TestConcatenate:
@@ -287,7 +286,7 @@ class TestConcatenate:
     def test_zero_continuation_is_constant_at_xi(self):
         cfg = make_config(horizon=0.3, radius=0.05)
         first = self._stopped_record(cfg)
-        out = concatenate(first, _ZeroStream(8, cfg.dt), cfg, record_every=10, keep_snapshots=True)
+        out = concatenate(first, _ZeroStream(8), cfg, record_every=10)
         xi = first.state_at_tau
         for s in out.samples:
             if s.t > first.tau_r and s.x is not None:
@@ -298,7 +297,7 @@ class TestConcatenate:
         cfg = make_config(horizon=0.05, radius=100.0)
         rec = simulate_path(cfg, NoiseStream(SEED, 0, 8, cfg.dt))
         with pytest.raises(ValueError):
-            concatenate(rec, _ZeroStream(8, cfg.dt), cfg)
+            concatenate(rec, _ZeroStream(8), cfg)
 
     def test_requires_diffeomorphism_at_xi(self):
         cfg = make_config(horizon=0.3, radius=0.05)
@@ -306,22 +305,21 @@ class TestConcatenate:
         steep = CircleFunction.harmonic(64, 1, sin_amp=1.5)
         broken = dataclasses.replace(first, state_at_tau=steep)
         with pytest.raises(ValueError):
-            concatenate(broken, _ZeroStream(8, cfg.dt), cfg)
+            concatenate(broken, _ZeroStream(8), cfg)
 
     def test_matches_direct_continuation(self):
         # same master increments after the crossing: interpolation error only
         cfg_free = make_config(horizon=0.2, mode_cutoff=8, grid_size=256, radius=1e9)
-        direct = simulate_path(
-            cfg_free, NoiseStream(SEED, 1, 8, cfg_free.dt), record_every=1, keep_snapshots=True
-        )
+        stream = NoiseStream(SEED, 1, 8, cfg_free.dt)
+        direct = integrate(cfg_free, (stream.next_increment() for _ in range(cfg_free.n_steps)))
         cfg_hit = make_config(horizon=0.2, mode_cutoff=8, grid_size=256, radius=0.08)
         first = simulate_path(
             cfg_hit, NoiseStream(SEED, 1, 8, cfg_hit.dt), record_every=1, stop_after_hit=True
         )
         k0 = int(round(first.tau_r / cfg_hit.dt))
         fresh = NoiseStream(SEED, 1, 8, cfg_hit.dt, step_index=k0)
-        out = concatenate(first, fresh, cfg_free, record_every=1, keep_snapshots=True)
-        direct_map = {round(s.t, 9): s.x for s in direct.samples if s.x is not None}
+        out = concatenate(first, fresh, cfg_free, record_every=1)
+        direct_map = {round(s.t, 9): s.x for s in direct}
         checked = 0
         for s in out.samples:
             if s.x is None or s.t <= first.tau_r:
@@ -349,7 +347,7 @@ def test_every_recording_loop_keeps_the_last_step():
     stop = dataclasses.replace(cfg, horizon=0.3, radius=0.05)
     first = simulate_path(stop, NoiseStream(SEED, 1, 8, stop.dt), stop_after_hit=True)
     remaining = stop.n_steps - round(first.tau_r / stop.dt)
-    out = concatenate(first, _ZeroStream(8, stop.dt), stop, record_every=remaining - 1)
+    out = concatenate(first, _ZeroStream(8), stop, record_every=remaining - 1)
     assert steps(out.samples)[-2:] == [stop.n_steps - 1, stop.n_steps]
 
 

@@ -6,7 +6,6 @@ from scipy import stats
 from circleflow import (
     AffineCircleMap,
     CircleFunction,
-    ModeIncrement,
     NoiseStream,
     ScaledBasis,
     ScalingSequence,
@@ -22,7 +21,7 @@ SEED = 20240817
 def draw_table():
     """(100000, 5) table of increments at N=2, shared across the statistics."""
     stream = NoiseStream(SEED, 0, 2, 1e-3)
-    return np.array([stream.next_increment().delta_b for _ in range(100_000)])
+    return np.array([stream.next_increment() for _ in range(100_000)])
 
 
 class TestDeterminism:
@@ -30,33 +29,41 @@ class TestDeterminism:
         a = NoiseStream(SEED, 4, 8, 1e-3)
         b = NoiseStream(SEED, 4, 8, 1e-3)
         for _ in range(5):
-            assert np.array_equal(a.next_increment().delta_b, b.next_increment().delta_b)
+            assert np.array_equal(a.next_increment(), b.next_increment())
 
     def test_stateless_peek_matches_stateful_draw(self):
         s = NoiseStream(SEED, 1, 4, 1e-2)
-        peeked = [s.increment_at(i).delta_b for i in range(4)]
-        drawn = [s.next_increment().delta_b for i in range(4)]
+        peeked = [s.increment_at(i) for i in range(4)]
+        drawn = [s.next_increment() for i in range(4)]
         for p, d in zip(peeked, drawn):
             assert np.array_equal(p, d)
 
     def test_distinct_paths_and_steps_differ(self):
-        base = NoiseStream(SEED, 0, 4, 1e-3).increment_at(0).delta_b
-        other_path = NoiseStream(SEED, 1, 4, 1e-3).increment_at(0).delta_b
-        other_step = NoiseStream(SEED, 0, 4, 1e-3).increment_at(1).delta_b
+        base = NoiseStream(SEED, 0, 4, 1e-3).increment_at(0)
+        other_path = NoiseStream(SEED, 1, 4, 1e-3).increment_at(0)
+        other_step = NoiseStream(SEED, 0, 4, 1e-3).increment_at(1)
         assert not np.array_equal(base, other_path)
         assert not np.array_equal(base, other_step)
 
     def test_continuation_view_offsets_steps(self):
         s = NoiseStream(SEED, 7, 4, 1e-3)
-        cont = s.continuation(10)
-        assert np.array_equal(cont.next_increment().delta_b, s.increment_at(10).delta_b)
+        cont = NoiseStream(SEED, 7, 4, 1e-3, step_index=10)
+        assert np.array_equal(cont.next_increment(), s.increment_at(10))
 
     def test_mode_draws_prefix_stable_across_cutoffs(self):
         # the draw for mode n must not depend on the cutoff
         small = NoiseStream(SEED, 3, 8, 1e-3).increment_at(5)
         large = NoiseStream(SEED, 3, 16, 1e-3).increment_at(5)
         for n in range(-8, 9):
-            assert small.mode(n) == large.mode(n)
+            assert small[n + 8] == large[n + 16]
+
+    def test_increments_are_read_only_arrays(self):
+        s = NoiseStream(SEED, 3, 4, 1e-3)
+        for inc in (s.increment_at(7), s.next_increment()):
+            assert inc.shape == (9,)
+            assert not inc.flags.writeable
+            with pytest.raises(ValueError):
+                inc[4] = 0.0
 
     def test_reused_generator_matches_a_fresh_one(self):
         # oracle: the documented counter layout, one fresh generator per draw
@@ -77,7 +84,7 @@ class TestDeterminism:
                 want[n] = z[0]
                 want[n + 1 :] = z[1::2]
                 want[n - 1 :: -1] = z[2::2]
-                assert np.array_equal(s.increment_at(step).delta_b, want * np.sqrt(1e-3))
+                assert np.array_equal(s.increment_at(step), want * np.sqrt(1e-3))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -86,6 +93,11 @@ class TestDeterminism:
             NoiseStream(SEED, 0, 0, 1e-3)
         with pytest.raises(ValueError):
             NoiseStream(SEED, 0, 4, 0.0)
+        # path id and step index are 64-bit Philox counter words
+        with pytest.raises(ValueError):
+            NoiseStream(SEED, 2**64, 4, 1e-3)
+        with pytest.raises(ValueError):
+            NoiseStream(SEED, 0, 4, 1e-3, step_index=2**64)
 
 
 class TestStatistics:
@@ -106,7 +118,7 @@ class TestStatistics:
         coords = np.empty((n_paths, 5))
         for pid in range(n_paths):
             s = NoiseStream(SEED, pid, 2, dt)
-            coords[pid] = sum(s.next_increment().delta_b for _ in range(n_steps))
+            coords[pid] = sum(s.next_increment() for _ in range(n_steps))
         t = n_steps * dt
         dof = coords.size
         lo, hi = stats.chi2.ppf([0.005, 0.995], dof) / dof
@@ -120,7 +132,7 @@ class TestStatistics:
         totals = []
         for pid in range(n_paths):
             s = NoiseStream(SEED + 1, pid, 2, dt)
-            totals.append(sum(s.next_increment().delta_b for _ in range(n_steps)))
+            totals.append(sum(s.next_increment() for _ in range(n_steps)))
         totals = np.array(totals)
         t = n_steps * dt
         lo, hi = stats.chi2.ppf([0.005, 0.995], n_paths) / n_paths
@@ -132,7 +144,7 @@ class TestStatistics:
 
 def noise_field(inc, basis, warp):
     """The increment field theta -> sum_n dB_n e_n(warp(theta)) on the grid."""
-    return CircleFunction(field_values(inc.delta_b, basis.weights(), warp.grid_warp))
+    return CircleFunction(field_values(inc, basis.weights(), warp.grid_warp))
 
 
 class TestNoiseField:
@@ -140,24 +152,21 @@ class TestNoiseField:
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 4, 32)
         delta = np.zeros(9)
         delta[4 + 1] = 1.0
-        inc = ModeIncrement(delta, 4, 1e-3)
-        field = noise_field(inc, basis, AffineCircleMap.identity(32))
+        field = noise_field(delta, basis, AffineCircleMap.identity(32))
         theta = grid_points(32)
         expected = np.exp(-1.0) * np.cos(theta)
         assert np.max(np.abs(field.grid_values - expected)) < 1e-15
 
     def test_zero_increment_gives_zero_field(self):
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 4, 32)
-        inc = ModeIncrement(np.zeros(9), 4, 1e-3)
-        field = noise_field(inc, basis, AffineCircleMap.identity(32))
+        field = noise_field(np.zeros(9), basis, AffineCircleMap.identity(32))
         assert np.all(field.grid_values == 0.0)
 
     def test_rotation_warp_flips_cosine(self):
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 4, 32)
         delta = np.zeros(9)
         delta[4 + 1] = 1.0
-        inc = ModeIncrement(delta, 4, 1e-3)
-        field = noise_field(inc, basis, AffineCircleMap.rotation(np.pi, 32))
+        field = noise_field(delta, basis, AffineCircleMap.rotation(np.pi, 32))
         theta = grid_points(32)
         expected = -np.exp(-1.0) * np.cos(theta)
         assert np.max(np.abs(field.grid_values - expected)) < 1e-12
@@ -166,8 +175,7 @@ class TestNoiseField:
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 4, 32)
         delta = np.zeros(9)
         delta[4 - 1] = 1.0  # mode -1
-        inc = ModeIncrement(delta, 4, 1e-3)
-        field = noise_field(inc, basis, AffineCircleMap.identity(32))
+        field = noise_field(delta, basis, AffineCircleMap.identity(32))
         expanded = basis_coefficients(field, basis)
         expected = np.zeros(9)
         expected[4 - 1] = 1.0

@@ -90,7 +90,7 @@ def test_field_values_matches_dense_summation(rng, family, n_cut, grid_size):
     weights = family.values(n_cut)
     stream = NoiseStream(SEED, 0, n_cut, 1e-3)
     for step in range(5):
-        delta_b = stream.increment_at(step).delta_b
+        delta_b = stream.increment_at(step)
         points = warped_grid(rng, grid_size)
         got = field_values(delta_b, weights, points)
         assert got.shape == points.shape
@@ -153,7 +153,7 @@ def test_block_rows_equal_single_evaluations(rng, rows, n_cut, grid_size):
     # a (P, 2N+1) block of increments at (P, M) points, row by row
     weights = ScalingSequence.exponential(1.0).values(n_cut)
     streams = [NoiseStream(SEED, p, n_cut, 1e-3) for p in range(rows)]
-    delta_b = np.array([s.increment_at(0).delta_b for s in streams])
+    delta_b = np.array([s.increment_at(0) for s in streams])
     points = np.array([warped_grid(rng, grid_size) for _ in range(rows)])
     block = field_values(delta_b, weights, points)
     assert block.shape == points.shape
