@@ -65,12 +65,8 @@ class ScalingSequence:
         return cls("powerlaw", p)
 
     def value_at(self, n):
-        n = abs(n)
-        if self.family == "exponential":
-            return float(np.exp(-self.parameter * n))
-        if self.family == "gaussian":
-            return float(np.exp(-self.parameter * n * n))
-        return float((1.0 + n) ** (-self.parameter))
+        """lam(n), bitwise the entry |n| of ``values``."""
+        return float(self.values(abs(n))[-1])
 
     def values(self, n_max):
         """Vector [lam(0), ..., lam(n_max)]."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circlefn import AffineCircleMap, compose, sobolev_embedding_constant
+from .circlefn import AffineCircleMap, grid_points, hk_norms, sobolev_embedding_constant
 
 __all__ = [
     "BellTable",
@@ -202,6 +202,27 @@ def _embedding_for_order(k):
     return max(sobolev_embedding_constant(k, m) for m in range(1, k))
 
 
+def _modes(basis):
+    """Columns of the modes ``n = -N..N`` and of the even weights ``lam(n)``."""
+    n = np.arange(-basis.mode_cutoff, basis.mode_cutoff + 1, dtype=float)[:, None]
+    return n, basis.weights()[np.abs(n).astype(int)]
+
+
+def _warped_basis(basis, f):
+    """The warped basis ``e_n o (id + f)``, |n| <= N, as one ``(2N+1, M)`` array.
+
+    Row ``n + N`` holds ``lam(n) cos(n w)`` for ``n >= 0`` and
+    ``lam(n) sin(n w)`` for ``n < 0``, evaluated directly at the points ``w``
+    where ``compose`` samples: the exact ``grid_warp`` when f's grid is the
+    finer one, ``id + f`` on the finer basis grid otherwise.
+    """
+    warp = AffineCircleMap(f)
+    m = max(basis.grid_size, f.grid_size)
+    w = warp.grid_warp if f.grid_size == m else warp(grid_points(m))
+    n, lam = _modes(basis)
+    return lam * np.where(n >= 0, np.cos(n * w), np.sin(n * w))
+
+
 def hs_bound_certificate(f, k, basis):
     """Certify that the composition operator at ``f`` is Hilbert-Schmidt.
 
@@ -217,29 +238,22 @@ def hs_bound_certificate(f, k, basis):
     """
     if k < 1:
         raise ValueError("Sobolev index must be >= 1")
-    warp = AffineCircleMap(f)
-    cutoff = basis.mode_cutoff
-    actual = 0.0
-    for n in range(-cutoff, cutoff + 1):
-        actual += compose(basis.basis_function(n), warp).hk_norm(k) ** 2
+    actual = np.sum(hk_norms(_warped_basis(basis, f), k) ** 2)
 
     f_hk = f.hk_norm(k)
     c_k = _embedding_for_order(k)
-    terms = warp_expansion_terms(k)
-    k_count = sum(coef for coef, _, _ in terms)
-    bound = 0.0
-    for n in range(-cutoff, cutoff + 1):
-        lam = basis.weight(n)
-        deriv_sum = 0.0
-        for coef, j, powers in terms:
-            deg = sum(powers.values())
-            if powers.get(k, 0) >= 1:
-                amp = f_hk * (c_k * f_hk) ** (deg - 1)
-            else:
-                amp = (c_k * f_hk) ** deg
-            deriv_sum += coef * lam * abs(n) ** j * amp
-        bound += lam**2 + deriv_sum**2
-    return HSBoundReport(float(actual), float(bound), k_count, c_k, cutoff)
+    n, lam = _modes(basis)
+    deriv_sum = 0.0
+    for coef, j, powers in warp_expansion_terms(k):
+        deg = sum(powers.values())
+        if powers.get(k, 0) >= 1:
+            amp = f_hk * (c_k * f_hk) ** (deg - 1)
+        else:
+            amp = (c_k * f_hk) ** deg
+        deriv_sum = deriv_sum + coef * lam * np.abs(n) ** j * amp
+    bound = np.sum(lam**2 + deriv_sum**2)
+    k_count = expansion_term_count(k)
+    return HSBoundReport(float(actual), float(bound), k_count, c_k, basis.mode_cutoff)
 
 
 def lipschitz_certificate(f, g, k, radius, basis):
@@ -261,22 +275,15 @@ def lipschitz_certificate(f, g, k, radius, basis):
     if f_hk > radius or g_hk > radius:
         raise ValueError("inputs must lie in the H^k ball of the given radius")
 
-    cutoff = basis.mode_cutoff
-    warp_f = AffineCircleMap(f)
-    warp_g = AffineCircleMap(g)
-    diff_sq = 0.0
-    for n in range(-cutoff, cutoff + 1):
-        e_n = basis.basis_function(n)
-        diff = compose(e_n, warp_f) - compose(e_n, warp_g)
-        diff_sq += diff.hk_norm(k) ** 2
+    diff = hk_norms(_warped_basis(basis, f) - _warped_basis(basis, g), k)
     denom = (f - g).hk_norm(k)
-    ratio = 0.0 if denom == 0.0 else float(np.sqrt(diff_sq)) / denom
+    ratio = 0.0 if denom == 0.0 else float(np.sqrt(np.sum(diff**2))) / denom
 
     c_k = _embedding_for_order(k)
     k_count = expansion_term_count(k)
-    c_r_sq = 0.0
-    for n in range(-cutoff, cutoff + 1):
-        lam = basis.weight(n)
-        c_r_sq += lam**2 * n**2
-        c_r_sq += k_count**2 * lam**2 * abs(n) ** (2 * k + 2) * c_k ** (2 * k) * radius ** (2 * k)
+    n, lam = _modes(basis)
+    c_r_sq = np.sum(
+        lam**2 * n**2
+        + k_count**2 * lam**2 * np.abs(n) ** (2 * k + 2) * c_k ** (2 * k) * radius ** (2 * k)
+    )
     return LipschitzReport(ratio, float(np.sqrt(c_r_sq)), radius, k_count, c_k)

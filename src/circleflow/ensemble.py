@@ -10,7 +10,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,18 @@ DEFAULT_RADII = (0.05, 0.1, 0.2, 0.4)
 
 class ConfigError(ValueError):
     """Configuration file failed to parse or validate."""
+
+
+def _reject_unknown_keys(d, cls, prefix=""):
+    """ConfigError naming, dotted, the first key of the config object ``d``
+    that is no constructor field of the dataclass ``cls``."""
+    if isinstance(d, dict):  # any other type is the constructor's to reject
+        known = {f.name: f.type for f in fields(cls) if f.init}
+        for key, value in d.items():
+            if key not in known:
+                raise ConfigError(f"unknown config key '{prefix}{key}'")
+            if is_dataclass(known[key]):
+                _reject_unknown_keys(value, known[key], f"{prefix}{key}.")
 
 
 @dataclass(frozen=True)
@@ -121,14 +133,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
+        _reject_unknown_keys(d, cls)
         try:
             d = dict(d)
             solver = SolverConfig.from_dict(d.pop("solver"))
             d["radii"] = tuple(d.get("radii", DEFAULT_RADII))
             return cls(solver=solver, **d)
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ConfigError too
             raise ConfigError(str(exc)) from exc
 
     @classmethod
@@ -297,7 +308,7 @@ def run_experiment(cfg):
     ``report`` the fields ``report.json`` holds beside the checks (None: no
     report).  An output directory that cannot be created is a ConfigError,
     raised before any path is stepped; so is an artifact that cannot be
-    written.
+    written, after the artifacts already written are removed again.
     """
     out = Path(cfg.output_dir)
     try:
@@ -318,6 +329,8 @@ def run_experiment(cfg):
                 artifacts[-1], {"schema": SUMMARY_SCHEMA_VERSION, "checks": summary.checks, **report}
             )
     except OSError as exc:
+        for path in artifacts[:-1]:  # written; the last one failed
+            path.unlink(missing_ok=True)
         raise ConfigError(f"cannot write artifact: {exc}") from exc
     return (0 if summary.all_passed() else 1), artifacts
 

@@ -13,10 +13,12 @@ from circleflow import (
     compose,
     compose_derivative,
     expansion_term_count,
+    grid_points,
     hs_bound_certificate,
     lipschitz_certificate,
     warp_expansion_terms,
 )
+from circleflow.bell import _warped_basis
 from conftest import random_band_limited
 
 BELL_NUMBERS = (1, 2, 5, 15, 52, 203, 877, 4140)
@@ -160,6 +162,41 @@ class TestWarpExpansion:
         table = BellTable(8)
         for n in range(2, 9):
             assert table.monomials(n, 1) == ((1, tuple([0] * (n - 1) + [1])),)
+
+
+def _old_warped_basis(basis, f):
+    """Reference for ``_warped_basis``: the per-mode loop the certificates
+    ran before, one ``compose`` of each basis function with id + f."""
+    warp = AffineCircleMap(f)
+    cutoff = basis.mode_cutoff
+    rows = [compose(basis.basis_function(n), warp) for n in range(-cutoff, cutoff + 1)]
+    return np.array([e.grid_values for e in rows])
+
+
+class TestWarpedBasis:
+    @pytest.mark.parametrize("zero", [False, True], ids=["warped", "zero-state"])
+    @pytest.mark.parametrize(
+        "basis_grid, f_grid", [(64, 64), (128, 64), (64, 128)], ids=["equal", "f-coarser", "f-finer"]
+    )
+    def test_rows_match_per_mode_compose(self, rng, basis_grid, f_grid, zero):
+        cutoff = 16
+        basis = ScaledBasis(ScalingSequence.exponential(1.0), cutoff, basis_grid)
+        f = random_band_limited(rng, f_grid, 5)
+        f = f * (0.0 if zero else 0.3 / f.hk_norm(2))
+        block = _warped_basis(basis, f)
+        ref = _old_warped_basis(basis, f)
+        assert block.shape == ref.shape == (2 * cutoff + 1, max(basis_grid, f_grid))
+        # Both sides sample the same points w.  Horner's rule is within
+        # 4 eps (|n| + 1) lam (see stratonovich_rounding_bound); cos(n w) and
+        # sin(n w) carry the rounding of n w, eps |n| max|w|, plus one ulp for
+        # the call and one for the product with lam.  At the zero state the
+        # reference is the synthesized mode, well inside the same bound.
+        n = np.abs(np.arange(-cutoff, cutoff + 1))
+        lam = np.array([basis.weight(m) for m in range(-cutoff, cutoff + 1)])
+        w_max = np.max(np.abs(AffineCircleMap(f)(grid_points(block.shape[1]))))
+        eps = np.finfo(float).eps
+        bound = lam * eps * (4 * (n + 1) + n * w_max + 2)
+        assert np.all(np.max(np.abs(block - ref), axis=1) <= bound)
 
 
 class TestHSCertificate:

@@ -450,6 +450,14 @@ class TestCli:
             pytest.param("flow-check", {}, {"flow_tolerance": "x"}, id="flow_tolerance-string"),
             # the field is gone; the bound is derived from xi_kind
             pytest.param("flow-check", {}, {"flow_tolerance": 1e-4}, id="flow_tolerance-removed"),
+            pytest.param("run", {"typo": 3}, {}, id="solver-unknown-key"),
+            pytest.param("run", {"n_steps": 10}, {}, id="solver-derived-n_steps"),
+            pytest.param(
+                "run",
+                {"alpha": {"family": "exponential", "parameter": 1.0, "typo": 3}},
+                {},
+                id="alpha-unknown-key",
+            ),
             pytest.param(
                 "run",
                 {"alpha": {"family": "exponential", "parameter": float("inf")}},
@@ -486,6 +494,22 @@ class TestCli:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "where, key",
+        [((), "flow_tolerance"), (("solver",), "weights"), (("solver", "alpha"), "typo")],
+    )
+    def test_unknown_config_key_is_named(self, tmp_path, capsys, where, key):
+        cfg = base_config(tmp_path)
+        target = cfg
+        for name in where:
+            target = target[name]
+        target[key] = 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["run", str(path)]) == 2
+        dotted = ".".join((*where, key))
+        assert capsys.readouterr().err == f"config error: unknown config key '{dotted}'\n"
+
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
     def test_uncreatable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, below):
         path, _ = write_config(tmp_path)
@@ -509,6 +533,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write artifact:") and err.count("\n") == 1
         assert "Traceback" not in err
+        # no artifact of the failed run is left behind, the blocker stays
+        assert [p.name for p in out.iterdir()] == [artifact]
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(field=st.sampled_from(MUTABLE_FIELDS), value=st.sampled_from(MUTATION_POOL))
