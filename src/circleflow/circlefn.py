@@ -14,6 +14,8 @@ is literally ``sqrt(2)`` times the L2 norm; the full-sum Sobolev norm is
 equivalent but not what is implemented here).
 """
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -28,9 +30,13 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
+@functools.lru_cache(maxsize=32)
 def grid_points(grid_size):
-    """Uniform angles theta_j = 2*pi*j/M, j = 0..M-1."""
-    return TWO_PI * np.arange(grid_size) / grid_size
+    """Uniform angles theta_j = 2*pi*j/M, j = 0..M-1, as one read-only
+    array per M (every step reads them)."""
+    theta = TWO_PI * np.arange(grid_size) / grid_size
+    theta.flags.writeable = False
+    return theta
 
 
 def _require_grid_size(m):
@@ -127,16 +133,7 @@ class CircleFunction:
             raise ValueError("derivative order must be >= 0")
         if m == 0:
             return self
-        a, b = self.coefficients
-        n = np.arange(a.size, dtype=float)
-        c = (1j * n) ** m * (a - 1j * b)
-        da = c.real.copy()
-        db = (-c.imag).copy()
-        da[-1] = c.real[-1] if m % 2 == 0 else 0.0
-        db[-1] = 0.0
-        da[0] = 0.0
-        db[0] = 0.0
-        return CircleFunction.from_coefficients(da, db)
+        return CircleFunction.from_coefficients(*_derivative_tables(*self.coefficients, m))
 
     def l2_norm(self):
         a, b = self.coefficients
@@ -237,12 +234,44 @@ def _hk_norm(a, b, k):
     """Two-term H^k norms from coefficient tables with modes on the last axis."""
     if k < 0:
         raise ValueError("Sobolev index must be >= 0")
-    l2sq = a[..., 0] ** 2 + 0.5 * np.sum(a[..., 1:] ** 2 + b[..., 1:] ** 2, axis=-1)
+    sq = a[..., 1:] ** 2 + b[..., 1:] ** 2
+    l2sq = a[..., 0] ** 2 + 0.5 * np.sum(sq, axis=-1)
     if k == 0:
         return np.sqrt(2.0 * l2sq)
-    n = np.arange(1, a.shape[-1], dtype=float)
-    dsq = 0.5 * np.sum(n ** (2 * k) * (a[..., 1:] ** 2 + b[..., 1:] ** 2), axis=-1)
+    dsq = 0.5 * np.sum(_mode_powers(a.shape[-1], 2 * k) * sq, axis=-1)
     return np.sqrt(l2sq + dsq)
+
+
+@functools.lru_cache(maxsize=32)
+def _mode_powers(size, p):
+    """``n ** p`` for the modes n = 1..size-1, one read-only array per
+    ``(size, p)``."""
+    w = np.arange(1, size, dtype=float) ** p
+    w.flags.writeable = False
+    return w
+
+
+def _derivative_tables(a, b, m):
+    """Coefficient tables of the spectral m-th derivative, m >= 1, of the
+    tables ``(a, b)`` with modes on the last axis (Nyquist sine dropped)."""
+    n = np.arange(a.shape[-1], dtype=float)
+    c = (1j * n) ** m * (a - 1j * b)
+    da = c.real.copy()
+    db = (-c.imag).copy()
+    da[..., -1] = c.real[..., -1] if m % 2 == 0 else 0.0
+    db[..., -1] = 0.0
+    da[..., 0] = 0.0
+    db[..., 0] = 0.0
+    return da, db
+
+
+def _min_derivatives(a, b, oversample=4):
+    """Minimum of ``1 + f'`` on a grid ``oversample`` times denser than the
+    stored one, for each function whose coefficient tables are the rows of
+    ``(a, b)``: one zero-padded ``irfft`` over all rows.  A row's value is
+    bitwise ``AffineCircleMap.min_derivative`` of its function."""
+    m = 2 * (a.shape[-1] - 1)
+    return 1.0 + np.min(_synthesize(*_derivative_tables(a, b, 1), oversample * m), axis=-1)
 
 
 def _analyze(values):
@@ -262,13 +291,15 @@ def _analyze(values):
 
 def _synthesize(a, b, p):
     """Samples at ``p >= M`` uniform angles of the function with coefficient
-    tables ``(a, b)``, Nyquist cosine included in full (zero padding)."""
-    spec = np.zeros(p // 2 + 1, dtype=complex)
-    spec[: a.size] = (a - 1j * b) * (p / 2.0)
-    spec[0] = a[0] * p
-    if a.size == spec.size:
-        spec[-1] = a[-1] * p  # the irfft counts its own Nyquist bin once
-    return np.fft.irfft(spec, n=p)
+    tables ``(a, b)``, Nyquist cosine included in full (zero padding).
+    Modes lie on the last axis; one ``irfft`` synthesizes every row."""
+    size = a.shape[-1]
+    spec = np.zeros(a.shape[:-1] + (p // 2 + 1,), dtype=complex)
+    spec[..., :size] = (a - 1j * b) * (p / 2.0)
+    spec[..., 0] = a[..., 0] * p
+    if size == spec.shape[-1]:
+        spec[..., -1] = a[..., -1] * p  # the irfft counts its own Nyquist bin once
+    return np.fft.irfft(spec, n=p, axis=-1)
 
 
 class AffineCircleMap:
@@ -309,7 +340,7 @@ class AffineCircleMap:
 
     @property
     def min_derivative(self):
-        return 1.0 + float(np.min(self.vector_part.derivative().dense_values()))
+        return float(_min_derivatives(*self.vector_part.coefficients))
 
     @property
     def is_diffeo(self):

@@ -27,6 +27,7 @@ from .circlefn import AffineCircleMap, CircleFunction, compose, grid_points, sob
 from .flow import (
     FlowState,
     SolverConfig,
+    _check_shared,
     _on_record_grid,
     _require_ints,
     _require_reals,
@@ -193,43 +194,55 @@ BLOCK_ROWS = 64
 
 
 def _run_one_path(args):
-    """One block task: paths ``first..stop-1`` of one solver, stepped as one
-    block.  (The name predates blocks; perfbench's tracer wraps it by name.)"""
-    solver, seed, first, stop, record_every, stop_after_hit = args
-    streams = [
-        NoiseStream(seed, pid, solver.mode_cutoff, solver.dt) for pid in range(first, stop)
-    ]
-    return simulate_paths(solver, streams, record_every, stop_after_hit)
+    """One block task: rows ``first..stop-1`` of the path-major
+    ``(path, solver)`` rows of ``run_ensemble``, stepped as one block on one
+    stream per path, drawn at the largest cutoff of the rows.  (The name
+    predates blocks; perfbench's tracer wraps it by name.)"""
+    solvers, seed, first, stop, record_every, stop_after_hit = args
+    n = len(solvers)
+    cfgs = [solvers[row % n] for row in range(first, stop)]
+    n_max = max(c.mode_cutoff for c in cfgs)
+    streams = {
+        pid: NoiseStream(seed, pid, n_max, cfgs[0].dt)
+        for pid in range(first // n, (stop - 1) // n + 1)
+    }
+    row_streams = [streams[row // n] for row in range(first, stop)]
+    return simulate_paths(cfgs, row_streams, record_every, stop_after_hit)
 
 
-def _blocks(n_paths, workers):
-    """Contiguous ``(first, stop)`` path-id ranges: at least ``workers`` of
-    them (when there are that many paths), none longer than BLOCK_ROWS."""
-    n = min(n_paths, max(workers, -(-n_paths // BLOCK_ROWS)))
-    bounds = [n_paths * i // n for i in range(n + 1)]
+def _blocks(n_rows, workers):
+    """Contiguous ``(first, stop)`` row ranges: at least ``workers`` of
+    them (when there are that many rows), none longer than BLOCK_ROWS."""
+    n = min(n_rows, max(workers, -(-n_rows // BLOCK_ROWS)))
+    bounds = [n_rows * i // n for i in range(n + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
 def run_ensemble(cfg, solvers, stop_after_hit=False):
     """Paths ``0..cfg.n_paths-1`` of each solver in ``solvers``, solver-major.
 
-    The one fan-out: each solver's paths are split into contiguous blocks
-    (``_blocks``), every block is one task of a single pool of
-    ``cfg.workers`` processes (in-process at 1 worker), and the records come
-    back in task order.  Paths never mix within a block, so the result does
-    not depend on the worker count or the block sizes.
+    The one fan-out.  Its rows are the ``(path, solver)`` pairs in
+    path-major order, so a path's rows under every solver sit side by side
+    and share the path's draws; the solvers must therefore agree in all but
+    mode weights and radius (``flow._SHARED``), else ValueError.  The rows
+    are split into contiguous blocks (``_blocks``), every block is one task
+    of a single pool of ``cfg.workers`` processes (in-process at 1 worker),
+    and the records come back solver-major.  Rows never mix within a block,
+    so the result does not depend on the worker count or the block sizes.
     """
+    solvers = list(solvers)
+    _check_shared(solvers)
     args = [
-        (solver, cfg.master_seed, first, stop, cfg.record_every, stop_after_hit)
-        for solver in solvers
-        for first, stop in _blocks(cfg.n_paths, cfg.workers)
+        (solvers, cfg.master_seed, first, stop, cfg.record_every, stop_after_hit)
+        for first, stop in _blocks(cfg.n_paths * len(solvers), cfg.workers)
     ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             blocks = list(pool.map(_run_one_path, args))
     else:
         blocks = [_run_one_path(a) for a in args]
-    return [record for block in blocks for record in block]
+    records = [record for block in blocks for record in block]
+    return [record for i in range(len(solvers)) for record in records[i :: len(solvers)]]
 
 
 def summarize(records, cfg):
@@ -439,9 +452,10 @@ def contrast_h32(cfg):
 
     Runs matched ensembles (same seed, same per-mode draws thanks to the
     prefix-stable increment layout) at cutoffs 32 and 64 for the rapidly
-    decreasing exponential family and for the slow power-law family, and
-    reports the mean per-path ratio of final H^3 norms plus the ensemble
-    minimum of the warp derivative.
+    decreasing exponential family and for the slow power-law family (a
+    path's four rows step as one block on one stream), and reports the mean
+    per-path ratio of final H^3 norms plus the ensemble minimum of the warp
+    derivative.
     """
     solvers = _contrast_solvers(cfg.solver)
     records = run_ensemble(replace(cfg, record_every=max(1, cfg.solver.n_steps)), solvers)
@@ -550,14 +564,17 @@ def validation_checks(seed=20240817):
         composed = compose(f, warp)
         pts = theta[::16]
         gp = warp(pts)
+        # the jets at every point: f^(i) at the warped points, g^(i) at pts
+        f_jets = [f.derivative(i).evaluate(gp) for i in range(5)]
+        g_jets = [gp, 1.0 + g.derivative().evaluate(pts)]
+        g_jets += [g.derivative(i).evaluate(pts) for i in range(2, 5)]
         for order in (1, 2, 3, 4):
             deriv = composed.derivative(order)
             spectral = deriv.evaluate(pts)
             scale = max(1e-9, deriv.linf_norm())
-            for idx, (p, w) in enumerate(zip(pts, gp)):
-                f_jet = [f.derivative(i).evaluate([w])[0] for i in range(order + 1)]
-                g_jet = [w, 1.0 + g.derivative().evaluate([p])[0]]
-                g_jet += [g.derivative(i).evaluate([p])[0] for i in range(2, order + 1)]
+            for idx in range(pts.size):
+                f_jet = [jet[idx] for jet in f_jets[: order + 1]]
+                g_jet = [jet[idx] for jet in g_jets[: order + 1]]
                 val = bell.compose_derivative(f_jet, g_jet, order)
                 worst = max(worst, abs(val - spectral[idx]) / scale)
     record("faa_di_bruno_vs_spectral_composition", worst, 1e-8, worst <= 1e-8)

@@ -9,9 +9,11 @@ the norm reaches the radius is recorded as the hitting time and the path
 keeps evolving under the truncated dynamics afterwards.
 
 Paths are stepped in blocks: P states held as one ``(P, M)`` array, each
-row driven by its own increments.  Every update is elementwise or per row,
-so a row's values do not depend on the other rows or on P; one state is
-the block with P = 1.
+row driven by its own increments under its own mode weights and radius.
+Every update is elementwise or per row, so a row's values do not depend on
+the other rows or on P; one state is the block with P = 1.  The rows of a
+block share the time grid, the grid size, the Sobolev index and the scheme
+(``_SHARED``).
 """
 
 import math
@@ -24,8 +26,10 @@ from .basis import ScalingSequence
 from .circlefn import (
     AffineCircleMap,
     CircleFunction,
+    _analyze,
+    _hk_norm,
+    _min_derivatives,
     grid_points,
-    hk_norms,
     sobolev_embedding_constant,
 )
 from .noise import field_values
@@ -197,28 +201,61 @@ class PathRecord:
         return t, hk, md, stopped
 
 
+# The solver fields every row of a block shares; rows may differ in their
+# mode weights (cutoff and scaling sequence) and radius.
+_SHARED = ("dt", "horizon", "grid_size", "k", "scheme")
+
+
+def _check_shared(cfgs):
+    """Raise ValueError unless the solvers ``cfgs`` agree in ``_SHARED``."""
+    for cfg in cfgs[1:]:
+        for name in _SHARED:
+            if getattr(cfg, name) != getattr(cfgs[0], name):
+                raise ValueError(
+                    f"solvers stepped as one block must share {name}: "
+                    f"{getattr(cfgs[0], name)!r} != {getattr(cfg, name)!r}"
+                )
+
+
 @dataclass(frozen=True)
 class _Block:
     """P solution rows stepped as one array: the ``(P, M)`` vector parts,
-    their H^k norms and stop flags, all at time ``t``."""
+    their H^k norms and stop flags, all at time ``t``, with each row's mode
+    weights (``(P, N+1)``, zero-padded to the largest cutoff N of the
+    block) and radius.  ``coeffs`` holds the coefficient tables of ``x``
+    when a step built them (None in a starting block)."""
 
     x: np.ndarray
     t: float
     hk: np.ndarray
     stopped: np.ndarray
+    weights: np.ndarray
+    radius: np.ndarray
+    coeffs: tuple = None
 
     @classmethod
-    def of(cls, states):
-        """The block of the given states (all at one time)."""
+    def of(cls, states, cfgs):
+        """The block of the given states (all at one time), row ``i`` under
+        the solver ``cfgs[i]``."""
+        weights = np.zeros((len(cfgs), max(c.mode_cutoff for c in cfgs) + 1))
+        for row, cfg in zip(weights, cfgs):
+            row[: cfg.weights.size] = cfg.weights
+        weights.flags.writeable = False
         return cls(
             np.array([s.x.grid_values for s in states]),
             states[0].t,
             np.array([s.hk for s in states], dtype=float),
             np.array([s.stopped for s in states], dtype=bool),
+            weights,
+            np.array([c.radius for c in cfgs], dtype=float),
         )
 
     def take(self, rows):
-        return _Block(self.x[rows], self.t, self.hk[rows], self.stopped[rows])
+        coeffs = None if self.coeffs is None else tuple(c[rows] for c in self.coeffs)
+        return _Block(
+            self.x[rows], self.t, self.hk[rows], self.stopped[rows],
+            self.weights[rows], self.radius[rows], coeffs,
+        )
 
     def row(self, i):
         x = CircleFunction(self.x[i])
@@ -226,32 +263,35 @@ class _Block:
 
 
 def _advance(prev, new_values, cfg):
-    """The block after a step to ``new_values``: finite check, H^k norms
-    (one ``rfft`` over the rows) and the latched stop flags."""
+    """The block after a step to ``new_values``: finite check, coefficient
+    tables and H^k norms (one ``rfft`` over the rows, as ``hk_norms``) and
+    the stop flags, latched at each row's radius."""
     if not np.all(np.isfinite(new_values)):
         raise SimulationDiverged(f"non-finite state at t={prev.t + cfg.dt:.6g}")
     new_values.flags.writeable = False
-    hk = hk_norms(new_values, cfg.k)
-    return _Block(new_values, prev.t + cfg.dt, hk, prev.stopped | (hk >= cfg.radius))
+    coeffs = _analyze(new_values)
+    hk = _hk_norm(*coeffs, cfg.k)
+    stopped = prev.stopped | (hk >= prev.radius)
+    return _Block(new_values, prev.t + cfg.dt, hk, stopped, prev.weights, prev.radius, coeffs)
 
 
 def truncation_scale(state, cfg):
-    """Applied radial scale: 1 inside the ball, R/||x|| outside (boundary in).
-
-    Row by row when ``state`` is a block of states.
-    """
+    """Applied radial scale: 1 inside the ball, R/||x|| outside (boundary in)."""
     return cfg.radius / np.maximum(state.hk, cfg.radius)  # R / R is exactly 1
 
 
 def _warped_points(block, cfg):
-    return grid_points(cfg.grid_size) + truncation_scale(block, cfg)[:, None] * block.x
+    """``theta + s x`` row by row, ``s`` the ``truncation_scale`` at the
+    row's own radius."""
+    scale = block.radius / np.maximum(block.hk, block.radius)
+    return grid_points(cfg.grid_size) + scale[:, None] * block.x
 
 
 def _euler(block, db, cfg):
     """One explicit step of a block, row ``p`` driven by the increments
     ``db[p]``: x += field(id + x); drift-free since the stochastic
     contraction of the mode sum cancels (``stratonovich_correction``)."""
-    fld = field_values(db, cfg.weights, _warped_points(block, cfg))
+    fld = field_values(db, block.weights, _warped_points(block, cfg))
     return _advance(block, block.x + fld, cfg)
 
 
@@ -262,9 +302,9 @@ def _heun(block, db, cfg):
     rule is applied at both stage states so the scheme integrates the same
     truncated dynamics as the explicit step.
     """
-    f0 = field_values(db, cfg.weights, _warped_points(block, cfg))
+    f0 = field_values(db, block.weights, _warped_points(block, cfg))
     pred = _advance(block, block.x + f0, cfg)
-    f1 = field_values(db, cfg.weights, _warped_points(pred, cfg))
+    f1 = field_values(db, block.weights, _warped_points(pred, cfg))
     return _advance(block, block.x + 0.5 * (f0 + f1), cfg)
 
 
@@ -315,48 +355,80 @@ def integrate(cfg, increments, start=None):
         inc = next(incs, None)
         return None if inc is None else inc[None]
 
-    block = _Block.of([FlowState.initial(cfg) if start is None else start])
+    block = _Block.of([FlowState.initial(cfg) if start is None else start], [cfg])
     for _, block in _integrate(cfg, block, draw):
         yield block.row(0)
 
 
 def simulate_paths(cfg, streams, record_every=1, stop_after_hit=False):
-    """Integrate one path per stream, as one block, from the identity to the
+    """Integrate one row per stream, as one block, from the identity to the
     horizon; returns their records in stream order.
+
+    ``cfg`` is the solver of every row, or a sequence of one solver per
+    row; they must agree in ``_SHARED`` and may differ in mode weights and
+    radius.  Every stream draws at the largest cutoff of the rows, and a row
+    of a lower cutoff steps on zero-padded weights.  Rows handed the same
+    stream object share its draws: it advances once per step while any of
+    its rows is live.  By the prefix-stable layout of the draws (``noise``)
+    and Horner's rule, which is exact over zero leading coefficients, a row
+    then steps bitwise as it does alone on its own-cutoff stream.
 
     The hitting time is the first grid time with H^k norm >= radius; a path
     continues under the truncated dynamics unless ``stop_after_hit``, which
-    drops it from the block and leaves its stream at the crossing step.
-    Samples are kept every ``record_every`` steps plus the initial state,
-    the crossing step, and the final step.  Rows never mix, so a path's
-    record does not depend on the other streams of the block.
+    drops it from the block; its stream stops at the crossing step of the
+    last of its rows.  Samples are kept every ``record_every`` steps plus
+    the initial state, the crossing step, and the final step; their
+    ``min_deriv`` comes from the coefficient tables the step built, in one
+    batch per sampled step.  Rows never mix, so a path's record does not
+    depend on the other rows of the block.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    n_paths, n_steps = len(streams), cfg.n_steps
+    n_paths = len(streams)
+    cfgs = [cfg] * n_paths if isinstance(cfg, SolverConfig) else list(cfg)
+    if len(cfgs) != n_paths:
+        raise ValueError("need one solver per stream")
+    _check_shared(cfgs)
+    n_max = max(c.mode_cutoff for c in cfgs)
+    if any(s.mode_cutoff != n_max for s in streams):
+        raise ValueError("every stream must draw at the largest cutoff of the rows")
+    cfg, n_steps = cfgs[0], cfgs[0].n_steps
     start = FlowState.initial(cfg)
-    block = _Block.of([start] * n_paths)
-    samples = [[_sample(start)] for _ in range(n_paths)]
+    block = _Block.of([start] * n_paths, cfgs)
+    first = _sample(start)
+    samples = [[first] for _ in range(n_paths)]
     hit = np.zeros(n_paths, dtype=bool)
     tau_r = [None] * n_paths
     state_at_tau = [None] * n_paths
 
     def draw(rows):
-        return np.array([streams[r].next_increment() for r in rows])
+        drawn = {}  # id of a stream -> its increment of this step
+        incs = []
+        for r in rows.tolist():
+            s = streams[r]
+            if id(s) not in drawn:
+                drawn[id(s)] = s.next_increment()
+            incs.append(drawn[id(s)])
+        return np.array(incs)
 
     rows = np.arange(n_paths)  # the last block's rows, also when n_steps is 0
     stepped = _integrate(cfg, block, draw, drop_stopped=stop_after_hit)
     for i, (rows, block) in zip(range(1, n_steps + 1), stepped):
         crossed = block.stopped & ~hit[rows]
-        on_grid = _on_record_grid(i, record_every, n_steps)
-        for j in range(rows.size) if on_grid else np.flatnonzero(crossed):
+        if _on_record_grid(i, record_every, n_steps):
+            sampled = np.arange(rows.size)
+        else:
+            sampled = np.flatnonzero(crossed)
+            if not sampled.size:
+                continue
+        min_deriv = _min_derivatives(*(c[sampled] for c in block.coeffs))
+        for j, md in zip(sampled.tolist(), min_deriv.tolist()):
             r = rows[j]
-            state = block.row(j)
             if crossed[j]:
                 hit[r] = True
-                tau_r[r] = state.t
-                state_at_tau[r] = state.x
-            samples[r].append(_sample(state))
+                tau_r[r] = block.t
+                state_at_tau[r] = CircleFunction(block.x[j])
+            samples[r].append(PathSample(block.t, float(block.hk[j]), md, bool(block.stopped[j])))
     # a row missing from the last block left it at its crossing step
     final = list(state_at_tau)
     for j, r in enumerate(rows):
@@ -459,7 +531,8 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
     y_state = FlowState(xi, 0.0, xi_hk, xi_hk >= cfg.radius)
     warp_pts = xi_map.grid_warp
 
-    stepped = zip(range(1, n_steps + 1), _integrate(cfg, _Block.of([x_state, y_state]), draw))
+    block = _Block.of([x_state, y_state], [cfg, cfg])
+    stepped = zip(range(1, n_steps + 1), _integrate(cfg, block, draw))
     recorded = (
         (b.row(0), b.row(1)) for i, (_, b) in stepped if _on_record_grid(i, record_every, n_steps)
     )

@@ -14,7 +14,8 @@ Within a step the normals are laid out in the interleaved mode order
 ``0, +1, -1, +2, -2, ...``.  That makes the draw for a given mode independent
 of the cutoff: a run with a larger cutoff sees exactly the same increments on
 the shared modes, which is what makes cutoff-doubling comparisons meaningful
-path by path.
+path by path.  It also lets solvers of different cutoffs share one stream,
+drawn at the largest of them.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +30,13 @@ __all__ = ["NoiseStream", "field_values"]
 
 @dataclass
 class NoiseStream:
-    """Per-path increment source; deterministic in (seed, path, step, mode)."""
+    """Per-path increment source; deterministic in (seed, path, step, mode).
+
+    One stream may drive several rows of a block, one per solver of the
+    path (``flow.simulate_paths``): it draws at the largest cutoff of those
+    rows and advances while any of them is live, so a row that stops early
+    leaves it running for the others.
+    """
 
     master_seed: int
     path_id: int
@@ -84,8 +91,12 @@ def field_values(delta_b, weights, points):
     sum is ``Re sum_n c_n exp(i n theta)`` with ``c_n = w_n (dB_n + i dB_-n)``,
     evaluated by Horner's rule (``trig_sum``).  The modes lie on the last
     axis of ``delta_b``: a ``(P, 2N+1)`` block of increments is evaluated row
-    by row at ``(P, M)`` points.
+    by row at ``(P, M)`` points, under one ``(N+1,)`` row of weights or a
+    ``(P, N+1)`` row per increment row.  Weights zero-padded to the cutoff
+    of the increments leave the values bitwise those of the unpadded sum:
+    the padded modes hold zero coefficients, and Horner's rule over zero
+    leading coefficients is exact.
     """
     n_cut = (delta_b.shape[-1] - 1) // 2
-    c = weights[1:] * (delta_b[..., n_cut + 1 :] + 1j * delta_b[..., n_cut - 1 :: -1])
-    return trig_sum(weights[0] * delta_b[..., n_cut], c, points)
+    c = weights[..., 1:] * (delta_b[..., n_cut + 1 :] + 1j * delta_b[..., n_cut - 1 :: -1])
+    return trig_sum(weights[..., 0] * delta_b[..., n_cut], c, points)

@@ -8,7 +8,33 @@ from circleflow import (
     grid_points,
     sobolev_embedding_constant,
 )
+from circleflow.circlefn import _analyze, _hk_norm, _min_derivatives
 from conftest import quadrature_norms, random_band_limited
+
+
+def old_min_derivative(f):
+    """``1 + min f'`` by the per-function pipeline the batched one replaced:
+    derivative tables, then a 1-d zero-padded synthesis on the 4x grid."""
+    a, b = f.coefficients
+    n = np.arange(a.size, dtype=float)
+    c = (1j * n) ** 1 * (a - 1j * b)
+    da, db = c.real.copy(), (-c.imag).copy()
+    da[-1] = db[-1] = da[0] = db[0] = 0.0
+    p = 4 * f.grid_size
+    spec = np.zeros(p // 2 + 1, dtype=complex)
+    spec[: a.size] = (da - 1j * db) * (p / 2.0)
+    spec[0] = da[0] * p
+    return 1.0 + float(np.min(np.fft.irfft(spec, n=p)))
+
+
+def old_hk_norm(a, b, k):
+    """The H^k norm formula before the mode powers were cached: one
+    function's coefficient tables."""
+    l2sq = a[0] ** 2 + 0.5 * np.sum(a[1:] ** 2 + b[1:] ** 2)
+    if k == 0:
+        return np.sqrt(2.0 * l2sq)
+    n = np.arange(1, a.size, dtype=float)
+    return np.sqrt(l2sq + 0.5 * np.sum(n ** (2 * k) * (a[1:] ** 2 + b[1:] ** 2)))
 
 
 class TestFromGrid:
@@ -209,6 +235,32 @@ class TestAffineCircleMap:
         assert gentle.is_diffeo
         assert gentle.min_derivative == pytest.approx(0.5, abs=1e-10)
         assert not steep.is_diffeo
+
+
+class TestBatchedDiagnostics:
+    @pytest.mark.parametrize("rows, grid_size", [(1, 64), (4, 128), (25, 256)])
+    def test_min_derivatives_equal_the_per_function_value(self, rng, rows, grid_size):
+        fns = [random_band_limited(rng, grid_size, grid_size // 4) * 0.05 for _ in range(rows)]
+        a, b = _analyze(np.array([f.grid_values for f in fns]))
+        got = _min_derivatives(a, b)
+        assert got.shape == (rows,)
+        for md, f in zip(got, fns):
+            assert md == AffineCircleMap(f).min_derivative == old_min_derivative(f)
+
+    @pytest.mark.parametrize("rows", [1, 4, 25])
+    def test_hk_norms_equal_the_old_formula(self, rng, rows):
+        values = np.array([random_band_limited(rng, 128, 40).grid_values for _ in range(rows)])
+        a, b = _analyze(values)
+        for k in (0, 2, 3):
+            got = _hk_norm(a, b, k)
+            assert np.array_equal(got, [old_hk_norm(ra, rb, k) for ra, rb in zip(a, b)])
+
+    def test_grid_points_are_shared_and_read_only(self):
+        theta = grid_points(64)
+        assert grid_points(64) is theta
+        assert np.array_equal(theta, 2.0 * np.pi * np.arange(64) / 64)
+        with pytest.raises(ValueError):
+            theta[0] = 1.0
 
 
 class TestEmbeddingConstant:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from circleflow import (
     ConfigError,
     RunConfig,
+    ScalingSequence,
     inclusion_hs_norm,
     q_lambda_trace,
     run_ensemble,
@@ -256,6 +257,44 @@ class TestRunEnsemble:
         taus = {r[1] for r in runs[0][: cfg.n_paths]}
         assert None not in taus and len(taus) > 1
 
+    @pytest.mark.parametrize("stop_after_hit", [False, True])
+    def test_mixed_solvers_share_a_block_bitwise(self, tmp_path, monkeypatch, stop_after_hit):
+        # Rows of different cutoffs, weight families and radii in one block:
+        # each solver's records are bitwise those of its solo run, on its
+        # own-cutoff streams, at every block size and worker count; a
+        # block of three rows holds one path under all three solvers.
+        cfg = RunConfig.from_dict(base_config(tmp_path, n_paths=4, record_every=3))
+        base = dataclasses.replace(cfg.solver, horizon=0.05, grid_size=128)
+        solvers = [
+            dataclasses.replace(base, mode_cutoff=8, radius=0.05),
+            dataclasses.replace(
+                base, mode_cutoff=32, alpha=ScalingSequence.powerlaw(1.5), radius=10.0
+            ),
+            dataclasses.replace(
+                base, mode_cutoff=16, alpha=ScalingSequence.exponential(0.5), radius=0.3
+            ),
+        ]
+        solo = [
+            r for s in solvers for r in self.fingerprint(run_ensemble(cfg, [s], stop_after_hit))
+        ]
+        for rows in (1, 3, cfg.n_paths * len(solvers)):
+            monkeypatch.setattr(ensemble, "BLOCK_ROWS", rows)
+            for workers in (1, 2):
+                pool_cfg = dataclasses.replace(cfg, workers=workers)
+                assert self.fingerprint(run_ensemble(pool_cfg, solvers, stop_after_hit)) == solo
+        # the low-cutoff row stops while the others of its path step on
+        taus = [r[1] for r in solo]
+        assert all(t is not None for t in taus[: cfg.n_paths])
+        assert any(t is None for t in taus[cfg.n_paths :])
+
+    @pytest.mark.parametrize("change", [{"grid_size": 128}, {"dt": 5e-4}])
+    def test_solvers_that_cannot_share_a_block_raise(self, tmp_path, change):
+        # Negative control: rows of one block share their grid and time steps.
+        cfg = RunConfig.from_dict(base_config(tmp_path, n_paths=2))
+        other = dataclasses.replace(cfg.solver, **change)
+        with pytest.raises(ValueError, match=f"must share {next(iter(change))}"):
+            run_ensemble(cfg, [cfg.solver, other])
+
     def test_block_tasks_cover_the_paths(self):
         assert ensemble._blocks(4, 1) == [(0, 4)]
         assert ensemble._blocks(50, 2) == [(0, 25), (25, 50)]
@@ -364,6 +403,10 @@ class TestValidationBattery:
         assert len(checks) >= 10
         failed = [c["name"] for c in checks if not c["passed"]]
         assert failed == []
+        # the f and g jets, evaluated at all points at once, are bitwise
+        # the one-point values that first gave this check value
+        faa = next(c for c in checks if c["name"] == "faa_di_bruno_vs_spectral_composition")
+        assert faa["value"] == 1.5349884647748822e-11
 
     def test_trace_check_fails_on_a_wrong_partial_sum(self, monkeypatch):
         # The partial sum one term short, 1 + 2 sum_{n<=9} 1/n^2, inside the

@@ -24,7 +24,7 @@ from circleflow import (
     stratonovich_correction,
     truncation_scale,
 )
-from circleflow.flow import stratonovich_rounding_bound
+from circleflow.flow import simulate_paths, stratonovich_rounding_bound
 from conftest import random_band_limited
 
 SEED = 20240817
@@ -259,6 +259,33 @@ class TestSimulatePath:
         rec = simulate_path(cfg, stream, stop_after_hit=True)
         assert rec.samples[-1].t == pytest.approx(rec.tau_r)
         assert stream.step_index == round(rec.tau_r / cfg.dt) < cfg.n_steps
+
+    def test_shared_stream_advances_while_any_row_is_live(self):
+        # two rows of one path on one stream: the draws follow the row that
+        # stops last, and each row stops where it does alone
+        low = make_config(horizon=0.5, radius=0.05)
+        high = make_config(
+            horizon=0.5, radius=0.1, mode_cutoff=16, alpha=ScalingSequence.powerlaw(1.5)
+        )
+        stream = NoiseStream(SEED, 2, 16, low.dt)
+        recs = simulate_paths([low, high], [stream, stream], stop_after_hit=True)
+        steps = [round(r.tau_r / low.dt) for r in recs]
+        assert steps[0] != steps[1] and stream.step_index == max(steps) < low.n_steps
+        for cfg, rec in zip((low, high), recs):
+            alone = simulate_path(cfg, NoiseStream(SEED, 2, cfg.mode_cutoff, cfg.dt),
+                                  stop_after_hit=True)
+            assert rec.samples == alone.samples
+            assert np.array_equal(rec.state_at_tau.grid_values, alone.state_at_tau.grid_values)
+
+    def test_rows_must_fit_one_block(self):
+        cfg = make_config()
+        streams = [NoiseStream(SEED, 0, 8, cfg.dt)] * 2
+        with pytest.raises(ValueError, match="largest cutoff"):
+            simulate_paths([cfg, make_config(mode_cutoff=16)], streams)
+        with pytest.raises(ValueError, match="one solver per stream"):
+            simulate_paths([cfg], streams)
+        with pytest.raises(ValueError, match="must share scheme"):
+            simulate_paths([cfg, make_config(scheme="heun")], streams)
 
     def test_samples_strictly_increasing(self):
         cfg = make_config(horizon=0.2, radius=0.08)

@@ -169,3 +169,28 @@ def test_block_hk_norms_equal_single_norms(rng):
         assert got.shape == (5,)
         for norm, f in zip(got, fns):
             assert norm == CircleFunction(f.grid_values).hk_norm(k)
+
+
+@pytest.mark.parametrize("n_cut, n_max, grid_size", [(4, 8, 32), (32, 64, 256)])
+def test_zero_padding_is_bitwise_exact(rng, n_cut, n_max, grid_size):
+    # Horner's rule over zero leading coefficients adds exact zeros.
+    c0 = rng.normal()
+    c = rng.normal(size=n_cut) + 1j * rng.normal(size=n_cut)
+    padded = np.concatenate([c, np.zeros(n_max - n_cut, dtype=complex)])
+    points = warped_grid(rng, grid_size)
+    assert np.array_equal(trig_sum(c0, padded, points), trig_sum(c0, c, points))
+    # field_values: a block of rows at cutoffs n_cut and n_max, drawn at
+    # n_max and weighted by (P, n_max + 1) zero-padded weights, is row by
+    # row the unpadded sum on the row's own-cutoff stream
+    rows = [(n_cut, ScalingSequence.exponential(1.0)), (n_max, ScalingSequence.powerlaw(1.5)),
+            (n_cut, ScalingSequence.powerlaw(1.5))]
+    weights = np.zeros((len(rows), n_max + 1))
+    for w, (cut, family) in zip(weights, rows):
+        w[: cut + 1] = family.values(cut)
+    delta_b = np.array([NoiseStream(SEED, p, n_max, 1e-3).increment_at(3) for p in range(3)])
+    points = np.array([warped_grid(rng, grid_size) for _ in rows])
+    block = field_values(delta_b, weights, points)
+    for p, (cut, family) in enumerate(rows):
+        own = NoiseStream(SEED, p, cut, 1e-3).increment_at(3)
+        assert np.array_equal(block[p], field_values(own, family.values(cut), points[p]))
+        assert np.array_equal(field_values(delta_b[p], weights[p], points[p]), block[p])
