@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circlefn import AffineCircleMap, grid_points, hk_norms, sobolev_embedding_constant
+from .circlefn import AffineCircleMap, _warp_points, hk_norms, sobolev_embedding_constant
 
 __all__ = [
     "BellTable",
@@ -213,12 +213,9 @@ def _warped_basis(basis, f):
 
     Row ``n + N`` holds ``lam(n) cos(n w)`` for ``n >= 0`` and
     ``lam(n) sin(n w)`` for ``n < 0``, evaluated directly at the points ``w``
-    where ``compose`` samples: the exact ``grid_warp`` when f's grid is the
-    finer one, ``id + f`` on the finer basis grid otherwise.
+    where ``compose`` samples (``_warp_points`` on the finer of the grids).
     """
-    warp = AffineCircleMap(f)
-    m = max(basis.grid_size, f.grid_size)
-    w = warp.grid_warp if f.grid_size == m else warp(grid_points(m))
+    w = _warp_points(AffineCircleMap(f), max(basis.grid_size, f.grid_size))
     n, lam = _modes(basis)
     return lam * np.where(n >= 0, np.cos(n * w), np.sin(n * w))
 

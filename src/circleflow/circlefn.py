@@ -29,6 +29,9 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
+MIN_DERIV_OVERSAMPLE = 4  # grid of ``_min_derivatives`` over the stored grid
+EMBEDDING_MODES = 4096  # modes ``sobolev_embedding_constant`` sums before its tail bound
+
 
 @functools.lru_cache(maxsize=32)
 def grid_points(grid_size):
@@ -265,13 +268,13 @@ def _derivative_tables(a, b, m):
     return da, db
 
 
-def _min_derivatives(a, b, oversample=4):
-    """Minimum of ``1 + f'`` on a grid ``oversample`` times denser than the
-    stored one, for each function whose coefficient tables are the rows of
-    ``(a, b)``: one zero-padded ``irfft`` over all rows.  A row's value is
-    bitwise ``AffineCircleMap.min_derivative`` of its function."""
-    m = 2 * (a.shape[-1] - 1)
-    return 1.0 + np.min(_synthesize(*_derivative_tables(a, b, 1), oversample * m), axis=-1)
+def _min_derivatives(a, b):
+    """Minimum of ``1 + f'`` on a grid ``MIN_DERIV_OVERSAMPLE`` times denser
+    than the stored one, for each function whose coefficient tables are the
+    rows of ``(a, b)``: one zero-padded ``irfft`` over all rows.  A row's
+    value is bitwise ``AffineCircleMap.min_derivative`` of its function."""
+    p = MIN_DERIV_OVERSAMPLE * 2 * (a.shape[-1] - 1)
+    return 1.0 + np.min(_synthesize(*_derivative_tables(a, b, 1), p), axis=-1)
 
 
 def _analyze(values):
@@ -358,30 +361,32 @@ def compose(g, warp):
         raise TypeError("warp must be an AffineCircleMap")
     if not np.any(warp.vector_part.grid_values) and g.grid_size >= warp.grid_size:
         return g  # identity warp: exact on the grid
-    m = max(g.grid_size, warp.grid_size)
-    if warp.grid_size == m:
-        pts = warp.grid_warp
-    else:
-        pts = warp(grid_points(m))
-    return CircleFunction(g.evaluate(pts))
+    return CircleFunction(g.evaluate(_warp_points(warp, max(g.grid_size, warp.grid_size))))
 
 
-def sobolev_embedding_constant(k, m, n_max=4096):
+def _warp_points(warp, m):
+    """The points ``warp(theta_j)`` of the m-point grid, m at least the
+    warp's own grid: its exact ``grid_warp`` when m is that grid, else
+    ``warp`` evaluated at ``grid_points(m)``."""
+    return warp.grid_warp if warp.grid_size == m else warp(grid_points(m))
+
+
+def sobolev_embedding_constant(k, m):
     """Admissible constant c with ||f^(m)||_inf <= c * ||f||_{H^k} for m < k.
 
     Computed as the Cauchy-Schwarz weight sum
     ``(sum_{n in Z} n^{2m} / max(1, (1 + n^{2k})/2))^{1/2}`` truncated at
-    ``n_max``, plus the integral tail bound
-    ``2 * sum_{n > n_max} n^{2(m-k)} <= 4 * n_max^{1-2(k-m)} / (2(k-m) - 1)``
+    ``N = EMBEDDING_MODES``, plus the integral tail bound
+    ``2 * sum_{n > N} n^{2(m-k)} <= 4 * N^{1-2(k-m)} / (2(k-m) - 1)``
     added inside the square root, so the returned value is an upper bound of
     the full series and the inequality holds for every band-limited sample.
     """
     if m < 0 or k <= m:
         raise ValueError("need 0 <= m < k")
-    n = np.arange(1, n_max + 1, dtype=float)
+    n = np.arange(1, EMBEDDING_MODES + 1, dtype=float)
     body = 2.0 * np.sum(n ** (2 * m) / np.maximum(1.0, (1.0 + n ** (2 * k)) / 2.0))
     if m == 0:
         body += 1.0  # n = 0 term, weight max(1, 1/2) = 1
     p = 2 * (k - m) - 1
-    tail = 4.0 * n_max ** (-p) / p
+    tail = 4.0 * EMBEDDING_MODES ** (-p) / p
     return float(np.sqrt(body + tail))

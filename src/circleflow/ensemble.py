@@ -189,52 +189,50 @@ class EnsembleSummary:
 
 
 # Rows per block task: a task's memory stays O(BLOCK_ROWS * grid_size) at
-# any n_paths.
+# any n_paths, unless one path has more solvers than BLOCK_ROWS.
 BLOCK_ROWS = 64
 
 
 def _run_one_path(args):
-    """One block task: rows ``first..stop-1`` of the path-major
-    ``(path, solver)`` rows of ``run_ensemble``, stepped as one block on one
-    stream per path, drawn at the largest cutoff of the rows.  (The name
-    predates blocks; perfbench's tracer wraps it by name.)"""
+    """One block task: paths ``first..stop-1``, each stepped under every
+    solver as one block on one stream, drawn at the largest cutoff of the
+    solvers.  (The name predates blocks; perfbench's tracer wraps it by
+    name.)"""
     solvers, seed, first, stop, record_every, stop_after_hit = args
-    n = len(solvers)
-    cfgs = [solvers[row % n] for row in range(first, stop)]
-    n_max = max(c.mode_cutoff for c in cfgs)
-    streams = {
-        pid: NoiseStream(seed, pid, n_max, cfgs[0].dt)
-        for pid in range(first // n, (stop - 1) // n + 1)
-    }
-    row_streams = [streams[row // n] for row in range(first, stop)]
-    return simulate_paths(cfgs, row_streams, record_every, stop_after_hit)
+    n_max = max(c.mode_cutoff for c in solvers)
+    streams = [NoiseStream(seed, pid, n_max, solvers[0].dt) for pid in range(first, stop)]
+    return simulate_paths(solvers, streams, record_every, stop_after_hit)
 
 
-def _blocks(n_rows, workers):
-    """Contiguous ``(first, stop)`` row ranges: at least ``workers`` of
-    them (when there are that many rows), none longer than BLOCK_ROWS."""
-    n = min(n_rows, max(workers, -(-n_rows // BLOCK_ROWS)))
-    bounds = [n_rows * i // n for i in range(n + 1)]
+def _blocks(n_paths, n_solvers, workers):
+    """Contiguous ``(first, stop)`` path ranges: at least ``workers`` of
+    them (when there are that many paths), none longer than
+    ``max(1, BLOCK_ROWS // n_solvers)`` paths, so a block holds at most
+    BLOCK_ROWS rows unless one path has more solvers than that."""
+    size = max(1, BLOCK_ROWS // n_solvers)
+    n = min(n_paths, max(workers, -(-n_paths // size)))
+    bounds = [n_paths * i // n for i in range(n + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
 def run_ensemble(cfg, solvers, stop_after_hit=False):
-    """Paths ``0..cfg.n_paths-1`` of each solver in ``solvers``, solver-major.
+    """Paths ``0..cfg.n_paths-1`` under each solver in ``solvers``: one list
+    of records per solver.
 
-    The one fan-out.  Its rows are the ``(path, solver)`` pairs in
-    path-major order, so a path's rows under every solver sit side by side
-    and share the path's draws; the solvers must therefore agree in all but
-    mode weights and radius (``flow._SHARED``), else ValueError.  The rows
-    are split into contiguous blocks (``_blocks``), every block is one task
-    of a single pool of ``cfg.workers`` processes (in-process at 1 worker),
-    and the records come back solver-major.  Rows never mix within a block,
-    so the result does not depend on the worker count or the block sizes.
+    The one fan-out.  The paths are split into contiguous ranges
+    (``_blocks``), and each range is one task of a single pool of
+    ``cfg.workers`` processes (in-process at 1 worker).  A task steps each of
+    its paths under every solver as adjacent rows of one block, on the
+    path's one stream; the solvers must therefore agree in all but mode
+    weights and radius (``flow._SHARED``), else ValueError.  Rows never mix
+    within a block, so the result does not depend on the worker count or
+    the block sizes.
     """
     solvers = list(solvers)
     _check_shared(solvers)
     args = [
         (solvers, cfg.master_seed, first, stop, cfg.record_every, stop_after_hit)
-        for first, stop in _blocks(cfg.n_paths * len(solvers), cfg.workers)
+        for first, stop in _blocks(cfg.n_paths, len(solvers), cfg.workers)
     ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -242,7 +240,7 @@ def run_ensemble(cfg, solvers, stop_after_hit=False):
     else:
         blocks = [_run_one_path(a) for a in args]
     records = [record for block in blocks for record in block]
-    return [record for i in range(len(solvers)) for record in records[i :: len(solvers)]]
+    return [records[i :: len(solvers)] for i in range(len(solvers))]
 
 
 def summarize(records, cfg):
@@ -356,26 +354,23 @@ def _check(name, value, bound, passed, kind=None):
     return check
 
 
-def _per_solver(records, n_paths):
-    """Split solver-major ``run_ensemble`` records into one list per solver."""
-    return [records[i : i + n_paths] for i in range(0, len(records), n_paths)]
-
-
 def _run_simulate(cfg):
-    records = run_ensemble(cfg, [cfg.solver])
+    [records] = run_ensemble(cfg, [cfg.solver])
     return summarize(records, cfg), [r.samples for r in records], None
 
 
 def _run_hitting(cfg):
     solvers = [replace(cfg.solver, radius=radius) for radius in cfg.radii]
-    records = run_ensemble(cfg, solvers, stop_after_hit=True)
+    per_solver = run_ensemble(cfg, solvers, stop_after_hit=True)
     rows = [
         hitting_row(radius, recs, cfg.solver.horizon)
-        for radius, recs in zip(cfg.radii, _per_solver(records, cfg.n_paths))
+        for radius, recs in zip(cfg.radii, per_solver)
     ]
+    records = [r for recs in per_solver for r in recs]
     summary = summarize(records, cfg)
     summary.extra["hitting_table"] = rows
-    means = [row["mean_tau"] for row in rows]
+    # the radii may come in any order; the table keeps it, the check sorts
+    means = [row["mean_tau"] for row in sorted(rows, key=lambda row: row["radius"])]
     # with every path censored the means are all the horizon: nothing to order
     any_hit = any(row["n_censored"] < cfg.n_paths for row in rows)
     ordered = any_hit and all(a <= b for a, b in zip(means, means[1:]))
@@ -458,8 +453,7 @@ def contrast_h32(cfg):
     derivative.
     """
     solvers = _contrast_solvers(cfg.solver)
-    records = run_ensemble(replace(cfg, record_every=max(1, cfg.solver.n_steps)), solvers)
-    per_solver = _per_solver(records, cfg.n_paths)
+    per_solver = run_ensemble(replace(cfg, record_every=max(1, cfg.solver.n_steps)), solvers)
     results = {}
     pairs = zip(_CONTRAST_FAMILIES, per_solver[0::2], per_solver[1::2])
     for (name, _), lo_recs, hi_recs in pairs:

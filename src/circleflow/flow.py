@@ -8,17 +8,18 @@ globally Lipschitz truncation of the dynamics; the first grid time at which
 the norm reaches the radius is recorded as the hitting time and the path
 keeps evolving under the truncated dynamics afterwards.
 
-Paths are stepped in blocks: P states held as one ``(P, M)`` array, each
-row driven by its own increments under its own mode weights and radius.
-Every update is elementwise or per row, so a row's values do not depend on
-the other rows or on P; one state is the block with P = 1.  The rows of a
-block share the time grid, the grid size, the Sobolev index and the scheme
-(``_SHARED``).
+Paths are stepped in blocks: a range of paths, each under every solver of
+the block, held as one ``(P, M)`` array of (path, solver) rows.  A path's
+rows step on its one increment per step, each under its own mode weights
+and radius.  Every update is elementwise or per row, so a row's values do
+not depend on the other rows or on P; one state is the block with P = 1.
+The solvers of a block share the time grid, the grid size, the Sobolev
+index and the scheme (``_SHARED``).
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain
 
 import numpy as np
 
@@ -234,12 +235,14 @@ class _Block:
     coeffs: tuple = None
 
     @classmethod
-    def of(cls, states, cfgs):
+    def of(cls, states, solvers):
         """The block of the given states (all at one time), row ``i`` under
-        the solver ``cfgs[i]``."""
-        weights = np.zeros((len(cfgs), max(c.mode_cutoff for c in cfgs) + 1))
-        for row, cfg in zip(weights, cfgs):
+        the solver ``solvers[i % len(solvers)]``."""
+        weights = np.zeros((len(solvers), max(c.mode_cutoff for c in solvers) + 1))
+        for row, cfg in zip(weights, solvers):
             row[: cfg.weights.size] = cfg.weights
+        paths = len(states) // len(solvers)
+        weights = np.tile(weights, (paths, 1))
         weights.flags.writeable = False
         return cls(
             np.array([s.x.grid_values for s in states]),
@@ -247,7 +250,7 @@ class _Block:
             np.array([s.hk for s in states], dtype=float),
             np.array([s.stopped for s in states], dtype=bool),
             weights,
-            np.array([c.radius for c in cfgs], dtype=float),
+            np.tile(np.array([c.radius for c in solvers], dtype=float), paths),
         )
 
     def take(self, rows):
@@ -360,58 +363,62 @@ def integrate(cfg, increments, start=None):
         yield block.row(0)
 
 
-def simulate_paths(cfg, streams, record_every=1, stop_after_hit=False):
-    """Integrate one row per stream, as one block, from the identity to the
-    horizon; returns their records in stream order.
+def _draw_per_path(streams, n_solvers):
+    """The ``draw`` of ``_integrate`` for stream-major ``(stream, solver)``
+    rows: each stream with a live row draws once, and row ``r`` steps on the
+    draw of ``streams[r // n_solvers]``."""
 
-    ``cfg`` is the solver of every row, or a sequence of one solver per
-    row; they must agree in ``_SHARED`` and may differ in mode weights and
-    radius.  Every stream draws at the largest cutoff of the rows, and a row
-    of a lower cutoff steps on zero-padded weights.  Rows handed the same
-    stream object share its draws: it advances once per step while any of
-    its rows is live.  By the prefix-stable layout of the draws (``noise``)
-    and Horner's rule, which is exact over zero leading coefficients, a row
-    then steps bitwise as it does alone on its own-cutoff stream.
+    def draw(rows):
+        paths = rows // n_solvers
+        incs = np.empty((len(streams), 2 * streams[0].mode_cutoff + 1))
+        for p in set(paths.tolist()):
+            incs[p] = streams[p].next_increment()
+        return incs[paths]
+
+    return draw
+
+
+def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
+    """Integrate every stream's path under every solver, as one block, from
+    the identity to the horizon; returns the records of the
+    ``(stream, solver)`` rows, stream-major.
+
+    ``solvers`` is one solver or a sequence of them; they must agree in
+    ``_SHARED`` and may differ in mode weights and radius.  Every stream
+    draws at the largest cutoff of the solvers, once per step while any of
+    its rows is live, and a row of a lower cutoff steps on zero-padded
+    weights.  By the prefix-stable layout of the draws (``noise``) and
+    Horner's rule, which is exact over zero leading coefficients, a row then
+    steps bitwise as it does alone on its own-cutoff stream.
 
     The hitting time is the first grid time with H^k norm >= radius; a path
     continues under the truncated dynamics unless ``stop_after_hit``, which
-    drops it from the block; its stream stops at the crossing step of the
+    drops the row from the block; a stream stops at the crossing step of the
     last of its rows.  Samples are kept every ``record_every`` steps plus
     the initial state, the crossing step, and the final step; their
     ``min_deriv`` comes from the coefficient tables the step built, in one
-    batch per sampled step.  Rows never mix, so a path's record does not
+    batch per sampled step.  Rows never mix, so a row's record does not
     depend on the other rows of the block.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    n_paths = len(streams)
-    cfgs = [cfg] * n_paths if isinstance(cfg, SolverConfig) else list(cfg)
-    if len(cfgs) != n_paths:
-        raise ValueError("need one solver per stream")
-    _check_shared(cfgs)
-    n_max = max(c.mode_cutoff for c in cfgs)
+    solvers = [solvers] if isinstance(solvers, SolverConfig) else list(solvers)
+    _check_shared(solvers)
+    n_max = max(c.mode_cutoff for c in solvers)
     if any(s.mode_cutoff != n_max for s in streams):
-        raise ValueError("every stream must draw at the largest cutoff of the rows")
-    cfg, n_steps = cfgs[0], cfgs[0].n_steps
+        raise ValueError("every stream must draw at the largest cutoff of the solvers")
+    cfg, n_steps = solvers[0], solvers[0].n_steps
+    n_rows = len(streams) * len(solvers)
     start = FlowState.initial(cfg)
-    block = _Block.of([start] * n_paths, cfgs)
+    block = _Block.of([start] * n_rows, solvers)
     first = _sample(start)
-    samples = [[first] for _ in range(n_paths)]
-    hit = np.zeros(n_paths, dtype=bool)
-    tau_r = [None] * n_paths
-    state_at_tau = [None] * n_paths
+    samples = [[first] for _ in range(n_rows)]
+    hit = np.zeros(n_rows, dtype=bool)
+    tau_r = [None] * n_rows
+    state_at_tau = [None] * n_rows
 
-    def draw(rows):
-        drawn = {}  # id of a stream -> its increment of this step
-        incs = []
-        for r in rows.tolist():
-            s = streams[r]
-            if id(s) not in drawn:
-                drawn[id(s)] = s.next_increment()
-            incs.append(drawn[id(s)])
-        return np.array(incs)
-
-    rows = np.arange(n_paths)  # the last block's rows, also when n_steps is 0
+    rows = np.arange(n_rows)  # the last block's rows, also when n_steps is 0
+    draw = _draw_per_path(streams, len(solvers))
     stepped = _integrate(cfg, block, draw, drop_stopped=stop_after_hit)
     for i, (rows, block) in zip(range(1, n_steps + 1), stepped):
         crossed = block.stopped & ~hit[rows]
@@ -506,8 +513,8 @@ class FlowCheckReport:
 def flow_compose_check(cfg, stream, xi_map, record_every=1):
     """Left-invariance probe: evolve from id and from xi with one noise path.
 
-    Runs x from 0 and y from the vector part of ``xi_map`` as one 2-row
-    block fed the same increment each step, and reports sup over recorded
+    Runs x from 0 and y from the vector part of ``xi_map`` as the two rows of
+    one path, on its one increment per step, and reports sup over recorded
     times and grid points of |(id + y)(theta) - (id + x)(xi(theta))|.  For the identity the two
     recursions coincide bit for bit; for rigid rotations the grid is mapped
     onto itself so only rounding enters; for generic warps the error is the
@@ -519,20 +526,14 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
     if xi_map.grid_size != cfg.grid_size:
         raise ValueError("initial map must live on the solver grid")
     n_steps = cfg.n_steps
-    steps = count(stream.step_index)
-
-    def draw(rows):
-        db = stream.increment_at(next(steps))
-        return np.array([db, db])
-
     xi = xi_map.vector_part
     xi_hk = xi.hk_norm(cfg.k)
     x_state = FlowState.initial(cfg)
     y_state = FlowState(xi, 0.0, xi_hk, xi_hk >= cfg.radius)
     warp_pts = xi_map.grid_warp
 
-    block = _Block.of([x_state, y_state], [cfg, cfg])
-    stepped = zip(range(1, n_steps + 1), _integrate(cfg, block, draw))
+    block = _Block.of([x_state, y_state], [cfg])
+    stepped = zip(range(1, n_steps + 1), _integrate(cfg, block, _draw_per_path([stream], 2)))
     recorded = (
         (b.row(0), b.row(1)) for i, (_, b) in stepped if _on_record_grid(i, record_every, n_steps)
     )
@@ -550,7 +551,7 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
     return FlowCheckReport(sup_error, window, checked, (tuple(x_samples), tuple(y_samples)))
 
 
-def diffeo_radius(k, n_max=4096):
+def diffeo_radius(k):
     """H^k radius below which every state is certified a diffeomorphism.
 
     One-sided: states inside the ball have sup |x'| < 1, hence positive warp
@@ -558,7 +559,7 @@ def diffeo_radius(k, n_max=4096):
     """
     if k < 2:
         raise ValueError("certificate needs k >= 2 (first derivative control)")
-    return 1.0 / sobolev_embedding_constant(k, 1, n_max)
+    return 1.0 / sobolev_embedding_constant(k, 1)
 
 
 def stratonovich_correction(warp, basis):

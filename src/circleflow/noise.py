@@ -32,10 +32,11 @@ __all__ = ["NoiseStream", "field_values"]
 class NoiseStream:
     """Per-path increment source; deterministic in (seed, path, step, mode).
 
-    One stream may drive several rows of a block, one per solver of the
-    path (``flow.simulate_paths``): it draws at the largest cutoff of those
-    rows and advances while any of them is live, so a row that stops early
-    leaves it running for the others.
+    A block steps each path under every solver of the block, one row each
+    (``flow.simulate_paths``), and the path's one stream drives all of those
+    rows: it draws at the largest cutoff of the solvers, once per step while
+    any of the rows is live, so a row that stops early leaves it running
+    for the others.
     """
 
     master_seed: int

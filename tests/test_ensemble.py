@@ -1,8 +1,12 @@
 import dataclasses
+import functools
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import uuid
 from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 from unittest import mock
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 
 from circleflow import (
     ConfigError,
+    NoiseStream,
     RunConfig,
     ScalingSequence,
     inclusion_hs_norm,
@@ -28,7 +33,8 @@ from circleflow.cli import main as cli_main
 from circleflow.ensemble import _percentile, _safe_ratio
 
 SEED = 20240817
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 SCHEMA = json.loads((DOCS / "summary.schema.json").read_text())
 
 # Values a hand-edited or generated config can carry in any one field.
@@ -215,24 +221,27 @@ class TestRunEnsemble:
         cfg = RunConfig.from_dict(base_config(tmp_path, n_paths=3, record_every=5))
         solvers = [dataclasses.replace(cfg.solver, radius=r) for r in (0.02, 0.5)]
         serial = run_ensemble(cfg, solvers, stop_after_hit=True)
-        assert len(serial) == 6
-        for i, solver in enumerate(solvers):
-            alone = run_ensemble(cfg, [solver], stop_after_hit=True)
-            assert self.outcome(serial[3 * i : 3 * i + 3]) == self.outcome(alone)
+        assert [len(records) for records in serial] == [3, 3]
+        for records, solver in zip(serial, solvers):
+            [alone] = run_ensemble(cfg, [solver], stop_after_hit=True)
+            assert self.outcome(records) == self.outcome(alone)
         pooled = run_ensemble(dataclasses.replace(cfg, workers=2), solvers, stop_after_hit=True)
-        assert self.outcome(pooled) == self.outcome(serial)
+        assert list(map(self.outcome, pooled)) == list(map(self.outcome, serial))
         # the small radius is hit, and stop_after_hit ends those paths early
-        assert all(r.tau_r is not None for r in serial[:3])
-        assert all(r.samples[-1].t == r.tau_r for r in serial[:3])
+        assert all(r.tau_r is not None for r in serial[0])
+        assert all(r.samples[-1].t == r.tau_r for r in serial[0])
 
     @staticmethod
-    def fingerprint(records):
-        """Everything a record holds, states as raw bytes."""
+    def fingerprint(per_solver):
+        """Everything the records of ``run_ensemble`` hold, solver after
+        solver, states as raw bytes."""
         def state(f):
             return None if f is None else f.grid_values.tobytes()
 
         return [
-            (r.samples, r.tau_r, state(r.state_at_tau), state(r.final_state)) for r in records
+            (r.samples, r.tau_r, state(r.state_at_tau), state(r.final_state))
+            for records in per_solver
+            for r in records
         ]
 
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
@@ -296,15 +305,51 @@ class TestRunEnsemble:
             run_ensemble(cfg, [cfg.solver, other])
 
     def test_block_tasks_cover_the_paths(self):
-        assert ensemble._blocks(4, 1) == [(0, 4)]
-        assert ensemble._blocks(50, 2) == [(0, 25), (25, 50)]
-        assert ensemble._blocks(3, 8) == [(0, 1), (1, 2), (2, 3)]
-        for n_paths, workers in ((1, 1), (200, 1), (200, 2), (129, 3), (1000, 16)):
-            blocks = ensemble._blocks(n_paths, workers)
+        assert ensemble._blocks(4, 1, 1) == [(0, 4)]
+        assert ensemble._blocks(50, 1, 2) == [(0, 25), (25, 50)]
+        assert ensemble._blocks(3, 1, 8) == [(0, 1), (1, 2), (2, 3)]
+        # 50 paths under 4 radii: 16 paths (64 rows) per block at most
+        assert ensemble._blocks(50, 4, 2) == [(0, 12), (12, 25), (25, 37), (37, 50)]
+        # more solvers than BLOCK_ROWS: one path per block
+        assert ensemble._blocks(3, ensemble.BLOCK_ROWS + 1, 1) == [(0, 1), (1, 2), (2, 3)]
+        cases = ((1, 1, 1), (200, 1, 1), (200, 4, 2), (129, 3, 3), (1000, 2, 16), (7, 70, 2))
+        for n_paths, n_solvers, workers in cases:
+            blocks = ensemble._blocks(n_paths, n_solvers, workers)
             assert len(blocks) >= min(n_paths, workers)
             assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
             assert blocks[0][0] == 0 and blocks[-1][1] == n_paths
-            assert max(stop - first for first, stop in blocks) <= ensemble.BLOCK_ROWS
+            most = max(stop - first for first, stop in blocks)
+            assert most <= max(1, ensemble.BLOCK_ROWS // n_solvers)
+
+    def test_each_path_is_drawn_by_one_task(self, tmp_path, monkeypatch):
+        # 3 paths under 2 solvers on 2 workers: each path's stream is built
+        # by exactly one block task, so no path straddles two tasks.  Pool
+        # workers fork after the patches, and each task logs to a file.
+        cfg = RunConfig.from_dict(base_config(tmp_path, n_paths=3, workers=2))
+        solvers = [dataclasses.replace(cfg.solver, radius=r) for r in (0.1, 1.0)]
+        log = tmp_path / "tasks"
+        log.mkdir()
+        built = []  # path ids of the streams the running task built
+        task = ensemble._run_one_path
+
+        class Recorded(NoiseStream):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self.path_id)
+
+        @functools.wraps(task)  # pickled by name, as the task it replaces
+        def logged(args):
+            built.clear()
+            result = task(args)
+            (log / f"{uuid.uuid4().hex}.json").write_text(json.dumps(built))
+            return result
+
+        monkeypatch.setattr(ensemble, "NoiseStream", Recorded)
+        monkeypatch.setattr(ensemble, "_run_one_path", logged)
+        run_ensemble(cfg, solvers)
+        tasks = [json.loads(path.read_text()) for path in log.iterdir()]
+        assert len(tasks) == 2
+        assert sorted(pid for paths in tasks for pid in paths) == list(range(cfg.n_paths))
 
     @pytest.mark.parametrize(
         "command", ["run", "validate", "flow-check", "hitting-times", "contrast"]
@@ -359,6 +404,25 @@ class TestHittingExperiment:
         summary = json.loads((Path(raw["output_dir"]) / "summary.json").read_text())
         names = [c["name"] for c in summary["checks"]]
         assert "mean_tau_nondecreasing_in_radius" in names
+
+    def test_order_check_reads_the_table_by_radius(self, tmp_path):
+        # Descending radii give the ascending table reversed, and the order
+        # check passes on both: it compares the means in radius order.
+        tables = []
+        for radii in ([0.02, 0.05], [0.05, 0.02]):
+            out = tmp_path / "-".join(map(str, radii))
+            path, _ = write_config(
+                tmp_path, experiment="hitting_times", radii=radii, n_paths=6, output_dir=str(out)
+            )
+            data = json.loads(path.read_text())
+            data["solver"]["horizon"] = 0.5
+            path.write_text(json.dumps(data))
+            code, _ = run_experiment(RunConfig.from_file(path))
+            summary = json.loads((out / "summary.json").read_text())
+            assert code == 0, summary["checks"]
+            tables.append(summary["extra"]["hitting_table"])
+        assert tables[1] == tables[0][::-1]
+        assert tables[0][0]["mean_tau"] < tables[0][1]["mean_tau"]
 
     def test_fails_when_no_path_hits(self, tmp_path):
         # at horizon 0 every path is censored at t = 0: the means are all 0.0
@@ -468,6 +532,20 @@ class TestCli:
         assert cli_main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert "paths.csv" in out and "summary.json" in out
+
+    def test_documented_entry_point_on_the_documented_config(self, tmp_path):
+        # `python -m circleflow.cli` on docs/example-config.json as shipped
+        # (output_dir "out", below the working directory)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        config = str(DOCS / "example-config.json")
+        for args in (["validate"], ["hitting-times", "--workers", "2"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "circleflow.cli", args[0], config, *args[1:]],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            printed = proc.stdout.split()
+            assert printed and all((tmp_path / p).is_file() for p in printed), printed
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

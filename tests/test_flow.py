@@ -268,7 +268,7 @@ class TestSimulatePath:
             horizon=0.5, radius=0.1, mode_cutoff=16, alpha=ScalingSequence.powerlaw(1.5)
         )
         stream = NoiseStream(SEED, 2, 16, low.dt)
-        recs = simulate_paths([low, high], [stream, stream], stop_after_hit=True)
+        recs = simulate_paths([low, high], [stream], stop_after_hit=True)
         steps = [round(r.tau_r / low.dt) for r in recs]
         assert steps[0] != steps[1] and stream.step_index == max(steps) < low.n_steps
         for cfg, rec in zip((low, high), recs):
@@ -279,11 +279,9 @@ class TestSimulatePath:
 
     def test_rows_must_fit_one_block(self):
         cfg = make_config()
-        streams = [NoiseStream(SEED, 0, 8, cfg.dt)] * 2
+        streams = [NoiseStream(SEED, 0, 8, cfg.dt)]
         with pytest.raises(ValueError, match="largest cutoff"):
             simulate_paths([cfg, make_config(mode_cutoff=16)], streams)
-        with pytest.raises(ValueError, match="one solver per stream"):
-            simulate_paths([cfg], streams)
         with pytest.raises(ValueError, match="must share scheme"):
             simulate_paths([cfg, make_config(scheme="heun")], streams)
 
