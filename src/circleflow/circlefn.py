@@ -31,6 +31,7 @@ TWO_PI = 2.0 * np.pi
 
 MIN_DERIV_OVERSAMPLE = 4  # grid of ``_min_derivatives`` over the stored grid
 EMBEDDING_MODES = 4096  # modes ``sobolev_embedding_constant`` sums before its tail bound
+CHUNK = 8  # modes per chunk sum of ``chunked_trig_sum``
 
 
 @functools.lru_cache(maxsize=32)
@@ -194,34 +195,84 @@ class CircleFunction:
 
 
 def trig_sum(c0, c, points):
-    """``c0 + Re sum_{n=1}^{N} c[..., n-1] z^n`` with ``z = exp(i * points)``.
+    """``c0 + Re sum_{n=1}^{N} c[n-1] z^n`` with ``z = exp(i * points)``.
 
     Horner's rule in ``z`` (Clenshaw, Math. Comp. 9, 1955): one ``exp`` per
     point and N complex multiply-adds, instead of N ``cos`` and ``sin`` calls
-    per point.  The modes lie on the last axis of ``c``.  A 1-d ``c`` is one
-    sum, evaluated at ``points`` of any shape; a ``(P, N)`` ``c`` with ``(P,)``
-    ``c0`` is P sums, row ``p`` evaluated at the row ``points[p]`` of ``(P, M)``
-    points.  Every update is elementwise, so a point's value does not depend
-    on the shape of ``points`` or on the number of rows.  The product goes to
-    a second buffer because NumPy's in-place complex multiply rounds a
-    one-element array differently from a longer one.  ``c`` must hold at
-    least one term.
+    per point, for 1-d ``c`` at ``points`` of any shape.  Every update is
+    elementwise, so a point's value does not depend on the shape of
+    ``points``.  The product goes to a second buffer because NumPy's
+    in-place complex multiply rounds a one-element array differently from a
+    longer one.  ``c`` must hold at least one term.
     """
     z = np.exp(1j * np.asarray(points, dtype=float))
-    terms = np.asarray(c)
-    if terms.ndim > 1:  # one coefficient row per row of points
-        c0 = np.asarray(c0)[:, None]
-        # NumPy adds a scalar faster than a broadcast column, so a single
-        # row keeps scalar coefficients
-        terms = terms[0] if terms.shape[0] == 1 else terms.T[:, :, None]
     acc = np.empty(z.shape, dtype=complex)
-    acc[...] = terms[-1]
+    acc[...] = c[-1]
     prod = np.empty_like(acc)
-    for cn in terms[-2::-1]:
+    for cn in c[-2::-1]:
         np.multiply(acc, z, prod)
         np.add(prod, cn, acc)
     np.multiply(acc, z, prod)
     return c0 + prod.real
+
+
+def chunked_trig_sum(c0, c, points):
+    """``trig_sum`` row by row, in chunks of ``CHUNK`` modes.
+
+    Row ``p`` of ``(P, N)`` coefficients ``c`` and ``(P,)`` constants ``c0``
+    is evaluated at the row ``points[p]`` of ``(P, M)`` points; 1-d ``c``
+    and ``points`` are one row.  Baby-step giant-step evaluation (Paterson
+    and Stockmeyer, SIAM J. Comput. 2, 1973): the coefficients are
+    zero-padded to K whole chunks, the powers ``z^0..z^7`` are one
+    ``(P, 8, M)`` array, and with ``w = z^8`` the sum
+    ``sum_{m<8K} c_{m+1} z^m = sum_k S_k w^k`` is folded from the top chunk
+    down by Horner's rule in ``w``, each chunk sum ``S_k`` being one
+    ``(1 x 8) @ (8 x M)`` product per row.  That is one ``matmul`` and two
+    array updates per chunk, where ``trig_sum`` makes two updates per mode.
+
+    Every chunk sum is the same product of the row's own data whatever the
+    number of rows or chunks, so a row's values do not depend on the other
+    rows.  A chunk of zeros sums to exact zero and Horner's rule over exact
+    zeros is exact, so zero modes appended to ``c`` leave the values bitwise
+    unchanged.  A BLAS product's value at a point does depend on the number
+    of points, which is why ``CircleFunction.evaluate`` keeps ``trig_sum``.
+
+    Rounding (u = eps/2, the standard model of Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sections 3.6 and 5.1).
+    Term n = 1 + 8k + j, 0 <= j < 8, reaches the result through
+    * the error of ``z`` (``|z^ - z| <= 2 eps``), seen as ``z^n``: ``2n eps``;
+    * n - 1 complex multiplications (``sqrt(2) gamma_2``, about 1.42 eps,
+      each) outside the chunk sum: j - 1 for ``z^j`` (none for j <= 1), 8k
+      for ``w^k`` (7 form ``w = z^7 z``, raised to the k-th power, and k
+      Horner steps) and one by the final ``z``, or n of them for j = 0;
+    * the chunk sum, at most 4.92 eps: one product and seven additions as
+      complex multiply-adds, ``sqrt(2) gamma_6`` (4.24 eps) in OpenBLAS's
+      AVX2 kernel, which sums each real component of four terms by FMA and
+      adds the two partial sums; for j = 0 the product by ``z^0 = 1`` is
+      exact and it costs 3.5 eps;
+    * k Horner additions, forming ``c_n`` and adding ``c0``: ``(k + 2) u``.
+    That is at most ``(3.42 n + 4.5 + k/2) eps <= (3.48 n + 4.44) eps`` per
+    term, within the bound ``4 (n + 1) eps`` of ``trig_sum`` for n >= 1.
+    """
+    z = np.exp(1j * np.asarray(points, dtype=float))
+    n_chunks = -(-c.shape[-1] // CHUNK)
+    padded = np.zeros(c.shape[:-1] + (n_chunks * CHUNK,), dtype=complex)
+    padded[..., : c.shape[-1]] = c
+    chunks = padded.reshape(c.shape[:-1] + (n_chunks, 1, CHUNK))
+    powers = np.empty(z.shape[:-1] + (CHUNK,) + z.shape[-1:], dtype=complex)
+    powers[..., 0, :] = 1.0
+    powers[..., 1, :] = z
+    for j in range(2, CHUNK):
+        np.multiply(powers[..., j - 1, :], z, powers[..., j, :])
+    z = z[..., None, :]  # (..., 1, M), the shape of a chunk sum
+    w = powers[..., -1:, :] * z
+    acc = chunks[..., -1, :, :] @ powers
+    prod = np.empty_like(acc)
+    for k in range(n_chunks - 2, -1, -1):
+        np.multiply(acc, w, prod)
+        np.add(prod, chunks[..., k, :, :] @ powers, acc)
+    np.multiply(acc, z, prod)
+    return np.asarray(c0)[..., None] + prod[..., 0, :].real
 
 
 def hk_norms(values, k):

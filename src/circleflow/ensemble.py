@@ -56,6 +56,12 @@ SUMMARY_SCHEMA_VERSION = "circleflow-summary-1"
 
 DEFAULT_RADII = (0.05, 0.1, 0.2, 0.4)
 
+# Rows per block task: a task's memory stays O(BLOCK_ROWS * grid_size) at
+# any n_paths, unless one path has more solvers than BLOCK_ROWS.  A path's
+# rows under all radii form one block, so a config holds at most MAX_RADII.
+BLOCK_ROWS = 64
+MAX_RADII = BLOCK_ROWS
+
 
 class ConfigError(ValueError):
     """Configuration file failed to parse or validate."""
@@ -104,8 +110,8 @@ class RunConfig:
             raise ConfigError("workers must lie in [1, 256]")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        if not self.radii:
-            raise ConfigError("radii must not be empty")
+        if not 1 <= len(self.radii) <= MAX_RADII:
+            raise ConfigError(f"radii must hold 1 to {MAX_RADII} values")
         _require_reals({f"radii[{i}]": r for i, r in enumerate(self.radii)}, ConfigError)
         if min(self.radii) <= 0:
             raise ConfigError("radii must be positive")
@@ -186,11 +192,6 @@ class EnsembleSummary:
 # ---------------------------------------------------------------------------
 # Path execution
 # ---------------------------------------------------------------------------
-
-
-# Rows per block task: a task's memory stays O(BLOCK_ROWS * grid_size) at
-# any n_paths, unless one path has more solvers than BLOCK_ROWS.
-BLOCK_ROWS = 64
 
 
 def _run_one_path(args):

@@ -387,9 +387,10 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     ``_SHARED`` and may differ in mode weights and radius.  Every stream
     draws at the largest cutoff of the solvers, once per step while any of
     its rows is live, and a row of a lower cutoff steps on zero-padded
-    weights.  By the prefix-stable layout of the draws (``noise``) and
-    Horner's rule, which is exact over zero leading coefficients, a row then
-    steps bitwise as it does alone on its own-cutoff stream.
+    weights.  By the prefix-stable layout of the draws (``noise``) and the
+    chunked field (``field_values``), whose chunk sums are products of a
+    row's own data and exact over zero-padded modes, a row then steps
+    bitwise as it does alone on its own-cutoff stream.
 
     The hitting time is the first grid time with H^k norm >= radius; a path
     continues under the truncated dynamics unless ``stop_after_hit``, which

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .circlefn import trig_sum
+from .circlefn import chunked_trig_sum
 
 __all__ = ["NoiseStream", "field_values"]
 
@@ -90,14 +90,17 @@ def field_values(delta_b, weights, points):
     ``weights[n]`` is the basis scale for |n| = n; the sign convention for
     negative modes is sin(n theta) with n < 0, i.e. -sin(|n| theta).  So the
     sum is ``Re sum_n c_n exp(i n theta)`` with ``c_n = w_n (dB_n + i dB_-n)``,
-    evaluated by Horner's rule (``trig_sum``).  The modes lie on the last
-    axis of ``delta_b``: a ``(P, 2N+1)`` block of increments is evaluated row
-    by row at ``(P, M)`` points, under one ``(N+1,)`` row of weights or a
-    ``(P, N+1)`` row per increment row.  Weights zero-padded to the cutoff
-    of the increments leave the values bitwise those of the unpadded sum:
-    the padded modes hold zero coefficients, and Horner's rule over zero
-    leading coefficients is exact.
+    evaluated in chunks of eight modes (``chunked_trig_sum``).  The modes lie
+    on the last axis of ``delta_b``: a ``(P, 2N+1)`` block of increments is
+    evaluated row by row at ``(P, M)`` points, under one ``(N+1,)`` row of
+    weights or a ``(P, N+1)`` row per increment row.  A row's chunk sums are
+    products of its own coefficients and powers only, so its values do not
+    depend on the other rows.  Weights zero-padded to the cutoff of the
+    increments leave the values bitwise those of the unpadded sum: the
+    padded modes hold zero coefficients, which fill the row's last chunk
+    as its own zero padding does, a chunk of zeros sums to exact zero, and
+    Horner's rule over exact zeros is exact.
     """
     n_cut = (delta_b.shape[-1] - 1) // 2
     c = weights[..., 1:] * (delta_b[..., n_cut + 1 :] + 1j * delta_b[..., n_cut - 1 :: -1])
-    return trig_sum(weights[..., 0] * delta_b[..., n_cut], c, points)
+    return chunked_trig_sum(weights[..., 0] * delta_b[..., n_cut], c, points)

@@ -547,6 +547,27 @@ class TestCli:
             printed = proc.stdout.split()
             assert printed and all((tmp_path / p).is_file() for p in printed), printed
 
+    def test_artifacts_identical_across_blas_threads(self, tmp_path):
+        # The step's field sums its chunks by BLAS products, and the CLI
+        # leaves the BLAS thread count to the environment.  On a 2048-point
+        # grid a chunk product is large enough for OpenBLAS to split it
+        # between threads.
+        cfg = base_config(tmp_path, n_paths=1)
+        cfg["solver"].update(grid_size=2048, mode_cutoff=32, horizon=0.01)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "circleflow.cli", "contrast", str(path), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert blobs[0] == blobs[1] and blobs[0]
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -598,6 +619,7 @@ class TestCli:
             pytest.param("validate", {}, {"n_paths": 2**64}, id="n_paths-2**64"),
             pytest.param("validate", {"grid_size": 2**64}, {}, id="grid_size-2**64"),
             pytest.param("validate", {"horizon": 2**64}, {}, id="horizon-2**64"),
+            pytest.param("validate", {}, {"radii": [0.1] * 65}, id="radii-65"),
             pytest.param("run", {"mode_cutoff": 0}, {}, id="mode_cutoff-zero"),
             pytest.param("run", {"k": 2**64}, {}, id="k-2**64"),
             pytest.param("run", {}, {"output_dir": True}, id="output_dir-bool"),
