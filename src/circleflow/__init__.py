@@ -43,7 +43,6 @@ from .flow import (
     FlowCheckReport,
     FlowState,
     PathRecord,
-    PathSample,
     SimulationDiverged,
     SolverConfig,
     concatenate,

@@ -249,25 +249,24 @@ def summarize(records, cfg):
 
     The quantiles run over the record-grid times (the initial state, every
     ``record_every``-th step and the last step) that every path recorded; a
-    crossing sample off that grid stays in paths.csv only.
+    crossing sample off that grid stays in paths.csv only.  A path stops
+    only early, so its grid samples are a prefix of the grid, and the common
+    times are the shortest such prefix.
     """
-    tau = [r.tau_r for r in records]
     every, n_steps, dt = cfg.record_every, cfg.solver.n_steps, cfg.solver.dt
-    by_time = [
-        {s.t: s for s in r.samples if _on_record_grid(round(s.t / dt), every, n_steps)}
-        for r in records
-    ]
-    times = sorted(set.intersection(*map(set, by_time))) if records else []
+    grid = [_on_record_grid(np.rint(r.t / dt), every, n_steps) for r in records]
+    n = min((np.count_nonzero(g) for g in grid), default=0)
+    times = records[0].t[grid[0]][:n].tolist() if n else []
     hk_q, md_q = {}, {}
     if times:
-        hk = np.sort([[row[t].hk for t in times] for row in by_time], axis=0)
-        md = np.sort([[row[t].min_deriv for t in times] for row in by_time], axis=0)
+        hk = np.sort([r.hk[g][:n] for r, g in zip(records, grid)], axis=0)
+        md = np.sort([r.min_deriv[g][:n] for r, g in zip(records, grid)], axis=0)
         qs = (5, 50, 95)
         hk_q = {f"p{q:02d}": _percentile(hk, q).tolist() for q in qs}
         md_q = {f"p{q:02d}": _percentile(md, q).tolist() for q in qs}
     return EnsembleSummary(
         n_paths=len(records),
-        tau_r=tau,
+        tau_r=[r.tau_r for r in records],
         times=times,
         hk_quantiles=hk_q,
         min_deriv_quantiles=md_q,
@@ -316,7 +315,8 @@ def run_experiment(cfg):
     ``(exit_code, artifacts)``.
 
     The one artifact tail.  Each runner returns ``(summary, runs, report)``:
-    ``runs`` are the sample sequences of ``paths.csv`` (None: no CSV), and
+    ``runs`` are the records whose columns ``paths.csv`` holds, one path
+    each (None: no CSV), and
     ``report`` the fields ``report.json`` holds beside the checks (None: no
     report).  An output directory that cannot be created is a ConfigError,
     raised before any path is stepped; so is an artifact that cannot be
@@ -357,7 +357,7 @@ def _check(name, value, bound, passed, kind=None):
 
 def _run_simulate(cfg):
     [records] = run_ensemble(cfg, [cfg.solver])
-    return summarize(records, cfg), [r.samples for r in records], None
+    return summarize(records, cfg), records, None
 
 
 def _run_hitting(cfg):
@@ -377,7 +377,7 @@ def _run_hitting(cfg):
     ordered = any_hit and all(a <= b for a, b in zip(means, means[1:]))
     check = _check("mean_tau_nondecreasing_in_radius", means, "nondecreasing", ordered)
     summary.checks.append(check)
-    return summary, [r.samples for r in records], None
+    return summary, records, None
 
 
 def hitting_row(radius, records, horizon):
@@ -465,7 +465,7 @@ def contrast_h32(cfg):
             "stability_ratio": float(np.mean(ratios)),
             "final_h3_low_cutoff": [float(v) for v in norms_lo],
             "final_h3_high_cutoff": [float(v) for v in norms_hi],
-            "min_deriv": [float(r.samples[-1].min_deriv) for r in hi_recs],
+            "min_deriv": [float(r.min_deriv[-1]) for r in hi_recs],
         }
     return results
 
@@ -680,13 +680,15 @@ EXPERIMENTS = {
 
 
 def _write_sample_csv(path, runs):
-    """One row per sample; a path's id is its position in ``runs``."""
+    """One row per sample of each record in ``runs``, its columns in order;
+    a path's id is its record's position in ``runs``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["path_id", "t", "hk", "min_deriv", "stopped"])
-        for pid, samples in enumerate(runs):
-            for s in samples:
-                writer.writerow([pid, repr(s.t), repr(s.hk), repr(s.min_deriv), int(s.stopped)])
+        for pid, r in enumerate(runs):
+            columns = (r.t.tolist(), r.hk.tolist(), r.min_deriv.tolist(), r.stopped.tolist())
+            for t, hk, md, stopped in zip(*columns):
+                writer.writerow([pid, repr(t), repr(hk), repr(md), int(stopped)])
 
 
 # Not called: perfbench's tracer wraps the writers by both names.

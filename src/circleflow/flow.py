@@ -39,7 +39,6 @@ __all__ = [
     "SimulationDiverged",
     "SolverConfig",
     "FlowState",
-    "PathSample",
     "PathRecord",
     "truncation_scale",
     "integrate",
@@ -169,37 +168,30 @@ class FlowState:
     def initial(cls, cfg):
         return cls(CircleFunction.zero(cfg.grid_size), 0.0, 0.0, False)
 
-    @property
-    def min_deriv(self):
-        """Minimum of 1 + x', computed on demand (only samples read it)."""
-        return AffineCircleMap(self.x).min_derivative
 
-
-@dataclass(frozen=True)
-class PathSample:
-    t: float
-    hk: float
-    min_deriv: float
-    stopped: bool
-    x: CircleFunction = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathRecord:
-    """Sampled trajectory with hitting time and the states it ended at."""
+    """Sampled trajectory as columns, with its hitting time and the states
+    it reached at that time and at the end.
 
-    samples: tuple
-    tau_r: float
+    ``t``, ``hk``, ``min_deriv`` and ``stopped`` hold one entry per sample,
+    in time order; each is a read-only copy of the sequence it was built
+    from.
+    """
+
+    t: np.ndarray
+    hk: np.ndarray
+    min_deriv: np.ndarray
+    stopped: np.ndarray
+    tau_r: float = None
     state_at_tau: CircleFunction = None
     final_state: CircleFunction = None
 
-    def series(self):
-        """Columns (t, hk, min_deriv, stopped) as arrays."""
-        t = np.array([s.t for s in self.samples])
-        hk = np.array([s.hk for s in self.samples])
-        md = np.array([s.min_deriv for s in self.samples])
-        stopped = np.array([s.stopped for s in self.samples])
-        return t, hk, md, stopped
+    def __post_init__(self):
+        for name, dtype in (("t", float), ("hk", float), ("min_deriv", float), ("stopped", bool)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
 
 # The solver fields every row of a block shares; rows may differ in their
@@ -316,8 +308,9 @@ _STEPPERS = {"euler": _euler, "heun": _heun}
 
 def _on_record_grid(step, record_every, n_steps):
     """Whether step ``step`` of ``n_steps`` is on the record grid: step 0,
-    every ``record_every``-th step, and the last step."""
-    return step % record_every == 0 or step == n_steps
+    every ``record_every``-th step, and the last step.  Elementwise over an
+    array of steps."""
+    return (step % record_every == 0) | (step == n_steps)
 
 
 def _integrate(cfg, block, draw, drop_stopped=False):
@@ -410,40 +403,41 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
         raise ValueError("every stream must draw at the largest cutoff of the solvers")
     cfg, n_steps = solvers[0], solvers[0].n_steps
     n_rows = len(streams) * len(solvers)
-    start = FlowState.initial(cfg)
-    block = _Block.of([start] * n_rows, solvers)
-    first = _sample(start)
-    samples = [[first] for _ in range(n_rows)]
+    block = _Block.of([FlowState.initial(cfg)] * n_rows, solvers)
+    rows = np.arange(n_rows)  # the last block's rows, also when n_steps is 0
+    # (row ids, t, hk, min_deriv, stopped) per sampled step; at t = 0 every
+    # row is the identity, whose 1 + x' is 1
+    sampled = [(rows, np.zeros(n_rows), block.hk, np.ones(n_rows), block.stopped)]
     hit = np.zeros(n_rows, dtype=bool)
     tau_r = [None] * n_rows
     state_at_tau = [None] * n_rows
 
-    rows = np.arange(n_rows)  # the last block's rows, also when n_steps is 0
     draw = _draw_per_path(streams, len(solvers))
     stepped = _integrate(cfg, block, draw, drop_stopped=stop_after_hit)
     for i, (rows, block) in zip(range(1, n_steps + 1), stepped):
         crossed = block.stopped & ~hit[rows]
-        if _on_record_grid(i, record_every, n_steps):
-            sampled = np.arange(rows.size)
-        else:
-            sampled = np.flatnonzero(crossed)
-            if not sampled.size:
-                continue
-        min_deriv = _min_derivatives(*(c[sampled] for c in block.coeffs))
-        for j, md in zip(sampled.tolist(), min_deriv.tolist()):
-            r = rows[j]
-            if crossed[j]:
-                hit[r] = True
-                tau_r[r] = block.t
-                state_at_tau[r] = CircleFunction(block.x[j])
-            samples[r].append(PathSample(block.t, float(block.hk[j]), md, bool(block.stopped[j])))
+        for j in np.flatnonzero(crossed).tolist():
+            tau_r[rows[j]] = block.t
+            state_at_tau[rows[j]] = CircleFunction(block.x[j])
+        hit[rows[crossed]] = True
+        on_grid = _on_record_grid(i, record_every, n_steps)
+        if on_grid or crossed.any():
+            at = slice(None) if on_grid else crossed
+            md = _min_derivatives(*(c[at] for c in block.coeffs))
+            t = np.full(md.size, block.t)
+            sampled.append((rows[at], t, block.hk[at], md, block.stopped[at]))
+    # one stable sort by row id splits the samples per row, in time order
+    ids, *columns = (np.concatenate(c) for c in zip(*sampled))
+    order = np.argsort(ids, kind="stable")
+    cuts = np.searchsorted(ids[order], np.arange(1, n_rows))
+    per_row = zip(*(np.split(c[order], cuts) for c in columns))
     # a row missing from the last block left it at its crossing step
     final = list(state_at_tau)
     for j, r in enumerate(rows):
         final[r] = CircleFunction(block.x[j])
     return [
-        PathRecord(tuple(s), tau, at_tau, fin)
-        for s, tau, at_tau, fin in zip(samples, tau_r, state_at_tau, final)
+        PathRecord(*cols, tau, at_tau, fin)
+        for cols, tau, at_tau, fin in zip(per_row, tau_r, state_at_tau, final)
     ]
 
 
@@ -452,19 +446,17 @@ def simulate_path(cfg, stream, record_every=1, stop_after_hit=False):
     return simulate_paths(cfg, [stream], record_every, stop_after_hit)[0]
 
 
-def _sample(state):
-    return PathSample(state.t, state.hk, state.min_deriv, state.stopped)
-
-
 def concatenate(first, fresh, cfg, record_every=1):
     """Continue a stopped path by restarting from the identity and composing.
 
     A fresh solution y is run from the identity with the given stream for the
-    remaining steps; the returned record extends ``first`` with the samples of
-    ``t -> (id + y_{t - tau}) o (id + xi)`` where xi is the state at the
-    hitting time, each sample keeping its composed state as ``x``.  The map
-    id + xi must be a diffeomorphism for the composition to be a
-    reparameterization.
+    remaining steps; returns ``(record, states)``, the record extending
+    ``first`` (cut at its hitting time) with the samples of
+    ``t -> (id + y_{t - tau}) o (id + xi)``, where xi is the state at the
+    hitting time, and ``states`` the composed states of those samples, in
+    order.  The map id + xi must be a diffeomorphism for the composition to
+    be a reparameterization, and the horizon of ``cfg`` must not end before
+    the hitting time.
     """
     if first.tau_r is None:
         raise ValueError("first record has no hitting time to continue from")
@@ -474,33 +466,29 @@ def concatenate(first, fresh, cfg, record_every=1):
     xi_map = AffineCircleMap(xi)
     if not xi_map.is_diffeo:
         raise ValueError("state at the hitting time is not a diffeomorphism")
+    remaining = cfg.n_steps - int(round(first.tau_r / cfg.dt))
+    if remaining < 0:
+        raise ValueError("the solver's horizon ends before the hitting time")
 
-    steps_at_tau = int(round(first.tau_r / cfg.dt))
-    remaining = cfg.n_steps - steps_at_tau
     xi_vals = xi.grid_values
     warp_pts = xi_map.grid_warp
-
-    samples = [s for s in first.samples if s.t <= first.tau_r + 1e-12]
-    final = xi
+    t, states = [], []
     increments = (fresh.next_increment() for _ in range(remaining))
     for i, state in enumerate(integrate(cfg, increments), 1):
         if _on_record_grid(i, record_every, remaining):
-            final = CircleFunction(xi_vals + state.x.evaluate(warp_pts))
-            samples.append(
-                PathSample(
-                    first.tau_r + i * cfg.dt,
-                    final.hk_norm(cfg.k),
-                    AffineCircleMap(final).min_derivative,
-                    True,
-                    final,
-                )
-            )
-    return PathRecord(
-        samples=tuple(samples),
-        tau_r=first.tau_r,
-        state_at_tau=first.state_at_tau,
-        final_state=final,
+            t.append(first.tau_r + i * cfg.dt)
+            states.append(CircleFunction(xi_vals + state.x.evaluate(warp_pts)))
+    kept = first.t <= first.tau_r + 1e-12
+    record = PathRecord(
+        np.append(first.t[kept], t),
+        np.append(first.hk[kept], [f.hk_norm(cfg.k) for f in states]),
+        np.append(first.min_deriv[kept], [AffineCircleMap(f).min_derivative for f in states]),
+        np.append(first.stopped[kept], [True] * len(states)),
+        first.tau_r,
+        xi,
+        states[-1] if states else xi,
     )
+    return record, states
 
 
 @dataclass(frozen=True)
@@ -508,7 +496,7 @@ class FlowCheckReport:
     sup_error: float
     window: float  # time of the last compared sample; None if none was compared
     n_checked: int
-    runs: tuple = ()  # diagnostic series of the two runs (from id, from xi)
+    runs: tuple = ()  # the columns of the two runs (from id, from xi) as PathRecords
 
 
 def flow_compose_check(cfg, stream, xi_map, record_every=1):
@@ -523,33 +511,37 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
 
     The identity holds for the untruncated flow only, so a sample is
     compared only while neither run has stopped at the truncation radius.
+    The two runs' records hold their sample columns only: no hitting time
+    or states.
     """
     if xi_map.grid_size != cfg.grid_size:
         raise ValueError("initial map must live on the solver grid")
     n_steps = cfg.n_steps
     xi = xi_map.vector_part
     xi_hk = xi.hk_norm(cfg.k)
-    x_state = FlowState.initial(cfg)
     y_state = FlowState(xi, 0.0, xi_hk, xi_hk >= cfg.radius)
     warp_pts = xi_map.grid_warp
 
-    block = _Block.of([x_state, y_state], [cfg])
+    block = _Block.of([FlowState.initial(cfg), y_state], [cfg])
     stepped = zip(range(1, n_steps + 1), _integrate(cfg, block, _draw_per_path([stream], 2)))
-    recorded = (
-        (b.row(0), b.row(1)) for i, (_, b) in stepped if _on_record_grid(i, record_every, n_steps)
-    )
+    recorded = (b for i, (_, b) in stepped if _on_record_grid(i, record_every, n_steps))
 
     sup_error, window, checked = 0.0, None, 0
-    x_samples, y_samples = [], []
-    for x, y in chain([(x_state, y_state)], recorded):
-        if not (x.stopped or y.stopped):
-            err = np.max(np.abs(y.x.grid_values - xi.grid_values - x.x.evaluate(warp_pts)))
+    sampled = []  # (t, hk, min_deriv, stopped) of both rows per recorded step
+    # the start keeps xi's own coefficient tables, which may be exact
+    start_md = [1.0, xi_map.min_derivative]
+    for b in chain([block], recorded):
+        if not b.stopped.any():
+            x_at_xi = CircleFunction(b.x[0]).evaluate(warp_pts)
+            err = np.max(np.abs(b.x[1] - xi.grid_values - x_at_xi))
             sup_error = max(sup_error, float(err))
-            window = x.t
+            window = b.t
             checked += 1
-        x_samples.append(_sample(x))
-        y_samples.append(_sample(y))
-    return FlowCheckReport(sup_error, window, checked, (tuple(x_samples), tuple(y_samples)))
+        md = start_md if b.coeffs is None else _min_derivatives(*b.coeffs)
+        sampled.append(([b.t, b.t], b.hk, md, b.stopped))
+    columns = [np.array(c) for c in zip(*sampled)]  # each (samples, 2)
+    runs = tuple(PathRecord(*(c[:, row] for c in columns)) for row in (0, 1))
+    return FlowCheckReport(sup_error, window, checked, runs)
 
 
 def diffeo_radius(k):

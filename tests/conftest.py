@@ -29,6 +29,12 @@ def quadrature_norms(f, k, oversample=32):
     return np.sqrt(l2_sq), np.sqrt(l2_sq + dk_sq)
 
 
+def columns(record):
+    """The sample columns of a path record as raw bytes, for bitwise
+    comparison."""
+    return tuple(c.tobytes() for c in (record.t, record.hk, record.min_deriv, record.stopped))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

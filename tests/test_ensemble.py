@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import io
@@ -31,6 +32,7 @@ from circleflow import (
 from circleflow import basis, ensemble
 from circleflow.cli import main as cli_main
 from circleflow.ensemble import _percentile, _safe_ratio
+from conftest import columns
 
 SEED = 20240817
 ROOT = Path(__file__).resolve().parent.parent
@@ -212,10 +214,31 @@ class TestSimulateExperiment:
             assert lo <= hi + 1e-15
 
 
+class TestPathsCsv:
+    @pytest.mark.parametrize("experiment", ["simulate", "flow_check"])
+    def test_rows_parse_back_to_the_read_only_record_columns(self, tmp_path, experiment):
+        path, raw = write_config(tmp_path, experiment=experiment, n_paths=3, record_every=3)
+        cfg = RunConfig.from_file(path)
+        _, runs, _ = ensemble.EXPERIMENTS[experiment](cfg)
+        run_experiment(cfg)
+        with open(Path(raw["output_dir"]) / "paths.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert sorted({int(row[0]) for row in rows}) == list(range(len(runs)))
+        for pid, record in enumerate(runs):
+            mine = [row[1:] for row in rows if int(row[0]) == pid]
+            t, hk, md = (np.array([float(row[i]) for row in mine]) for i in range(3))
+            stopped = np.array([int(row[3]) for row in mine], dtype=bool)
+            assert columns(record) == tuple(c.tobytes() for c in (t, hk, md, stopped))
+            for column in (record.t, record.hk, record.min_deriv, record.stopped):
+                assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                record.hk[0] = 1.0
+
+
 class TestRunEnsemble:
     @staticmethod
     def outcome(records):
-        return [(r.samples, r.tau_r) for r in records]
+        return [(columns(r), r.tau_r) for r in records]
 
     def test_solver_major_and_independent_of_workers(self, tmp_path):
         cfg = RunConfig.from_dict(base_config(tmp_path, n_paths=3, record_every=5))
@@ -229,7 +252,7 @@ class TestRunEnsemble:
         assert list(map(self.outcome, pooled)) == list(map(self.outcome, serial))
         # the small radius is hit, and stop_after_hit ends those paths early
         assert all(r.tau_r is not None for r in serial[0])
-        assert all(r.samples[-1].t == r.tau_r for r in serial[0])
+        assert all(r.t[-1] == r.tau_r for r in serial[0])
 
     @staticmethod
     def fingerprint(per_solver):
@@ -239,7 +262,7 @@ class TestRunEnsemble:
             return None if f is None else f.grid_values.tobytes()
 
         return [
-            (r.samples, r.tau_r, state(r.state_at_tau), state(r.final_state))
+            (columns(r), r.tau_r, state(r.state_at_tau), state(r.final_state))
             for records in per_solver
             for r in records
         ]
@@ -423,6 +446,30 @@ class TestHittingExperiment:
             tables.append(summary["extra"]["hitting_table"])
         assert tables[1] == tables[0][::-1]
         assert tables[0][0]["mean_tau"] < tables[0][1]["mean_tau"]
+
+    def test_summary_times_end_at_the_earliest_crossing(self, tmp_path):
+        # Rows leave at their own crossing steps, so the times every row
+        # recorded are the record-grid steps up to the earliest crossing.
+        # n_paths, tau_r and path_id run over the (radius, path) rows,
+        # radius-major.
+        path, raw = write_config(
+            tmp_path, experiment="hitting_times", radii=[0.3, 0.5], n_paths=3, record_every=5
+        )
+        data = json.loads(path.read_text())
+        data["solver"]["horizon"] = 0.5
+        path.write_text(json.dumps(data))
+        assert run_experiment(RunConfig.from_file(path))[0] == 0
+        out = Path(raw["output_dir"])
+        summary = json.loads((out / "summary.json").read_text())
+        tau = summary["tau_r"]
+        assert summary["n_paths"] == len(tau) == 6 and None not in tau
+        assert all(a <= b for a, b in zip(tau[:3], tau[3:]))  # radius 0.3 first
+        crossing = [round(t / 0.001) for t in tau]
+        assert len(set(crossing)) > 1 and min(crossing) % 5  # the earliest is off the grid
+        assert [round(t / 0.001) for t in summary["times"]] == list(range(0, min(crossing) + 1, 5))
+        with open(out / "paths.csv", newline="", encoding="utf-8") as fh:
+            last = {int(row[0]): float(row[1]) for row in list(csv.reader(fh))[1:]}
+        assert [last[pid] for pid in range(6)] == tau
 
     def test_fails_when_no_path_hits(self, tmp_path):
         # at horizon 0 every path is censored at t = 0: the means are all 0.0

@@ -25,7 +25,7 @@ from circleflow import (
     truncation_scale,
 )
 from circleflow.flow import simulate_paths, stratonovich_rounding_bound
-from conftest import random_band_limited
+from conftest import columns, random_band_limited
 
 SEED = 20240817
 ALPHA = ScalingSequence.exponential(1.0)
@@ -112,7 +112,7 @@ class TestSteps:
         state = FlowState.initial(cfg)
         nxt = one_step(cfg, state, single_mode_increment(cfg, 0, 0.25))
         assert np.allclose(nxt.x.grid_values, 0.25 * ALPHA.value_at(0))
-        assert nxt.min_deriv == pytest.approx(1.0, abs=1e-12)
+        assert AffineCircleMap(nxt.x).min_derivative == pytest.approx(1.0, abs=1e-12)
 
     def test_first_cosine_mode_from_identity(self):
         cfg = make_config()
@@ -217,30 +217,28 @@ class TestSimulatePath:
     def test_zero_horizon_records_initial_state_only(self):
         cfg = make_config(horizon=0.0)
         rec = simulate_path(cfg, NoiseStream(SEED, 0, 8, cfg.dt))
-        assert len(rec.samples) == 1
-        s = rec.samples[0]
-        assert (s.t, s.hk, s.min_deriv, s.stopped) == (0.0, 0.0, 1.0, False)
+        assert len(rec.t) == 1
+        assert (rec.t[0], rec.hk[0], rec.min_deriv[0], rec.stopped[0]) == (0.0, 0.0, 1.0, False)
         assert rec.tau_r is None
 
     def test_large_radius_never_crosses(self):
         cfg = make_config(horizon=0.5, mode_cutoff=16, grid_size=64, radius=50.0)
         rec = simulate_path(cfg, NoiseStream(SEED, 0, 16, cfg.dt), record_every=50)
         assert rec.tau_r is None
-        assert not any(s.stopped for s in rec.samples)
+        assert not rec.stopped.any()
 
     def test_replay_is_bit_identical(self):
         cfg = make_config(horizon=0.2, radius=0.3)
         rec1 = simulate_path(cfg, NoiseStream(SEED, 5, 8, cfg.dt), record_every=7)
         rec2 = simulate_path(cfg, NoiseStream(SEED, 5, 8, cfg.dt), record_every=7)
-        for a, b in zip(rec1.samples, rec2.samples):
-            assert (a.t, a.hk, a.min_deriv, a.stopped) == (b.t, b.hk, b.min_deriv, b.stopped)
+        assert columns(rec1) == columns(rec2)
         assert np.array_equal(rec1.final_state.grid_values, rec2.final_state.grid_values)
 
     def test_hitting_time_first_crossing(self):
         cfg = make_config(horizon=0.5, radius=0.05)
         rec = simulate_path(cfg, NoiseStream(SEED, 2, 8, cfg.dt), record_every=1)
         assert rec.tau_r is not None
-        t, hk, _, stopped = rec.series()
+        t, hk, stopped = rec.t, rec.hk, rec.stopped
         first = np.argmax(hk >= cfg.radius)
         assert t[first] == pytest.approx(rec.tau_r)
         assert np.all(hk[:first] < cfg.radius)
@@ -251,13 +249,13 @@ class TestSimulatePath:
     def test_continues_past_hit_under_truncated_dynamics(self):
         cfg = make_config(horizon=0.2, radius=0.05)
         rec = simulate_path(cfg, NoiseStream(SEED, 2, 8, cfg.dt), record_every=1)
-        assert rec.samples[-1].t == pytest.approx(0.2)
+        assert rec.t[-1] == pytest.approx(0.2)
 
     def test_stop_after_hit_truncates_record(self):
         cfg = make_config(horizon=0.5, radius=0.05)
         stream = NoiseStream(SEED, 2, 8, cfg.dt)
         rec = simulate_path(cfg, stream, stop_after_hit=True)
-        assert rec.samples[-1].t == pytest.approx(rec.tau_r)
+        assert rec.t[-1] == pytest.approx(rec.tau_r)
         assert stream.step_index == round(rec.tau_r / cfg.dt) < cfg.n_steps
 
     def test_shared_stream_advances_while_any_row_is_live(self):
@@ -274,7 +272,7 @@ class TestSimulatePath:
         for cfg, rec in zip((low, high), recs):
             alone = simulate_path(cfg, NoiseStream(SEED, 2, cfg.mode_cutoff, cfg.dt),
                                   stop_after_hit=True)
-            assert rec.samples == alone.samples
+            assert columns(rec) == columns(alone)
             assert np.array_equal(rec.state_at_tau.grid_values, alone.state_at_tau.grid_values)
 
     def test_rows_must_fit_one_block(self):
@@ -288,7 +286,7 @@ class TestSimulatePath:
     def test_samples_strictly_increasing(self):
         cfg = make_config(horizon=0.2, radius=0.08)
         rec = simulate_path(cfg, NoiseStream(SEED, 3, 8, cfg.dt), record_every=13)
-        t = rec.series()[0]
+        t = rec.t
         assert np.all(np.diff(t) > 0)
 
 
@@ -311,12 +309,11 @@ class TestConcatenate:
     def test_zero_continuation_is_constant_at_xi(self):
         cfg = make_config(horizon=0.3, radius=0.05)
         first = self._stopped_record(cfg)
-        out = concatenate(first, _ZeroStream(8), cfg, record_every=10)
+        out, states = concatenate(first, _ZeroStream(8), cfg, record_every=10)
         xi = first.state_at_tau
-        for s in out.samples:
-            if s.t > first.tau_r and s.x is not None:
-                assert np.max(np.abs(s.x.grid_values - xi.grid_values)) < 1e-14
-                assert s.hk == pytest.approx(xi.hk_norm(cfg.k))
+        for f, hk in zip(states, out.hk[out.t > first.tau_r]):
+            assert np.max(np.abs(f.grid_values - xi.grid_values)) < 1e-14
+            assert hk == pytest.approx(xi.hk_norm(cfg.k))
 
     def test_requires_hitting_time(self):
         cfg = make_config(horizon=0.05, radius=100.0)
@@ -332,6 +329,14 @@ class TestConcatenate:
         with pytest.raises(ValueError):
             concatenate(broken, _ZeroStream(8), cfg)
 
+    def test_requires_horizon_past_the_hitting_time(self):
+        cfg = make_config(horizon=0.3, radius=0.05)
+        first = self._stopped_record(cfg)
+        short = dataclasses.replace(cfg, horizon=first.tau_r - cfg.dt)
+        assert 0 < short.horizon < first.tau_r
+        with pytest.raises(ValueError, match="horizon ends before the hitting time"):
+            concatenate(first, _ZeroStream(8), short)
+
     def test_matches_direct_continuation(self):
         # same master increments after the crossing: interpolation error only
         cfg_free = make_config(horizon=0.2, mode_cutoff=8, grid_size=256, radius=1e9)
@@ -343,15 +348,13 @@ class TestConcatenate:
         )
         k0 = int(round(first.tau_r / cfg_hit.dt))
         fresh = NoiseStream(SEED, 1, 8, cfg_hit.dt, step_index=k0)
-        out = concatenate(first, fresh, cfg_free, record_every=1)
+        out, states = concatenate(first, fresh, cfg_free, record_every=1)
         direct_map = {round(s.t, 9): s.x for s in direct}
         checked = 0
-        for s in out.samples:
-            if s.x is None or s.t <= first.tau_r:
-                continue
-            ref = direct_map.get(round(s.t, 9))
+        for t, f in zip(out.t[out.t > first.tau_r].tolist(), states):
+            ref = direct_map.get(round(t, 9))
             if ref is not None:
-                assert np.max(np.abs(s.x.grid_values - ref.grid_values)) < 1e-4
+                assert np.max(np.abs(f.grid_values - ref.grid_values)) < 1e-4
                 checked += 1
         assert checked > 100
 
@@ -360,20 +363,20 @@ def test_every_recording_loop_keeps_the_last_step():
     # 23 steps at record_every 10: the record grid is steps 0, 10, 20 and 23
     cfg = make_config(horizon=0.023, radius=1e9)
 
-    def steps(samples):
-        return [round(s.t / cfg.dt) for s in samples]
+    def steps(t):
+        return [round(s / cfg.dt) for s in t]
 
     rec = simulate_path(cfg, NoiseStream(SEED, 0, 8, cfg.dt), record_every=10)
-    assert steps(rec.samples) == [0, 10, 20, 23]
+    assert steps(rec.t) == [0, 10, 20, 23]
     rep = flow_compose_check(
         cfg, NoiseStream(SEED, 0, 8, cfg.dt), AffineCircleMap.identity(64), record_every=10
     )
-    assert rep.n_checked == 4 and steps(rep.runs[0]) == [0, 10, 20, 23]
+    assert rep.n_checked == 4 and steps(rep.runs[0].t) == [0, 10, 20, 23]
     stop = dataclasses.replace(cfg, horizon=0.3, radius=0.05)
     first = simulate_path(stop, NoiseStream(SEED, 1, 8, stop.dt), stop_after_hit=True)
     remaining = stop.n_steps - round(first.tau_r / stop.dt)
-    out = concatenate(first, _ZeroStream(8), stop, record_every=remaining - 1)
-    assert steps(out.samples)[-2:] == [stop.n_steps - 1, stop.n_steps]
+    out, _ = concatenate(first, _ZeroStream(8), stop, record_every=remaining - 1)
+    assert steps(out.t)[-2:] == [stop.n_steps - 1, stop.n_steps]
 
 
 class TestFlowComposeCheck:
