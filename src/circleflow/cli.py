@@ -1,7 +1,7 @@
 """Command line entry point.
 
     circleflow run <config.json>            run the experiment named in the config
-    circleflow validate <config.json>       cross-module invariant battery
+    circleflow validate <config.json>       the paper's hypotheses for the configured solver
     circleflow flow-check <config.json>     left-invariance / composition probe
     circleflow hitting-times <config.json>  hitting time table over a radius grid
     circleflow contrast <config.json>       cutoff-doubling smoothness contrast

@@ -13,6 +13,7 @@ from circleflow import (
     q_lambda_trace,
     verify_rapid_decay,
 )
+from circleflow import basis
 
 
 @pytest.fixture
@@ -109,11 +110,23 @@ class TestBasisPair:
 
     def test_trace_values(self):
         assert q_lambda_trace(1) == pytest.approx(3.0, rel=1e-14)
-        # partial-sum oracle: 1 + 2 * sum_{n<=10} 1/n^2
-        oracle = 1.0 + 2.0 * sum(1.0 / n**2 for n in range(1, 11))
-        assert q_lambda_trace(10) == pytest.approx(oracle, rel=1e-13)
+        assert q_lambda_trace(10) == pytest.approx(_trace_oracle(10), rel=1e-13)
         for n in (1, 5, 50):
             assert q_lambda_trace(n) == inclusion_hs_norm(n) ** 2
+
+    def test_trace_check_fails_on_a_wrong_partial_sum(self, monkeypatch):
+        # The partial sum one term short, 1 + 2 sum_{n<=9} 1/n^2, inside the
+        # definition q_lambda_trace squares: trace and squared HS norm still
+        # agree, but the independently summed oracle does not (a partial sum
+        # off by one term is off by 2/121 relative to ~3.3).
+        monkeypatch.setattr(basis, "inclusion_hs_norm", lambda n: inclusion_hs_norm(n - 1))
+        assert q_lambda_trace(10) == inclusion_hs_norm(9) ** 2
+        assert q_lambda_trace(10) != pytest.approx(_trace_oracle(10), rel=1e-13)
+
+
+def _trace_oracle(n_cutoff):
+    """The partial sum 1 + 2 sum_{n<=n_cutoff} 1/n^2, summed independently."""
+    return 1.0 + 2.0 * sum(1.0 / n**2 for n in range(1, n_cutoff + 1))
 
 
 class TestRapidDecayProbe:

@@ -22,14 +22,14 @@ from circleflow import (
     ConfigError,
     NoiseStream,
     RunConfig,
+    ScaledBasis,
     ScalingSequence,
-    inclusion_hs_norm,
-    q_lambda_trace,
+    diffeo_radius,
     run_ensemble,
     run_experiment,
     validation_checks,
 )
-from circleflow import basis, ensemble
+from circleflow import ensemble
 from circleflow.cli import main as cli_main
 from circleflow.ensemble import _percentile, _safe_ratio
 from conftest import columns
@@ -92,6 +92,16 @@ def base_config(tmp_path, **overrides):
 def write_config(tmp_path, name="config.json", **overrides):
     cfg = base_config(tmp_path, **overrides)
     path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return path, cfg
+
+
+def write_diffeo_config(tmp_path, **solver):
+    """``write_config`` at R = diffeo_radius(2), the largest radius that
+    `validate` accepts at k = 2, with the given solver fields overridden."""
+    cfg = base_config(tmp_path)
+    cfg["solver"].update({"radius": diffeo_radius(2), **solver})
+    path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
 
@@ -379,7 +389,9 @@ class TestRunEnsemble:
     )
     def test_artifacts_identical_across_workers(self, tmp_path, capsys, command):
         cfg = base_config(tmp_path, n_paths=3, radii=[0.02, 0.05])
-        cfg["solver"].update(grid_size=256, mode_cutoff=32, horizon=0.01)
+        # R inside the H^2 ball where every state is a diffeomorphism, as
+        # `validate` asks
+        cfg["solver"].update(grid_size=256, mode_cutoff=32, horizon=0.01, radius=diffeo_radius(2))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         blobs = []
@@ -508,35 +520,77 @@ class TestContrastExperiment:
         assert values["powerlaw_cutoff_doubling_unstable"] > 1.20
 
 
-class TestValidationBattery:
-    def test_at_least_ten_checks_all_pass(self):
-        checks = validation_checks(SEED)
-        assert len(checks) >= 10
-        failed = [c["name"] for c in checks if not c["passed"]]
-        assert failed == []
-        # the f and g jets, evaluated at all points at once, are bitwise
-        # the one-point values that first gave this check value
-        faa = next(c for c in checks if c["name"] == "faa_di_bruno_vs_spectral_composition")
-        assert faa["value"] == 1.5349884647748822e-11
+VALIDATE_CHECKS = [
+    "alpha_rapidly_decreasing",
+    "radius_within_diffeo_ball",
+    "hs_zero_state_closed_form",
+    "hs_certificate_on_pilot",
+    "lipschitz_on_pilot",
+    "stratonovich_correction_zero",
+]
+PILOT_CHECKS = {"hs_certificate_on_pilot", "lipschitz_on_pilot", "stratonovich_correction_zero"}
+POWERLAW = {"family": "powerlaw", "parameter": 1.5}
 
-    def test_trace_check_fails_on_a_wrong_partial_sum(self, monkeypatch):
-        # The partial sum one term short, 1 + 2 sum_{n<=9} 1/n^2, inside the
-        # definition q_lambda_trace squares: trace and squared HS norm still
-        # agree, but the independently summed value does not.
-        monkeypatch.setattr(basis, "inclusion_hs_norm", lambda n: inclusion_hs_norm(n - 1))
-        assert q_lambda_trace(10) == inclusion_hs_norm(9) ** 2
-        checks = {c["name"]: c["passed"] for c in validation_checks(SEED)}
-        assert checks.pop("trace_matches_partial_sum") is False
-        assert all(checks.values())
+
+def validate_failures(path, out):
+    """Exit code of `circleflow validate` on ``path`` and the names of the
+    checks its report marks failed."""
+    code = cli_main(["validate", str(path), "--out", str(out)])
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == VALIDATE_CHECKS
+    return code, {c["name"] for c in checks if not c["passed"]}
+
+
+class TestValidationChecks:
+    def test_documented_config_passes_all_six(self):
+        cfg = RunConfig.from_file(DOCS / "example-config.json")
+        assert cfg.solver.radius == diffeo_radius(2)  # the radius check passes on equality
+        checks = validation_checks(cfg)
+        assert [c["name"] for c in checks] == VALIDATE_CHECKS
+        assert [c["name"] for c in checks if not c["passed"]] == []
 
     def test_writes_report_with_values_and_bounds(self, tmp_path):
-        path, raw = write_config(tmp_path, experiment="validate")
-        code, artifacts = run_experiment(RunConfig.from_file(path))
-        assert code == 0
-        report = json.loads((Path(raw["output_dir"]) / "report.json").read_text())
-        assert len(report["checks"]) >= 10
+        path, _ = write_diffeo_config(tmp_path)
+        assert validate_failures(path, tmp_path / "v") == (0, set())
+        report = json.loads((tmp_path / "v" / "report.json").read_text())
         for check in report["checks"]:
-            assert {"name", "value", "bound", "passed"} <= set(check)
+            assert {"name", "value", "bound", "passed"} == set(check)
+
+    @pytest.mark.parametrize(
+        "solver, failed",
+        [
+            pytest.param({"alpha": POWERLAW}, {"alpha_rapidly_decreasing"}, id="powerlaw-1.5"),
+            # at N = 32 the pilot crosses R at step 1 as well: nothing compared
+            pytest.param(
+                {"alpha": POWERLAW, "mode_cutoff": 32, "grid_size": 128},
+                {"alpha_rapidly_decreasing", *PILOT_CHECKS},
+                id="powerlaw-1.5-N32",
+            ),
+            pytest.param({"radius": 1.0}, {"radius_within_diffeo_ball"}, id="radius-1"),
+            pytest.param({"radius": 1e-9}, PILOT_CHECKS, id="radius-1e-9"),
+            # no ball of diffeomorphisms below k = 2, no certificate outside
+            # the orders 1..12 of the Bell table
+            pytest.param({"k": 1}, {"radius_within_diffeo_ball"}, id="k-1"),
+            pytest.param({"k": 0}, set(VALIDATE_CHECKS[1:]), id="k-0"),
+            pytest.param({"k": 13}, set(VALIDATE_CHECKS[2:]), id="k-13"),
+        ],
+    )
+    def test_negative_control_fails_its_check(self, tmp_path, capsys, solver, failed):
+        path, _ = write_diffeo_config(tmp_path, **solver)
+        assert validate_failures(path, tmp_path / "v") == (1, failed)
+        assert capsys.readouterr().err == ""
+
+    def test_tiny_radius_keeps_one_pilot_state(self, tmp_path):
+        path, _ = write_diffeo_config(tmp_path, radius=1e-9)
+        assert len(ensemble._pilot(RunConfig.from_file(path))) == 1
+
+    def test_closed_form_fails_on_another_family(self, tmp_path, monkeypatch):
+        # The certificates run on a basis of weights other than the configured
+        # ones; the closed form, summed from the configured weights, disagrees.
+        other = ScalingSequence.gaussian(1.0)
+        monkeypatch.setattr(ensemble, "ScaledBasis", lambda _, n, m: ScaledBasis(other, n, m))
+        path, _ = write_diffeo_config(tmp_path)
+        assert validate_failures(path, tmp_path / "v") == (1, {"hs_zero_state_closed_form"})
 
 
 class TestFlowCheckExperiment:
@@ -585,7 +639,7 @@ class TestCli:
         # (output_dir "out", below the working directory)
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         config = str(DOCS / "example-config.json")
-        for args in (["validate"], ["hitting-times", "--workers", "2"]):
+        for args in (["validate"], ["flow-check"], ["hitting-times", "--workers", "2"]):
             proc = subprocess.run(
                 [sys.executable, "-m", "circleflow.cli", args[0], config, *args[1:]],
                 cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
@@ -660,8 +714,8 @@ class TestCli:
                 id="alpha-parameter-string",
             ),
             # Sizes no run can finish go through `validate`, which starts no
-            # pool and integrates nothing, should the validation ever let
-            # them through.
+            # pool and integrates at most PILOT_STEPS steps, should the
+            # validation ever let them through.
             pytest.param("validate", {}, {"workers": 2**64}, id="workers-2**64"),
             pytest.param("validate", {}, {"n_paths": 2**64}, id="n_paths-2**64"),
             pytest.param("validate", {"grid_size": 2**64}, {}, id="grid_size-2**64"),
@@ -767,9 +821,14 @@ class TestCli:
         assert (alt / "paths.csv").read_bytes() != (baseline / "paths.csv").read_bytes()
 
     def test_subcommand_forces_experiment(self, tmp_path):
-        path, raw = write_config(tmp_path)  # experiment says simulate
+        path, raw = write_diffeo_config(tmp_path)  # experiment says simulate
         assert cli_main(["validate", str(path), "--out", str(tmp_path / "v")]) == 0
         assert (tmp_path / "v" / "report.json").exists()
+
+    def test_validate_outside_the_diffeo_ball_exits_1(self, tmp_path):
+        path, raw = write_config(tmp_path)  # R = 0.5 > diffeo_radius(2)
+        assert raw["solver"]["radius"] > diffeo_radius(2)
+        assert validate_failures(path, tmp_path / "v") == (1, {"radius_within_diffeo_ball"})
 
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         path, _ = write_config(tmp_path, output_dir="")
