@@ -1,17 +1,6 @@
 """circleflow: spectral simulation of composition-driven Brownian circle flows."""
 
-from .basis import (
-    BasisPair,
-    DerivedScaling,
-    ScaledBasis,
-    ScalingSequence,
-    basis_coefficients,
-    hlambda_norm,
-    inclusion_hs_norm,
-    inclusion_tail_bound,
-    q_lambda_trace,
-    verify_rapid_decay,
-)
+from .basis import ScaledBasis, ScalingSequence, basis_coefficients
 from .bell import (
     BellTable,
     HSBoundReport,

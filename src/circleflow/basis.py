@@ -28,7 +28,6 @@ __all__ = [
     "inclusion_hs_norm",
     "inclusion_tail_bound",
     "q_lambda_trace",
-    "verify_rapid_decay",
 ]
 
 _FAMILIES = ("exponential", "gaussian", "powerlaw")
@@ -236,25 +235,3 @@ def inclusion_tail_bound(n_cutoff):
 def q_lambda_trace(n_cutoff):
     """Trace of the truncated covariance = squared HS norm of the inclusion."""
     return inclusion_hs_norm(n_cutoff) ** 2
-
-
-def verify_rapid_decay(seq, k_max, n_max):
-    """Empirical rapid-decay probe: does |n|^k seq(n) eventually fall off?
-
-    For each k <= k_max the weighted sequence must be non-increasing from its
-    peak (which must occur in the first half of the probed range) and drop by
-    at least a factor of 10 from peak to n_max.
-    """
-    n = np.arange(1, n_max + 1, dtype=float)
-    vals = seq.values(n_max)[1:]
-    for k in range(k_max + 1):
-        g = n**k * vals
-        peak = int(np.argmax(g))
-        if (peak + 1) > n_max // 2:
-            return False
-        tail = g[peak:]
-        if np.any(tail[1:] > tail[:-1] * (1.0 + 1e-12)):
-            return False
-        if not g[-1] <= g[peak] / 10.0:
-            return False
-    return True

@@ -24,6 +24,7 @@ from .flow import (
     SolverConfig,
     _check_shared,
     _on_record_grid,
+    _path_rows,
     _require_ints,
     _require_reals,
     diffeo_radius,
@@ -52,10 +53,9 @@ SUMMARY_SCHEMA_VERSION = "circleflow-summary-1"
 DEFAULT_RADII = (0.05, 0.1, 0.2, 0.4)
 
 # Rows per block task: a task's memory stays O(BLOCK_ROWS * grid_size) at
-# any n_paths, unless one path has more solvers than BLOCK_ROWS.  A path's
-# rows under all radii form one block, so a config holds at most MAX_RADII.
+# any n_paths and any number of solvers (``run_ensemble`` splits a path's
+# rows into parts of at most BLOCK_ROWS).
 BLOCK_ROWS = 64
-MAX_RADII = BLOCK_ROWS
 
 
 class ConfigError(ValueError):
@@ -105,8 +105,8 @@ class RunConfig:
             raise ConfigError("workers must lie in [1, 256]")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        if not 1 <= len(self.radii) <= MAX_RADII:
-            raise ConfigError(f"radii must hold 1 to {MAX_RADII} values")
+        if not self.radii:
+            raise ConfigError("radii must hold at least one value")
         _require_reals({f"radii[{i}]": r for i, r in enumerate(self.radii)}, ConfigError)
         if min(self.radii) <= 0:
             raise ConfigError("radii must be positive")
@@ -200,12 +200,12 @@ def _run_one_path(args):
     return simulate_paths(solvers, streams, record_every, stop_after_hit)
 
 
-def _blocks(n_paths, n_solvers, workers):
+def _blocks(n_paths, n_rows, workers):
     """Contiguous ``(first, stop)`` path ranges: at least ``workers`` of
     them (when there are that many paths), none longer than
-    ``max(1, BLOCK_ROWS // n_solvers)`` paths, so a block holds at most
-    BLOCK_ROWS rows unless one path has more solvers than that."""
-    size = max(1, BLOCK_ROWS // n_solvers)
+    ``max(1, BLOCK_ROWS // n_rows)`` paths of ``n_rows`` rows each, so a
+    block holds at most BLOCK_ROWS rows when ``n_rows`` does not exceed it."""
+    size = max(1, BLOCK_ROWS // n_rows)
     n = min(n_paths, max(workers, -(-n_paths // size)))
     bounds = [n_paths * i // n for i in range(n + 1)]
     return list(zip(bounds, bounds[1:]))
@@ -215,28 +215,45 @@ def run_ensemble(cfg, solvers, stop_after_hit=False):
     """Paths ``0..cfg.n_paths-1`` under each solver in ``solvers``: one list
     of records per solver.
 
-    The one fan-out.  The paths are split into contiguous ranges
+    The one fan-out.  A path steps one row per group of its solvers
+    (``flow._path_rows``), in parts of at most BLOCK_ROWS rows: each part is
+    the subset of the solvers on those rows, and it draws the path's stream
+    anew.  For each part the paths are split into contiguous ranges
     (``_blocks``), and each range is one task of a single pool of
     ``cfg.workers`` processes (in-process at 1 worker).  A task steps each of
-    its paths under every solver as adjacent rows of one block, on the
+    its paths under the part's solvers as adjacent rows of one block, on the
     path's one stream; the solvers must therefore agree in all but mode
     weights and radius (``flow._SHARED``), else ValueError.  Rows never mix
-    within a block, so the result does not depend on the worker count or
-    the block sizes.
+    within a block, so the result does not depend on the worker count, the
+    block sizes or the parts.
     """
     solvers = list(solvers)
     _check_shared(solvers)
+    parts = {}  # part -> (its rows, its solvers' indices)
+    for i, (row, _) in enumerate(_path_rows(solvers, stop_after_hit)[2]):
+        rows, members = parts.setdefault(row // BLOCK_ROWS, (set(), []))
+        rows.add(row)
+        members.append(i)
+    tasks = [
+        (members, first, stop)
+        for rows, members in parts.values()
+        for first, stop in _blocks(cfg.n_paths, len(rows), cfg.workers)
+    ]
     args = [
-        (solvers, cfg.master_seed, first, stop, cfg.record_every, stop_after_hit)
-        for first, stop in _blocks(cfg.n_paths, len(solvers), cfg.workers)
+        ([solvers[i] for i in members], cfg.master_seed, first, stop, cfg.record_every,
+         stop_after_hit)
+        for members, first, stop in tasks
     ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             blocks = list(pool.map(_run_one_path, args))
     else:
         blocks = [_run_one_path(a) for a in args]
-    records = [record for block in blocks for record in block]
-    return [records[i :: len(solvers)] for i in range(len(solvers))]
+    per_solver = [[] for _ in solvers]
+    for (members, _, _), block in zip(tasks, blocks):  # stream-major, in path order
+        for j, record in enumerate(block):
+            per_solver[members[j % len(members)]].append(record)
+    return per_solver
 
 
 def summarize(records, cfg):

@@ -9,9 +9,10 @@ the norm reaches the radius is recorded as the hitting time and the path
 keeps evolving under the truncated dynamics afterwards.
 
 Paths are stepped in blocks: a range of paths, each under every solver of
-the block, held as one ``(P, M)`` array of (path, solver) rows.  A path's
-rows step on its one increment per step, each under its own mode weights
-and radius.  Every update is elementwise or per row, so a row's values do
+the block, held as one ``(P, M)`` array of rows, one per path and group of its
+solvers; solvers that differ only in radius may share a row whose radii are
+barriers (``_path_rows``).  A path's rows step on its one increment per
+step, each under its own mode weights and radius.  Every update is elementwise or per row, so a row's values do
 not depend on the other rows or on P; one state is the block with P = 1.
 The solvers of a block share the time grid, the grid size, the Sobolev
 index and the scheme (``_SHARED``).
@@ -33,7 +34,7 @@ from .circlefn import (
     grid_points,
     sobolev_embedding_constant,
 )
-from .noise import field_values
+from .noise import field_values, next_increments
 
 __all__ = [
     "SimulationDiverged",
@@ -356,89 +357,144 @@ def integrate(cfg, increments, start=None):
         yield block.row(0)
 
 
-def _draw_per_path(streams, n_solvers):
-    """The ``draw`` of ``_integrate`` for stream-major ``(stream, solver)``
-    rows: each stream with a live row draws once, and row ``r`` steps on the
-    draw of ``streams[r // n_solvers]``."""
+def _draw_per_path(streams, n_rows):
+    """The ``draw`` of ``_integrate`` for stream-major rows, ``n_rows`` per
+    stream: each stream with a live row draws once, in one pass over the
+    block (``next_increments``), and row ``r`` steps on the draw of
+    ``streams[r // n_rows]``."""
 
     def draw(rows):
-        paths = rows // n_solvers
-        incs = np.empty((len(streams), 2 * streams[0].mode_cutoff + 1))
-        for p in set(paths.tolist()):
-            incs[p] = streams[p].next_increment()
-        return incs[paths]
+        return next_increments(streams, rows // n_rows)
 
     return draw
+
+
+def _path_rows(solvers, stop_after_hit):
+    """The rows one path steps under ``solvers``: ``(row_solvers, barriers,
+    where)``, solver ``i`` reading barrier ``j`` of row ``g`` for
+    ``where[i] = (g, j)``.
+
+    Under ``stop_after_hit`` and Euler the solvers that differ only in
+    radius step as one row, under the largest of their radii, with their
+    sorted distinct radii as its barriers.  Inside its ball the truncation
+    scale is exactly 1, so up to a solver's own crossing the row is bitwise
+    that solver's row, and the row leaves the block at the crossing of its
+    last barrier.  Otherwise only equal solvers share a row: without
+    ``stop_after_hit`` a row past its first crossing steps under a scale
+    below 1 that depends on its radius, and Heun scales its predictor at
+    the predictor's own norm, which may pass a radius before the state does.
+    """
+    shared_radius = stop_after_hit and solvers[0].scheme == "euler"
+    keys = [(s.mode_cutoff, s.alpha) + (() if shared_radius else (s.radius,)) for s in solvers]
+    members = {}
+    for key, s in zip(keys, solvers):
+        members.setdefault(key, []).append(s)
+    row_of = {key: g for g, key in enumerate(members)}
+    barriers = [sorted({s.radius for s in group}) for group in members.values()]
+    where = [
+        (row_of[key], barriers[row_of[key]].index(s.radius)) for key, s in zip(keys, solvers)
+    ]
+    row_solvers = [max(group, key=lambda s: s.radius) for group in members.values()]
+    return row_solvers, barriers, where
 
 
 def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     """Integrate every stream's path under every solver, as one block, from
     the identity to the horizon; returns the records of the
-    ``(stream, solver)`` rows, stream-major.
+    ``(stream, solver)`` pairs, stream-major.
 
     ``solvers`` is one solver or a sequence of them; they must agree in
-    ``_SHARED`` and may differ in mode weights and radius.  Every stream
-    draws at the largest cutoff of the solvers, once per step while any of
-    its rows is live, and a row of a lower cutoff steps on zero-padded
-    weights.  By the prefix-stable layout of the draws (``noise``) and the
-    chunked field (``field_values``), whose chunk sums are products of a
-    row's own data and exact over zero-padded modes, a row then steps
-    bitwise as it does alone on its own-cutoff stream.
+    ``_SHARED`` and may differ in mode weights and radius.  A path steps one
+    row per group of solvers (``_path_rows``): solvers that differ only in
+    radius share a row under ``stop_after_hit`` and Euler, equal solvers
+    always.
+    Every stream draws at the largest cutoff of the solvers, once per step
+    while any of its rows is live, and a row of a lower cutoff steps on
+    zero-padded weights.  By the prefix-stable layout of the draws
+    (``noise``) and the chunked field (``field_values``), whose chunk sums
+    are products of a row's own data and exact over zero-padded modes, a row
+    then steps bitwise as it does alone on its own-cutoff stream.
 
-    The hitting time is the first grid time with H^k norm >= radius; a path
-    continues under the truncated dynamics unless ``stop_after_hit``, which
-    drops the row from the block; a stream stops at the crossing step of the
-    last of its rows.  Samples are kept every ``record_every`` steps plus
-    the initial state, the crossing step, and the final step; their
-    ``min_deriv`` comes from the coefficient tables the step built, in one
-    batch per sampled step.  Rows never mix, so a row's record does not
-    depend on the other rows of the block.
+    A solver's hitting time is the first grid time at which its row's H^k
+    norm reaches its radius, a barrier of the row.  At the first crossing of
+    each barrier the row samples its norm, its ``min_deriv`` and its state.
+    A row continues under the truncated dynamics unless ``stop_after_hit``,
+    which drops it from the block after its last crossing; a stream stops
+    with the last of its rows.  Samples are kept every ``record_every``
+    steps plus the initial state and the final step; their ``min_deriv``
+    comes from the coefficient tables the step built, in one batch per
+    sampled step.  A solver's record is cut from its row: the grid samples
+    (only those before the crossing under ``stop_after_hit``) and the
+    crossing sample, ``stopped`` from the crossing on.  Rows never mix, so a
+    record does not depend on the other rows of the block.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     solvers = [solvers] if isinstance(solvers, SolverConfig) else list(solvers)
     _check_shared(solvers)
     n_max = max(c.mode_cutoff for c in solvers)
-    if any(s.mode_cutoff != n_max for s in streams):
-        raise ValueError("every stream must draw at the largest cutoff of the solvers")
     cfg, n_steps = solvers[0], solvers[0].n_steps
-    n_rows = len(streams) * len(solvers)
-    block = _Block.of([FlowState.initial(cfg)] * n_rows, solvers)
+    if any(s.mode_cutoff != n_max or s.dt != cfg.dt for s in streams):
+        raise ValueError("every stream must draw at the largest cutoff and the dt of the solvers")
+    row_solvers, barriers, where = _path_rows(solvers, stop_after_hit)
+    n_rows = len(streams) * len(row_solvers)
+    block = _Block.of([FlowState.initial(cfg)] * n_rows, row_solvers)
+    # each row's barriers, ascending, then inf; a row that has reached
+    # ``crossed[r]`` of them waits for ``next_bar[r] = bars[r, crossed[r]]``
+    bars = np.full((len(row_solvers), 1 + max(map(len, barriers))), np.inf)
+    for row, b in zip(bars, barriers):
+        row[: len(b)] = b
+    bars = np.tile(bars, (len(streams), 1))
+    crossed = np.zeros(n_rows, dtype=int)
+    next_bar = bars[:, 0].copy()
+    at_crossing = {}  # (row id, barrier) -> (t, state) at its first crossing
     rows = np.arange(n_rows)  # the last block's rows, also when n_steps is 0
-    # (row ids, t, hk, min_deriv, stopped) per sampled step; at t = 0 every
-    # row is the identity, whose 1 + x' is 1
-    sampled = [(rows, np.zeros(n_rows), block.hk, np.ones(n_rows), block.stopped)]
-    hit = np.zeros(n_rows, dtype=bool)
-    tau_r = [None] * n_rows
-    state_at_tau = [None] * n_rows
+    # (row ids, t, hk, min_deriv, on the record grid, barriers reached) per
+    # sampled step; at t = 0 every row is the identity, whose 1 + x' is 1
+    ones = np.ones(n_rows)
+    sampled = [(rows, np.zeros(n_rows), block.hk, ones, ones > 0, crossed.copy())]
 
-    draw = _draw_per_path(streams, len(solvers))
+    draw = _draw_per_path(streams, len(row_solvers))
     stepped = _integrate(cfg, block, draw, drop_stopped=stop_after_hit)
     for i, (rows, block) in zip(range(1, n_steps + 1), stepped):
-        crossed = block.stopped & ~hit[rows]
-        for j in np.flatnonzero(crossed).tolist():
-            tau_r[rows[j]] = block.t
-            state_at_tau[rows[j]] = CircleFunction(block.x[j])
-        hit[rows[crossed]] = True
+        new = block.hk >= next_bar[rows]
+        for j in np.flatnonzero(new).tolist():
+            r, state = int(rows[j]), CircleFunction(block.x[j])
+            reached = int(np.searchsorted(bars[r], block.hk[j], side="right"))
+            for b in range(crossed[r], reached):
+                at_crossing[r, b] = (block.t, state)
+            crossed[r], next_bar[r] = reached, bars[r, reached]
         on_grid = _on_record_grid(i, record_every, n_steps)
-        if on_grid or crossed.any():
-            at = slice(None) if on_grid else crossed
+        if on_grid or new.any():
+            at = slice(None) if on_grid else new
             md = _min_derivatives(*(c[at] for c in block.coeffs))
+            grid = np.full(md.size, on_grid)
             t = np.full(md.size, block.t)
-            sampled.append((rows[at], t, block.hk[at], md, block.stopped[at]))
+            sampled.append((rows[at], t, block.hk[at], md, grid, crossed[rows[at]]))
     # one stable sort by row id splits the samples per row, in time order
     ids, *columns = (np.concatenate(c) for c in zip(*sampled))
     order = np.argsort(ids, kind="stable")
     cuts = np.searchsorted(ids[order], np.arange(1, n_rows))
-    per_row = zip(*(np.split(c[order], cuts) for c in columns))
-    # a row missing from the last block left it at its crossing step
-    final = list(state_at_tau)
+    per_row = list(zip(*(np.split(c[order], cuts) for c in columns)))
+    # a row missing from the last block left it at its last crossing
+    final = [None] * n_rows
+    for (r, _), (_, state) in at_crossing.items():  # in time order
+        final[r] = state
     for j, r in enumerate(rows):
         final[r] = CircleFunction(block.x[j])
-    return [
-        PathRecord(*cols, tau, at_tau, fin)
-        for cols, tau, at_tau, fin in zip(per_row, tau_r, state_at_tau, final)
-    ]
+
+    records = []
+    for first in range(0, n_rows, len(row_solvers)):
+        for g, b in where:
+            r = first + g
+            t, hk, md, grid, n_crossed = per_row[r]
+            stopped = n_crossed > b
+            crossing = stopped & ~np.append(False, stopped[:-1])
+            keep = crossing | (grid & ~(stopped & stop_after_hit))
+            tau, at_tau = at_crossing.get((r, b), (None, None))
+            fin = at_tau if stop_after_hit and tau is not None else final[r]
+            records.append(PathRecord(t[keep], hk[keep], md[keep], stopped[keep], tau, at_tau, fin))
+    return records
 
 
 def simulate_path(cfg, stream, record_every=1, stop_after_hit=False):

@@ -9,6 +9,9 @@ the same as building a fresh one at that counter.
 
 A step's increments are one read-only ``(2N+1,)`` array of N(0, dt) draws
 holding mode ``i - N`` at index ``i``, the row the block kernel steps on.
+``next_increments`` draws the next step of many streams in one pass, each
+stream filling its own row of normals, and lays them out and scales them
+for the whole block at once; the rows are bitwise those of ``increment_at``.
 
 Within a step the normals are laid out in the interleaved mode order
 ``0, +1, -1, +2, -2, ...``.  That makes the draw for a given mode independent
@@ -19,13 +22,14 @@ drawn at the largest of them.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .circlefn import chunked_trig_sum
 
-__all__ = ["NoiseStream", "field_values"]
+__all__ = ["NoiseStream", "next_increments", "field_values"]
 
 
 @dataclass
@@ -66,14 +70,9 @@ class NoiseStream:
         The generator's counter is set to ``(0, path_id, step, 0)`` with an
         empty buffer, so the draw does not depend on earlier draws.
         """
-        self._state["state"]["counter"] = [0, self.path_id, step, 0]
-        self._gen.bit_generator.state = self._state
-        z = self._gen.standard_normal(2 * self.mode_cutoff + 1)
-        n = self.mode_cutoff
-        d = np.empty(2 * n + 1)
-        d[n] = z[0]
-        d[n + 1 :] = z[1::2]
-        d[n - 1 :: -1] = z[2::2]
+        z = np.empty(2 * self.mode_cutoff + 1)
+        self._normals_at(step, z)
+        d = z[_layout(self.mode_cutoff)]
         d *= np.sqrt(self.dt)
         d.flags.writeable = False
         return d
@@ -82,6 +81,46 @@ class NoiseStream:
         inc = self.increment_at(self.step_index)
         self.step_index += 1
         return inc
+
+    def _normals_at(self, step, out):
+        """Fill ``out`` with the standard normals of step ``step``, in drawing
+        order: the counter is set to ``(0, path_id, step, 0)``, buffer empty."""
+        self._state["state"]["counter"] = [0, self.path_id, step, 0]
+        self._gen.bit_generator.state = self._state
+        self._gen.standard_normal(out=out)
+
+
+@lru_cache
+def _layout(n):
+    """Index of mode ``i - N`` among a step's normals, for each ``i``: the
+    interleaved order ``0, +1, -1, +2, -2, ...`` of the draws (read-only)."""
+    modes = np.arange(-n, n + 1)
+    order = np.where(modes > 0, 2 * modes - 1, -2 * modes)
+    order.flags.writeable = False
+    return order
+
+
+def next_increments(streams, paths):
+    """The next increments of ``streams[p]`` for each ``p`` in ``paths``, as
+    one ``(len(paths), 2N+1)`` array laid out as ``increment_at`` lays out
+    one step.
+
+    A path may repeat in ``paths``, its rows sharing one draw: each stream
+    named draws its next step once, into its own row of normals, and
+    advances; the others neither draw nor advance.  One gather then lays
+    out every row and one multiply scales the block by ``sqrt(dt)``: the
+    same permutation and the same product as ``increment_at``, so each row
+    is bitwise its draw.  The streams share ``mode_cutoff`` and ``dt``.
+    """
+    n = streams[0].mode_cutoff
+    normals = np.empty((len(streams), 2 * n + 1))
+    for p in set(paths.tolist()):
+        stream = streams[p]
+        stream._normals_at(stream.step_index, normals[p])
+        stream.step_index += 1
+    incs = normals[paths[:, None], _layout(n)]
+    incs *= np.sqrt(streams[0].dt)
+    return incs
 
 
 def field_values(delta_b, weights, points):

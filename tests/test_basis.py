@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from circleflow import (
+from circleflow import CircleFunction, ScaledBasis, ScalingSequence, basis_coefficients
+from circleflow import basis
+from circleflow.basis import (
     BasisPair,
-    CircleFunction,
-    ScaledBasis,
-    ScalingSequence,
-    basis_coefficients,
     hlambda_norm,
     inclusion_hs_norm,
     inclusion_tail_bound,
     q_lambda_trace,
-    verify_rapid_decay,
 )
-from circleflow import basis
 
 
 @pytest.fixture
@@ -127,17 +123,6 @@ class TestBasisPair:
 def _trace_oracle(n_cutoff):
     """The partial sum 1 + 2 sum_{n<=n_cutoff} 1/n^2, summed independently."""
     return 1.0 + 2.0 * sum(1.0 / n**2 for n in range(1, n_cutoff + 1))
-
-
-class TestRapidDecayProbe:
-    def test_exponential_passes(self):
-        assert verify_rapid_decay(ScalingSequence.exponential(1.0), 6, 200)
-
-    def test_powerlaw_fails(self):
-        assert not verify_rapid_decay(ScalingSequence.powerlaw(1.5), 2, 200)
-
-    def test_gaussian_passes(self):
-        assert verify_rapid_decay(ScalingSequence.gaussian(0.1), 6, 200)
 
 
 class TestNoiseFieldStabilization:

@@ -29,7 +29,7 @@ from circleflow import (
     run_experiment,
     validation_checks,
 )
-from circleflow import ensemble
+from circleflow import ensemble, flow
 from circleflow.cli import main as cli_main
 from circleflow.ensemble import _percentile, _safe_ratio
 from conftest import columns
@@ -329,6 +329,58 @@ class TestRunEnsemble:
         assert all(t is not None for t in taus[: cfg.n_paths])
         assert any(t is None for t in taus[cfg.n_paths :])
 
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("stop_after_hit", [False, True])
+    def test_radii_share_a_row_bitwise(self, tmp_path, monkeypatch, stop_after_hit, scheme):
+        # Radii unsorted, 0.05 twice and 10.0 never reached: each radius's
+        # records are bitwise those of its solo run, at every block size
+        # and worker count, also at a record_every past the int64 range,
+        # where only the start, the crossing and the last step are kept.
+        # Under stop_after_hit and Euler the six solvers step as one row
+        # per path; Heun, whose predictor may leave a ball first, keeps a
+        # row per radius.
+        radii = (0.3, 0.05, 10.0, 0.1, 0.05, 0.2)
+        for every in (3, 2**64):
+            cfg = RunConfig.from_dict(base_config(tmp_path, n_paths=4, record_every=every))
+            base = dataclasses.replace(cfg.solver, horizon=0.05, scheme=scheme)
+            solvers = [dataclasses.replace(base, radius=r) for r in radii]
+            solo = [
+                r
+                for s in solvers
+                for r in self.fingerprint(run_ensemble(cfg, [s], stop_after_hit))
+            ]
+            for rows in (1, 3, 64):
+                monkeypatch.setattr(ensemble, "BLOCK_ROWS", rows)
+                for workers in (1, 2):
+                    pool_cfg = dataclasses.replace(cfg, workers=workers)
+                    assert self.fingerprint(run_ensemble(pool_cfg, solvers, stop_after_hit)) == solo
+            monkeypatch.undo()
+        # every path reaches 0.05 and 0.1, at different steps; none reaches 10
+        taus = [[r[1] for r in solo[i * cfg.n_paths : (i + 1) * cfg.n_paths]] for i in range(6)]
+        assert None not in taus[1] + taus[3] and taus[1] != taus[3]
+        assert taus[2] == [None] * cfg.n_paths
+
+    def test_radii_step_the_rows_of_the_largest_alone(self, tmp_path, monkeypatch):
+        # Under stop_after_hit a path's row under four radii is its row
+        # under the largest: it steps as many rows, counted over the field
+        # evaluations, as the largest radius alone.
+        cfg = RunConfig.from_dict(base_config(tmp_path, n_paths=4))
+        base = dataclasses.replace(cfg.solver, horizon=0.05)
+        solvers = [dataclasses.replace(base, radius=r) for r in (0.1, 0.3, 0.05, 0.2)]
+        field = flow.field_values
+        stepped = []
+
+        def counted(delta_b, weights, points):
+            stepped.append(len(points))
+            return field(delta_b, weights, points)
+
+        monkeypatch.setattr(flow, "field_values", counted)
+        run_ensemble(cfg, solvers, stop_after_hit=True)
+        shared = sum(stepped)
+        stepped.clear()
+        run_ensemble(cfg, [solvers[1]], stop_after_hit=True)
+        assert shared == sum(stepped) > 0
+
     @pytest.mark.parametrize("change", [{"grid_size": 128}, {"dt": 5e-4}])
     def test_solvers_that_cannot_share_a_block_raise(self, tmp_path, change):
         # Negative control: rows of one block share their grid and time steps.
@@ -341,18 +393,18 @@ class TestRunEnsemble:
         assert ensemble._blocks(4, 1, 1) == [(0, 4)]
         assert ensemble._blocks(50, 1, 2) == [(0, 25), (25, 50)]
         assert ensemble._blocks(3, 1, 8) == [(0, 1), (1, 2), (2, 3)]
-        # 50 paths under 4 radii: 16 paths (64 rows) per block at most
+        # 50 paths of 4 rows: 16 paths (64 rows) per block at most
         assert ensemble._blocks(50, 4, 2) == [(0, 12), (12, 25), (25, 37), (37, 50)]
-        # more solvers than BLOCK_ROWS: one path per block
+        # more rows per path than BLOCK_ROWS: one path per block
         assert ensemble._blocks(3, ensemble.BLOCK_ROWS + 1, 1) == [(0, 1), (1, 2), (2, 3)]
         cases = ((1, 1, 1), (200, 1, 1), (200, 4, 2), (129, 3, 3), (1000, 2, 16), (7, 70, 2))
-        for n_paths, n_solvers, workers in cases:
-            blocks = ensemble._blocks(n_paths, n_solvers, workers)
+        for n_paths, n_rows, workers in cases:
+            blocks = ensemble._blocks(n_paths, n_rows, workers)
             assert len(blocks) >= min(n_paths, workers)
             assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
             assert blocks[0][0] == 0 and blocks[-1][1] == n_paths
             most = max(stop - first for first, stop in blocks)
-            assert most <= max(1, ensemble.BLOCK_ROWS // n_solvers)
+            assert most <= max(1, ensemble.BLOCK_ROWS // n_rows)
 
     def test_each_path_is_drawn_by_one_task(self, tmp_path, monkeypatch):
         # 3 paths under 2 solvers on 2 workers: each path's stream is built
@@ -720,7 +772,6 @@ class TestCli:
             pytest.param("validate", {}, {"n_paths": 2**64}, id="n_paths-2**64"),
             pytest.param("validate", {"grid_size": 2**64}, {}, id="grid_size-2**64"),
             pytest.param("validate", {"horizon": 2**64}, {}, id="horizon-2**64"),
-            pytest.param("validate", {}, {"radii": [0.1] * 65}, id="radii-65"),
             pytest.param("run", {"mode_cutoff": 0}, {}, id="mode_cutoff-zero"),
             pytest.param("run", {"k": 2**64}, {}, id="k-2**64"),
             pytest.param("run", {}, {"output_dir": True}, id="output_dir-bool"),
@@ -737,6 +788,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_hitting_times_with_100_radii_keeps_blocks_small(self, tmp_path, monkeypatch, scheme):
+        # Any number of radii loads, and no field evaluation sees more than
+        # BLOCK_ROWS rows: under Euler a path's radii step as one row, under
+        # Heun a row each, split into parts of at most BLOCK_ROWS rows.
+        path, cfg = write_config(tmp_path, radii=np.linspace(0.01, 0.2, 100).tolist())
+        cfg["solver"]["scheme"] = scheme
+        path.write_text(json.dumps(cfg))
+        field = flow.field_values
+        rows = []
+
+        def counted(delta_b, weights, points):
+            rows.append(len(points))
+            return field(delta_b, weights, points)
+
+        monkeypatch.setattr(flow, "field_values", counted)
+        assert cli_main(["hitting-times", str(path)]) == 0
+        assert 0 < max(rows) <= ensemble.BLOCK_ROWS
 
     @pytest.mark.parametrize(
         "where, key",

@@ -13,6 +13,7 @@ from circleflow import (
     field_values,
     grid_points,
 )
+from circleflow.noise import next_increments
 
 SEED = 20240817
 
@@ -85,6 +86,25 @@ class TestDeterminism:
                 want[n + 1 :] = z[1::2]
                 want[n - 1 :: -1] = z[2::2]
                 assert np.array_equal(s.increment_at(step), want * np.sqrt(1e-3))
+
+    def test_block_draw_equals_single_draws(self):
+        # One pass over streams at different steps equals their single
+        # draws bitwise; a stream with no live row (path 2) neither draws
+        # nor advances, and a path with several rows draws once for all.
+        starts = {0: 0, 5: 3, 2: 2**40, 9: 2**64 - 2}
+
+        def make():
+            return [NoiseStream(SEED, pid, 8, 1e-3, step_index=k) for pid, k in starts.items()]
+
+        streams, twins = make(), make()
+        paths = np.array([0, 0, 1, 3, 3, 3])
+        for _ in range(2):
+            block = next_increments(streams, paths)
+            for row, p in zip(block, paths.tolist()):
+                assert np.array_equal(row, twins[p].increment_at(twins[p].step_index))
+            for p in set(paths.tolist()):
+                twins[p].step_index += 1
+        assert [s.step_index for s in streams] == [2, 5, 2**40, 2**64]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
