@@ -265,8 +265,8 @@ def summarize(records, cfg):
     only early, so its grid samples are a prefix of the grid, and the common
     times are the shortest such prefix.
     """
-    every, n_steps, dt = cfg.record_every, cfg.solver.n_steps, cfg.solver.dt
-    grid = [_on_record_grid(np.rint(r.t / dt), every, n_steps) for r in records]
+    every, n_steps = cfg.record_every, cfg.solver.n_steps
+    grid = [_on_record_grid(r.step, every, n_steps) for r in records]
     n = min((np.count_nonzero(g) for g in grid), default=0)
     times = records[0].t[grid[0]][:n].tolist() if n else []
     hk_q, md_q = {}, {}
@@ -373,7 +373,7 @@ def _run_hitting(cfg):
     solvers = [replace(cfg.solver, radius=radius) for radius in cfg.radii]
     per_solver = run_ensemble(cfg, solvers, stop_after_hit=True)
     rows = [
-        hitting_row(radius, recs, cfg.solver.horizon)
+        hitting_row(radius, recs, cfg.solver)
         for radius, recs in zip(cfg.radii, per_solver)
     ]
     records = [r for recs in per_solver for r in recs]
@@ -389,15 +389,19 @@ def _run_hitting(cfg):
     return summary, records, None
 
 
-def hitting_row(radius, records, horizon):
-    """One table row: censored paths enter the mean at the horizon (a lower
-    bound, never an imputation)."""
-    taus = np.array([r.tau_r if r.tau_r is not None else horizon for r in records])
-    censored = sum(1 for r in records if r.tau_r is None)
-    stderr = float(taus.std(ddof=1) / np.sqrt(taus.size)) if taus.size > 1 else 0.0
+def hitting_row(radius, records, solver):
+    """One table row of the records' hitting times under ``solver``: the
+    mean and its standard error are taken over hitting steps and scaled by
+    ``dt`` once, so the means of two radii order as their step counts do.
+    Censored paths enter at the last step, the horizon (a lower bound,
+    never an imputation)."""
+    steps = [r.tau_step for r in records]
+    censored = steps.count(None)
+    steps = np.array([solver.n_steps if s is None else s for s in steps], dtype=float)
+    stderr = float(steps.std(ddof=1) * solver.dt / np.sqrt(steps.size)) if steps.size > 1 else 0.0
     return {
         "radius": radius,
-        "mean_tau": float(taus.mean()),
+        "mean_tau": float(steps.mean() * solver.dt),
         "stderr": stderr,
         "n_censored": censored,
         "mean_is_lower_bound": censored > 0,

@@ -175,11 +175,14 @@ class PathRecord:
     """Sampled trajectory as columns, with its hitting time and the states
     it reached at that time and at the end.
 
-    ``t``, ``hk``, ``min_deriv`` and ``stopped`` hold one entry per sample,
-    in time order; each is a read-only copy of the sequence it was built
-    from.
+    ``step``, ``t``, ``hk``, ``min_deriv`` and ``stopped`` hold one entry per
+    sample, in time order; each is a read-only copy of the sequence it was
+    built from.  A sample's time is its step (unsigned, as the noise
+    counter) times ``dt``, and ``tau_r`` is that of the first stopped sample
+    (``tau_step``).
     """
 
+    step: np.ndarray
     t: np.ndarray
     hk: np.ndarray
     min_deriv: np.ndarray
@@ -189,10 +192,18 @@ class PathRecord:
     final_state: CircleFunction = None
 
     def __post_init__(self):
-        for name, dtype in (("t", float), ("hk", float), ("min_deriv", float), ("stopped", bool)):
+        columns = (("step", np.uint64), ("t", float), ("hk", float), ("min_deriv", float),
+                   ("stopped", bool))
+        for name, dtype in columns:
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+
+    @property
+    def tau_step(self):
+        """The step of the hitting time, None without one: the crossing is
+        the first stopped sample."""
+        return None if self.tau_r is None else int(self.step[self.stopped.argmax()])
 
 
 # The solver fields every row of a block shares; rows may differ in their
@@ -214,13 +225,14 @@ def _check_shared(cfgs):
 @dataclass(frozen=True)
 class _Block:
     """P solution rows stepped as one array: the ``(P, M)`` vector parts,
-    their H^k norms and stop flags, all at time ``t``, with each row's mode
+    their H^k norms and stop flags, all at the integer ``step`` (time
+    ``step * dt``, one rounding, not a running sum), with each row's mode
     weights (``(P, N+1)``, zero-padded to the largest cutoff N of the
     block) and radius.  ``coeffs`` holds the coefficient tables of ``x``
     when a step built them (None in a starting block)."""
 
     x: np.ndarray
-    t: float
+    step: int
     hk: np.ndarray
     stopped: np.ndarray
     weights: np.ndarray
@@ -228,9 +240,9 @@ class _Block:
     coeffs: tuple = None
 
     @classmethod
-    def of(cls, states, solvers):
-        """The block of the given states (all at one time), row ``i`` under
-        the solver ``solvers[i % len(solvers)]``."""
+    def of(cls, states, solvers, step=0):
+        """The block of the given states (all at step ``step``), row ``i``
+        under the solver ``solvers[i % len(solvers)]``."""
         weights = np.zeros((len(solvers), max(c.mode_cutoff for c in solvers) + 1))
         for row, cfg in zip(weights, solvers):
             row[: cfg.weights.size] = cfg.weights
@@ -239,7 +251,7 @@ class _Block:
         weights.flags.writeable = False
         return cls(
             np.array([s.x.grid_values for s in states]),
-            states[0].t,
+            step,
             np.array([s.hk for s in states], dtype=float),
             np.array([s.stopped for s in states], dtype=bool),
             weights,
@@ -249,13 +261,13 @@ class _Block:
     def take(self, rows):
         coeffs = None if self.coeffs is None else tuple(c[rows] for c in self.coeffs)
         return _Block(
-            self.x[rows], self.t, self.hk[rows], self.stopped[rows],
+            self.x[rows], self.step, self.hk[rows], self.stopped[rows],
             self.weights[rows], self.radius[rows], coeffs,
         )
 
-    def row(self, i):
+    def row(self, i, dt):
         x = CircleFunction(self.x[i])
-        return FlowState(x, self.t, float(self.hk[i]), bool(self.stopped[i]))
+        return FlowState(x, self.step * dt, float(self.hk[i]), bool(self.stopped[i]))
 
 
 def _advance(prev, new_values, cfg):
@@ -263,12 +275,12 @@ def _advance(prev, new_values, cfg):
     tables and H^k norms (one ``rfft`` over the rows, as ``hk_norms``) and
     the stop flags, latched at each row's radius."""
     if not np.all(np.isfinite(new_values)):
-        raise SimulationDiverged(f"non-finite state at t={prev.t + cfg.dt:.6g}")
+        raise SimulationDiverged(f"non-finite state at t={(prev.step + 1) * cfg.dt:.6g}")
     new_values.flags.writeable = False
     coeffs = _analyze(new_values)
     hk = _hk_norm(*coeffs, cfg.k)
     stopped = prev.stopped | (hk >= prev.radius)
-    return _Block(new_values, prev.t + cfg.dt, hk, stopped, prev.weights, prev.radius, coeffs)
+    return _Block(new_values, prev.step + 1, hk, stopped, prev.weights, prev.radius, coeffs)
 
 
 def truncation_scale(state, cfg):
@@ -310,8 +322,9 @@ _STEPPERS = {"euler": _euler, "heun": _heun}
 def _on_record_grid(step, record_every, n_steps):
     """Whether step ``step`` of ``n_steps`` is on the record grid: step 0,
     every ``record_every``-th step, and the last step.  Elementwise over an
-    array of steps."""
-    return (step % record_every == 0) | (step == n_steps)
+    array of steps; a ``record_every`` past ``n_steps`` keeps the steps that
+    ``n_steps`` keeps, so it is capped there to fit the step column."""
+    return (step % min(record_every, max(n_steps, 1)) == 0) | (step == n_steps)
 
 
 def _integrate(cfg, block, draw, drop_stopped=False):
@@ -343,8 +356,9 @@ def integrate(cfg, increments, start=None):
     The block loop at P = 1.  ``increments`` yields one ``(2N+1,)`` array
     per step, mode ``i - N`` at index ``i`` (as ``NoiseStream`` draws them).
     The truncation of ``cfg`` applies at each step; ``start`` defaults to the
-    identity.  Increments are pulled lazily, so a caller that stops early
-    draws no further noise.
+    identity, and its time is taken at the nearest step.  A state's time is
+    its step times ``dt``.  Increments are pulled lazily, so a caller that
+    stops early draws no further noise.
     """
     incs = iter(increments)
 
@@ -352,9 +366,10 @@ def integrate(cfg, increments, start=None):
         inc = next(incs, None)
         return None if inc is None else inc[None]
 
-    block = _Block.of([FlowState.initial(cfg) if start is None else start], [cfg])
+    start = FlowState.initial(cfg) if start is None else start
+    block = _Block.of([start], [cfg], round(start.t / cfg.dt))
     for _, block in _integrate(cfg, block, draw):
-        yield block.row(0)
+        yield block.row(0, cfg.dt)
 
 
 def _draw_per_path(streams, n_rows):
@@ -447,12 +462,12 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     bars = np.tile(bars, (len(streams), 1))
     crossed = np.zeros(n_rows, dtype=int)
     next_bar = bars[:, 0].copy()
-    at_crossing = {}  # (row id, barrier) -> (t, state) at its first crossing
+    at_crossing = {}  # (row id, barrier) -> (step, state) at its first crossing
     rows = np.arange(n_rows)  # the last block's rows, also when n_steps is 0
-    # (row ids, t, hk, min_deriv, on the record grid, barriers reached) per
-    # sampled step; at t = 0 every row is the identity, whose 1 + x' is 1
+    # (row ids, step, hk, min_deriv, on the record grid, barriers reached)
+    # per sampled step; at step 0 every row is the identity, whose 1 + x' is 1
     ones = np.ones(n_rows)
-    sampled = [(rows, np.zeros(n_rows), block.hk, ones, ones > 0, crossed.copy())]
+    sampled = [(rows, np.zeros(n_rows, dtype=np.uint64), block.hk, ones, ones > 0, crossed.copy())]
 
     draw = _draw_per_path(streams, len(row_solvers))
     stepped = _integrate(cfg, block, draw, drop_stopped=stop_after_hit)
@@ -462,15 +477,15 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
             r, state = int(rows[j]), CircleFunction(block.x[j])
             reached = int(np.searchsorted(bars[r], block.hk[j], side="right"))
             for b in range(crossed[r], reached):
-                at_crossing[r, b] = (block.t, state)
+                at_crossing[r, b] = (block.step, state)
             crossed[r], next_bar[r] = reached, bars[r, reached]
         on_grid = _on_record_grid(i, record_every, n_steps)
         if on_grid or new.any():
             at = slice(None) if on_grid else new
             md = _min_derivatives(*(c[at] for c in block.coeffs))
             grid = np.full(md.size, on_grid)
-            t = np.full(md.size, block.t)
-            sampled.append((rows[at], t, block.hk[at], md, grid, crossed[rows[at]]))
+            step = np.full(md.size, block.step, dtype=np.uint64)
+            sampled.append((rows[at], step, block.hk[at], md, grid, crossed[rows[at]]))
     # one stable sort by row id splits the samples per row, in time order
     ids, *columns = (np.concatenate(c) for c in zip(*sampled))
     order = np.argsort(ids, kind="stable")
@@ -487,13 +502,15 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     for first in range(0, n_rows, len(row_solvers)):
         for g, b in where:
             r = first + g
-            t, hk, md, grid, n_crossed = per_row[r]
+            step, hk, md, grid, n_crossed = per_row[r]
             stopped = n_crossed > b
             crossing = stopped & ~np.append(False, stopped[:-1])
             keep = crossing | (grid & ~(stopped & stop_after_hit))
             tau, at_tau = at_crossing.get((r, b), (None, None))
             fin = at_tau if stop_after_hit and tau is not None else final[r]
-            records.append(PathRecord(t[keep], hk[keep], md[keep], stopped[keep], tau, at_tau, fin))
+            tau, step = (None if tau is None else tau * cfg.dt), step[keep]
+            t = step * cfg.dt
+            records.append(PathRecord(step, t, hk[keep], md[keep], stopped[keep], tau, at_tau, fin))
     return records
 
 
@@ -522,21 +539,24 @@ def concatenate(first, fresh, cfg, record_every=1):
     xi_map = AffineCircleMap(xi)
     if not xi_map.is_diffeo:
         raise ValueError("state at the hitting time is not a diffeomorphism")
-    remaining = cfg.n_steps - int(round(first.tau_r / cfg.dt))
+    tau_step = first.tau_step
+    remaining = cfg.n_steps - tau_step
     if remaining < 0:
         raise ValueError("the solver's horizon ends before the hitting time")
 
     xi_vals = xi.grid_values
     warp_pts = xi_map.grid_warp
-    t, states = [], []
+    steps, states = [], []
     increments = (fresh.next_increment() for _ in range(remaining))
     for i, state in enumerate(integrate(cfg, increments), 1):
         if _on_record_grid(i, record_every, remaining):
-            t.append(first.tau_r + i * cfg.dt)
+            steps.append(tau_step + i)
             states.append(CircleFunction(xi_vals + state.x.evaluate(warp_pts)))
-    kept = first.t <= first.tau_r + 1e-12
+    kept = first.step <= tau_step
+    step = np.append(first.step[kept], np.array(steps, dtype=np.uint64))
     record = PathRecord(
-        np.append(first.t[kept], t),
+        step,
+        step * cfg.dt,
         np.append(first.hk[kept], [f.hk_norm(cfg.k) for f in states]),
         np.append(first.min_deriv[kept], [AffineCircleMap(f).min_derivative for f in states]),
         np.append(first.stopped[kept], [True] * len(states)),
@@ -591,10 +611,10 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
             x_at_xi = CircleFunction(b.x[0]).evaluate(warp_pts)
             err = np.max(np.abs(b.x[1] - xi.grid_values - x_at_xi))
             sup_error = max(sup_error, float(err))
-            window = b.t
+            window = b.step * cfg.dt
             checked += 1
         md = start_md if b.coeffs is None else _min_derivatives(*b.coeffs)
-        sampled.append(([b.t, b.t], b.hk, md, b.stopped))
+        sampled.append(([b.step] * 2, [b.step * cfg.dt] * 2, b.hk, md, b.stopped))
     columns = [np.array(c) for c in zip(*sampled)]  # each (samples, 2)
     runs = tuple(PathRecord(*(c[:, row] for c in columns)) for row in (0, 1))
     return FlowCheckReport(sup_error, window, checked, runs)

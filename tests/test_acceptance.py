@@ -335,7 +335,7 @@ def test_criterion_09_non_explosion_evidence():
     records = run_ensemble(cfg, [replace(solver, radius=r) for r in radii], stop_after_hit=True)
     rows = []
     for i, radius in enumerate(radii):
-        row = hitting_row(radius, records[i], solver.horizon)
+        row = hitting_row(radius, records[i], solver)
         rows.append((radius, row["mean_tau"], row["stderr"]))
     increasing = all(a[1] < b[1] for a, b in zip(rows, rows[1:]))
     separated = all(a[1] + a[2] < b[1] - b[2] for a, b in zip(rows, rows[1:]))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from circleflow import CircleFunction, ScaledBasis, ScalingSequence, basis_coefficients
+from circleflow import CircleFunction, ScaledBasis, ScalingSequence
 from circleflow import basis
 from circleflow.basis import (
     BasisPair,
+    basis_coefficients,
     hlambda_norm,
     inclusion_hs_norm,
     inclusion_tail_bound,

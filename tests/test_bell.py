@@ -5,20 +5,17 @@ import pytest
 
 from circleflow import (
     AffineCircleMap,
-    BellTable,
     CircleFunction,
     ScaledBasis,
     ScalingSequence,
     bell_polynomial,
     compose,
     compose_derivative,
-    expansion_term_count,
     grid_points,
     hs_bound_certificate,
     lipschitz_certificate,
-    warp_expansion_terms,
 )
-from circleflow.bell import _warped_basis
+from circleflow.bell import BellTable, _warped_basis, expansion_term_count, warp_expansion_terms
 from conftest import random_band_limited
 
 BELL_NUMBERS = (1, 2, 5, 15, 52, 203, 877, 4140)

@@ -808,6 +808,27 @@ class TestCli:
         assert cli_main(["hitting-times", str(path)]) == 0
         assert 0 < max(rows) <= ensemble.BLOCK_ROWS
 
+    def test_hitting_order_check_compares_step_counts(self, tmp_path):
+        # A path that crosses at the last step and a censored path both enter
+        # the table at the horizon, so neighbouring radii tie instead of
+        # ordering on the rounding of a running sum of dt.
+        path, _ = write_config(tmp_path, radii=np.linspace(0.01, 1.0, 100).tolist())
+        assert cli_main(["hitting-times", str(path)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        [check] = summary["checks"]
+        assert check["passed"] and check["value"][-1] == 0.02
+
+    def test_sample_times_are_step_counts(self, tmp_path):
+        # docs/example-config.json ends at 1000 steps of 0.001: the last
+        # sample time is the horizon exactly, not a running sum of dt.
+        cfg = json.loads((DOCS / "example-config.json").read_text())
+        cfg.update(n_paths=1, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["run", str(path)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["times"][-1] == cfg["solver"]["horizon"] == 1.0
+
     @pytest.mark.parametrize(
         "where, key",
         [((), "flow_tolerance"), (("solver",), "weights"), (("solver", "alpha"), "typo")],

@@ -7,7 +7,6 @@ import pytest
 from circleflow import (
     AffineCircleMap,
     CircleFunction,
-    FlowState,
     NoiseStream,
     ScaledBasis,
     ScalingSequence,
@@ -24,7 +23,7 @@ from circleflow import (
     stratonovich_correction,
     truncation_scale,
 )
-from circleflow.flow import simulate_paths, stratonovich_rounding_bound
+from circleflow.flow import FlowState, simulate_paths, stratonovich_rounding_bound
 from conftest import columns, random_band_limited
 
 SEED = 20240817
@@ -176,12 +175,13 @@ def _old_heun_step(state, inc, cfg):
 
 
 def reference_states(cfg, increments):
-    """The hand-written stepping loop that integrate replaced."""
+    """The hand-written stepping loop that integrate replaced, with the time
+    of state ``i`` taken as ``i * dt`` (a step count, not a running sum)."""
     step = {"euler": _old_euler_step, "heun": _old_heun_step}[cfg.scheme]
     state = FlowState.initial(cfg)
     states = []
-    for inc in increments:
-        state = step(state, inc, cfg)
+    for i, inc in enumerate(increments, 1):
+        state = dataclasses.replace(step(state, inc, cfg), t=i * cfg.dt)
         states.append(state)
     return states
 

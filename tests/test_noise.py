@@ -9,10 +9,10 @@ from circleflow import (
     NoiseStream,
     ScaledBasis,
     ScalingSequence,
-    basis_coefficients,
     field_values,
     grid_points,
 )
+from circleflow.basis import basis_coefficients
 from circleflow.noise import next_increments
 
 SEED = 20240817
