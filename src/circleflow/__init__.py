@@ -3,7 +3,9 @@
 The public names load their submodule on first use (PEP 562), so a caller
 pays only for what it touches: the certificates (``CircleFunction``,
 ``ScaledBasis``, ``bell``) load no ensemble, no process pool and no
-``numpy.random``.
+``numpy.random``.  Below the surface the same holds: ``numpy.random`` loads
+with the first ``NoiseStream``, the process pool with the first run at more
+than one worker, and ``bell`` with ``validate``'s checks.
 """
 
 import importlib

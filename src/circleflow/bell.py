@@ -214,10 +214,16 @@ def _warped_basis(basis, f):
     Row ``n + N`` holds ``lam(n) cos(n w)`` for ``n >= 0`` and
     ``lam(n) sin(n w)`` for ``n < 0``, evaluated directly at the points ``w``
     where ``compose`` samples (``_warp_points`` on the finer of the grids).
+    Each row evaluates only the function it keeps.
     """
     w = _warp_points(AffineCircleMap(f), max(basis.grid_size, f.grid_size))
     n, lam = _modes(basis)
-    return lam * np.where(n >= 0, np.cos(n * w), np.sin(n * w))
+    cut = basis.mode_cutoff  # rows 0..cut-1 hold n < 0
+    rows = np.empty((n.size, w.size))
+    np.sin(n[:cut] * w, out=rows[:cut])
+    np.cos(n[cut:] * w, out=rows[cut:])
+    rows *= lam
+    return rows
 
 
 def hs_bound_certificate(f, k, basis):

@@ -289,10 +289,10 @@ def _hk_norm(a, b, k):
     if k < 0:
         raise ValueError("Sobolev index must be >= 0")
     sq = a[..., 1:] ** 2 + b[..., 1:] ** 2
-    l2sq = a[..., 0] ** 2 + 0.5 * np.sum(sq, axis=-1)
+    l2sq = a[..., 0] ** 2 + 0.5 * sq.sum(axis=-1)
     if k == 0:
         return np.sqrt(2.0 * l2sq)
-    dsq = 0.5 * np.sum(_mode_powers(a.shape[-1], 2 * k) * sq, axis=-1)
+    dsq = 0.5 * (_mode_powers(a.shape[-1], 2 * k) * sq).sum(axis=-1)
     return np.sqrt(l2sq + dsq)
 
 
@@ -329,18 +329,33 @@ def _min_derivatives(a, b):
 
 
 def _analyze(values):
-    """Coefficient tables ``(a, b)`` of the samples on the last axis."""
-    m = values.shape[-1]
+    """Coefficient tables ``(a, b)`` of the samples on the last axis.
+
+    The spectrum is scaled by ``_analysis_scales``: M is a power of two, so
+    ``x * (2/M)`` is ``2x/M`` exactly.  ``rfft`` of real samples has exact
+    zero imaginary parts at mode 0 and at the Nyquist mode, so those entries
+    of ``b`` are exact zeros."""
+    scale_a, scale_b = _analysis_scales(values.shape[-1])
     spec = np.fft.rfft(values, axis=-1)
-    a = np.empty(spec.shape)
-    b = np.zeros(spec.shape)
-    a[..., 0] = spec[..., 0].real / m
-    a[..., 1 : m // 2] = 2.0 * spec[..., 1 : m // 2].real / m
-    b[..., 1 : m // 2] = -2.0 * spec[..., 1 : m // 2].imag / m
-    a[..., m // 2] = spec[..., m // 2].real / m
+    a = spec.real * scale_a
+    b = spec.imag * scale_b
     for arr in (a, b):
         arr.flags.writeable = False
     return a, b
+
+
+@functools.lru_cache(maxsize=32)
+def _analysis_scales(m):
+    """The factors of ``_analyze`` for M samples, as two read-only
+    ``(M/2+1,)`` rows: ``1/M, 2/M, ..., 2/M, 1/M`` for the cosine table and
+    ``0, -2/M, ..., -2/M, 0`` for the sine table."""
+    scale_a = np.full(m // 2 + 1, 2.0 / m)
+    scale_a[[0, -1]] = 1.0 / m
+    scale_b = np.full(m // 2 + 1, -2.0 / m)
+    scale_b[[0, -1]] = 0.0
+    for arr in (scale_a, scale_b):
+        arr.flags.writeable = False
+    return scale_a, scale_b
 
 
 def _synthesize(a, b, p):

@@ -4,19 +4,21 @@ Experiments are driven by a single JSON config.  Every artifact write is
 deterministic: floats go through repr, JSON keys are sorted, and paths are
 aggregated in path-id order regardless of how many workers produced them, so
 identical configs give byte-identical outputs.
+
+A command loads only what it runs: the process pool is imported on first
+use (``__getattr__`` below), so a run at one worker never loads it, and the
+certificates (``bell``) load with ``validation_checks``, their only caller.
 """
 
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import chain, takewhile
 from pathlib import Path
 
 import numpy as np
 
-from . import bell
 from .basis import ScaledBasis, ScalingSequence
 from .circlefn import AffineCircleMap, CircleFunction
 from .flow import (
@@ -56,6 +58,21 @@ DEFAULT_RADII = (0.05, 0.1, 0.2, 0.4)
 # any n_paths and any number of solvers (``run_ensemble`` splits a path's
 # rows into parts of at most BLOCK_ROWS).
 BLOCK_ROWS = 64
+
+
+def __getattr__(name):
+    """``ProcessPoolExecutor``, imported on first use (PEP 562) and cached in
+    the module globals, so that ``concurrent.futures.process`` and
+    ``multiprocessing`` load only for a run at more than one worker.
+    ``run_ensemble`` reads the class from the globals at call time: a class
+    assigned to ``ensemble.ProcessPoolExecutor`` (perfbench's tracer counts
+    pool starts that way) is the one that runs."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 class ConfigError(ValueError):
@@ -245,7 +262,8 @@ def run_ensemble(cfg, solvers, stop_after_hit=False):
         for members, first, stop in tasks
     ]
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=cfg.workers) as pool:
             blocks = list(pool.map(_run_one_path, args))
     else:
         blocks = [_run_one_path(a) for a in args]
@@ -538,6 +556,8 @@ def validation_checks(cfg):
     closed form, and along the pilot path (``_pilot``).  A pilot that keeps
     fewer than two states compares nothing, so its checks fail.
     """
+    from . import bell
+
     solver, k = cfg.solver, cfg.solver.k
     alpha, radius = solver.alpha, solver.radius
     r_max = diffeo_radius(k) if k >= 2 else None

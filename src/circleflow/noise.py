@@ -19,13 +19,15 @@ of the cutoff: a run with a larger cutoff sees exactly the same increments on
 the shared modes, which is what makes cutoff-doubling comparisons meaningful
 path by path.  It also lets solvers of different cutoffs share one stream,
 drawn at the largest of them.
+
+``numpy.random`` loads with the first ``NoiseStream``, not with this module,
+so a command that draws nothing (or has not drawn yet) does not pay for it.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .circlefn import chunked_trig_sum
 
@@ -48,7 +50,7 @@ class NoiseStream:
     mode_cutoff: int
     dt: float
     step_index: int = 0
-    _gen: Generator = field(init=False, repr=False, compare=False)
+    _gen: object = field(init=False, repr=False, compare=False)  # numpy Generator
     _state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -61,6 +63,8 @@ class NoiseStream:
             raise ValueError("mode cutoff must be >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        from numpy.random import Generator, Philox
+
         self._gen = Generator(Philox(key=self.master_seed))
         self._state = self._gen.bit_generator.state  # counter 0, empty buffer
 
