@@ -10,13 +10,13 @@ and local-Lipschitz estimates for the left-translation operator
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .circlefn import AffineCircleMap, _warp_points, hk_norms, sobolev_embedding_constant
 
 __all__ = [
-    "BellTable",
     "bell_polynomial",
     "compose_derivative",
     "warp_expansion_terms",
@@ -30,40 +30,17 @@ __all__ = [
 MAX_ORDER = 12  # factorial bookkeeping is only exercised up to here
 
 
-class BellTable:
-    """Monomials of the partial Bell polynomials B_{n,k}, n <= n_max.
+@lru_cache(maxsize=None)
+def _monomials(n, k):
+    """Monomials of the partial Bell polynomial B_{n,k}, read-only.
 
-    ``monomials(n, k)`` returns tuples ``(coefficient, exponents)`` where
-    ``exponents`` ranges over the variables x_1..x_{n-k+1}; every monomial
-    satisfies sum(j_i) = k and sum(i*j_i) = n.  Built once, then read-only.
+    Tuples ``(coefficient, exponents)`` where ``exponents`` ranges over the
+    variables x_1..x_{n-k+1}; every monomial satisfies sum(j_i) = k and
+    sum(i*j_i) = n.
     """
-
-    def __init__(self, n_max=MAX_ORDER):
-        if n_max < 1 or n_max > MAX_ORDER:
-            raise ValueError(f"n_max must be in 1..{MAX_ORDER}")
-        self.n_max = n_max
-        self.entries = {}
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                self.entries[(n, k)] = tuple(_enumerate_monomials(n, k))
-
-    def monomials(self, n, k):
-        if k > n:
-            raise ValueError("need k <= n")
-        return self.entries[(n, k)]
-
-    def evaluate(self, n, k, xs):
-        xs = np.asarray(xs, dtype=float)
-        if k >= 1 and xs.size < n - k + 1:
-            raise ValueError("need n - k + 1 variables")
-        total = 0.0
-        for coef, exps in self.monomials(n, k):
-            term = float(coef)
-            for x, j in zip(xs, exps):
-                if j:
-                    term *= x**j
-            total += term
-        return total
+    if not 0 <= k <= n <= MAX_ORDER:
+        raise ValueError(f"need 0 <= k <= n <= {MAX_ORDER}")
+    return tuple(_enumerate_monomials(n, k))
 
 
 def _enumerate_monomials(n, k):
@@ -93,23 +70,22 @@ def _enumerate_monomials(n, k):
     yield from rec(0, k, n)
 
 
-_DEFAULT_TABLE = None
-
-
-def _table(n):
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None or _DEFAULT_TABLE.n_max < n:
-        _DEFAULT_TABLE = BellTable(max(n, 8))
-    return _DEFAULT_TABLE
-
-
 def bell_polynomial(n, k, xs):
     """Exact evaluation of the partial Bell polynomial B_{n,k}(x_1, ...)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if k < 0 or k > n:
-        raise ValueError("need 0 <= k <= n")
-    return _table(n).evaluate(n, k, xs)
+    monomials = _monomials(n, k)
+    xs = np.asarray(xs, dtype=float)
+    if k >= 1 and xs.size < n - k + 1:
+        raise ValueError("need n - k + 1 variables")
+    total = 0.0
+    for coef, exps in monomials:
+        term = float(coef)
+        for x, j in zip(xs, exps):
+            if j:
+                term *= x**j
+        total += term
+    return total
 
 
 def compose_derivative(f_jet, g_jet, n):
@@ -124,10 +100,9 @@ def compose_derivative(f_jet, g_jet, n):
         raise ValueError("n must be >= 1")
     if f_jet.size < n + 1 or g_jet.size < n + 1:
         raise ValueError("jets must carry at least n + 1 derivatives")
-    table = _table(n)
     total = 0.0
     for k in range(1, n + 1):
-        total += f_jet[k] * table.evaluate(n, k, g_jet[1 : n - k + 2])
+        total += f_jet[k] * bell_polynomial(n, k, g_jet[1 : n - k + 2])
     return float(total)
 
 
@@ -149,10 +124,9 @@ def warp_expansion_terms(k):
     """
     if k < 1:
         raise ValueError("order must be >= 1")
-    table = _table(k)
     terms = []
     for j in range(1, k + 1):
-        for coef, exps in table.monomials(k, j):
+        for coef, exps in _monomials(k, j):
             j1 = exps[0] if exps else 0
             base = {i + 1: e for i, e in enumerate(exps) if i >= 1 and e}
             for t in range(j1 + 1):
@@ -246,8 +220,9 @@ def hs_bound_certificate(f, k, basis):
     f_hk = f.hk_norm(k)
     c_k = _embedding_for_order(k)
     n, lam = _modes(basis)
+    terms = warp_expansion_terms(k)
     deriv_sum = 0.0
-    for coef, j, powers in warp_expansion_terms(k):
+    for coef, j, powers in terms:
         deg = sum(powers.values())
         if powers.get(k, 0) >= 1:
             amp = f_hk * (c_k * f_hk) ** (deg - 1)
@@ -255,7 +230,7 @@ def hs_bound_certificate(f, k, basis):
             amp = (c_k * f_hk) ** deg
         deriv_sum = deriv_sum + coef * lam * np.abs(n) ** j * amp
     bound = np.sum(lam**2 + deriv_sum**2)
-    k_count = expansion_term_count(k)
+    k_count = sum(coef for coef, _, _ in terms)
     return HSBoundReport(float(actual), float(bound), k_count, c_k, basis.mode_cutoff)
 
 

@@ -29,6 +29,24 @@ def quadrature_norms(f, k, oversample=32):
     return np.sqrt(l2_sq), np.sqrt(l2_sq + dk_sq)
 
 
+def basis_coefficients(f, basis):
+    """Expansion coefficients of ``f`` over the basis modes |n| <= cutoff.
+
+    Index layout: entry ``i`` holds mode ``i - cutoff`` (so sin modes first,
+    the constant in the middle, cos modes last).
+    """
+    cutoff = basis.mode_cutoff
+    a, b = f.coefficients
+    if a.size - 1 < cutoff:
+        raise ValueError("function grid too coarse for the basis cutoff")
+    w = basis.weights()
+    out = np.empty(2 * cutoff + 1)
+    out[cutoff] = a[0] / w[0]
+    out[cutoff + 1 :] = a[1 : cutoff + 1] / w[1:]
+    out[cutoff - 1 :: -1] = -b[1 : cutoff + 1] / w[1:]
+    return out
+
+
 def columns(record):
     """The sample columns of a path record as raw bytes, for bitwise
     comparison."""

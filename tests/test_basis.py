@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from circleflow import CircleFunction, ScaledBasis, ScalingSequence
-from circleflow import basis
-from circleflow.basis import (
-    BasisPair,
-    basis_coefficients,
-    hlambda_norm,
-    inclusion_hs_norm,
-    inclusion_tail_bound,
-    q_lambda_trace,
-)
+from conftest import basis_coefficients
 
 
 @pytest.fixture
@@ -73,57 +65,6 @@ class TestScaledBasis:
             expected = np.zeros(17)
             expected[n + 8] = 1.0
             assert np.array_equal(coeffs, expected)
-            assert hlambda_norm(exp_basis.basis_function(n), exp_basis) == 1.0
-
-
-class TestBasisPair:
-    def test_derived_relation_exact(self):
-        pair = BasisPair(ScalingSequence.exponential(1.0))
-        for n in range(1, 10):
-            assert pair.lambda_value(n) == n * pair.alpha_value(n)
-        assert pair.lambda_value(0) == pair.alpha_value(0)
-
-    def test_rejects_alpha_as_lambda(self):
-        alpha = ScalingSequence.exponential(1.0)
-        with pytest.raises(ValueError):
-            BasisPair(alpha, alpha)
-
-    def test_adjoint_coefficient_is_inverse_mode(self):
-        pair = BasisPair(ScalingSequence.exponential(1.0))
-        alpha_basis = pair.alpha_basis(8, 64)
-        lambda_basis = pair.lambda_basis(8, 64)
-        for n in list(range(-8, 0)) + list(range(1, 9)):
-            coeffs = basis_coefficients(alpha_basis.basis_function(n), lambda_basis)
-            assert coeffs[n + 8] == pytest.approx(1.0 / abs(n), rel=1e-15)
-
-    def test_inclusion_hs_norm_small_cutoffs(self):
-        assert inclusion_hs_norm(1) == pytest.approx(np.sqrt(3.0), rel=1e-14)
-        # partial sums approach 1 + pi^2/3 within the reported tail bound
-        limit_sq = 1.0 + np.pi**2 / 3.0
-        for n in (10, 100, 1000):
-            partial_sq = inclusion_hs_norm(n) ** 2
-            assert partial_sq < limit_sq
-            assert limit_sq - partial_sq < inclusion_tail_bound(n)
-
-    def test_trace_values(self):
-        assert q_lambda_trace(1) == pytest.approx(3.0, rel=1e-14)
-        assert q_lambda_trace(10) == pytest.approx(_trace_oracle(10), rel=1e-13)
-        for n in (1, 5, 50):
-            assert q_lambda_trace(n) == inclusion_hs_norm(n) ** 2
-
-    def test_trace_check_fails_on_a_wrong_partial_sum(self, monkeypatch):
-        # The partial sum one term short, 1 + 2 sum_{n<=9} 1/n^2, inside the
-        # definition q_lambda_trace squares: trace and squared HS norm still
-        # agree, but the independently summed oracle does not (a partial sum
-        # off by one term is off by 2/121 relative to ~3.3).
-        monkeypatch.setattr(basis, "inclusion_hs_norm", lambda n: inclusion_hs_norm(n - 1))
-        assert q_lambda_trace(10) == inclusion_hs_norm(9) ** 2
-        assert q_lambda_trace(10) != pytest.approx(_trace_oracle(10), rel=1e-13)
-
-
-def _trace_oracle(n_cutoff):
-    """The partial sum 1 + 2 sum_{n<=n_cutoff} 1/n^2, summed independently."""
-    return 1.0 + 2.0 * sum(1.0 / n**2 for n in range(1, n_cutoff + 1))
 
 
 class TestNoiseFieldStabilization:

@@ -15,7 +15,13 @@ from circleflow import (
     hs_bound_certificate,
     lipschitz_certificate,
 )
-from circleflow.bell import BellTable, _warped_basis, expansion_term_count, warp_expansion_terms
+from circleflow.bell import (
+    MAX_ORDER,
+    _monomials,
+    _warped_basis,
+    expansion_term_count,
+    warp_expansion_terms,
+)
 from conftest import random_band_limited
 
 BELL_NUMBERS = (1, 2, 5, 15, 52, 203, 877, 4140)
@@ -94,14 +100,23 @@ class TestBellPolynomial:
             assert total == BELL_NUMBERS[n - 1]
 
     def test_table_monomial_constraints(self):
-        table = BellTable(8)
-        for (n, k), monomials in table.entries.items():
-            if n == 0:
-                continue
-            for coef, exps in monomials:
-                assert coef >= 1
-                assert sum(exps) == k
-                assert sum(i * j for i, j in enumerate(exps, start=1)) == n
+        for n in range(1, 9):
+            for k in range(n + 1):
+                for coef, exps in _monomials(n, k):
+                    assert coef >= 1
+                    assert sum(exps) == k
+                    assert sum(i * j for i, j in enumerate(exps, start=1)) == n
+
+    def test_orders_above_max_order_are_rejected(self):
+        top = MAX_ORDER + 1
+        with pytest.raises(ValueError):
+            bell_polynomial(top, 1, np.ones(top))
+        with pytest.raises(ValueError):
+            compose_derivative(np.ones(top + 1), np.ones(top + 1), top)
+        with pytest.raises(ValueError):
+            warp_expansion_terms(top)
+        # the largest order is still served
+        assert bell_polynomial(MAX_ORDER, MAX_ORDER, [1.0]) == 1.0
 
 
 class TestComposeDerivative:
@@ -150,15 +165,12 @@ class TestWarpExpansion:
 
     def test_count_at_least_partition_count(self):
         for k in range(1, 7):
-            partitions = sum(
-                1 for j in range(1, k + 1) for _ in BellTable(k).monomials(k, j)
-            )
+            partitions = sum(len(_monomials(k, j)) for j in range(1, k + 1))
             assert expansion_term_count(k) >= partitions
 
     def test_only_top_term_carries_highest_derivative(self):
-        table = BellTable(8)
         for n in range(2, 9):
-            assert table.monomials(n, 1) == ((1, tuple([0] * (n - 1) + [1])),)
+            assert _monomials(n, 1) == ((1, tuple([0] * (n - 1) + [1])),)
 
 
 def _old_warped_basis(basis, f):

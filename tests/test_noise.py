@@ -12,8 +12,8 @@ from circleflow import (
     field_values,
     grid_points,
 )
-from circleflow.basis import basis_coefficients
 from circleflow.noise import next_increments
+from conftest import basis_coefficients
 
 SEED = 20240817
 

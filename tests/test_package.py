@@ -137,6 +137,15 @@ def test_all_and_dir_list_the_table():
         assert circleflow._HOME[sub] == sub
 
 
+@pytest.mark.parametrize("sub", sorted(circleflow._SURFACE))
+def test_every_submodule_all_entry_resolves(sub):
+    # a star import fails on a name that ``__all__`` lists but no longer defines
+    namespace = {}
+    exec(f"from circleflow.{sub} import *", namespace)
+    module = importlib.import_module(f"circleflow.{sub}")
+    assert set(getattr(module, "__all__", ())) <= set(namespace)
+
+
 def test_unknown_name_raises_attribute_error_naming_the_module():
     with pytest.raises(AttributeError, match="'circleflow'.*'no_such_name'"):
         circleflow.no_such_name
