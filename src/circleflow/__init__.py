@@ -33,7 +33,6 @@ _SURFACE = {
     "cli": (),
     "ensemble": (
         "ConfigError",
-        "EnsembleSummary",
         "RunConfig",
         "contrast_h32",
         "run_ensemble",

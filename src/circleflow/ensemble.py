@@ -13,14 +13,14 @@ certificates (``bell``) load with ``validation_checks``, their only caller.
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from itertools import chain, takewhile
 from pathlib import Path
 
 import numpy as np
 
 from .basis import ScaledBasis, ScalingSequence
-from .circlefn import AffineCircleMap, CircleFunction
+from .circlefn import AffineCircleMap, CircleFunction, _analyze
 from .flow import (
     FlowState,
     SolverConfig,
@@ -42,7 +42,6 @@ from .noise import NoiseStream
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "EnsembleSummary",
     "run_experiment",
     "run_ensemble",
     "contrast_h32",
@@ -170,35 +169,22 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
-@dataclass
-class EnsembleSummary:
-    """Aggregated diagnostics for one ensemble run."""
-
-    n_paths: int
-    tau_r: list = field(default_factory=list)
-    times: list = field(default_factory=list)
-    hk_quantiles: dict = field(default_factory=dict)
-    min_deriv_quantiles: dict = field(default_factory=dict)
-    decay_fit_exponent: float = float("nan")
-    checks: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
-
-    def all_passed(self):
-        return all(c["passed"] for c in self.checks)
-
-    def to_dict(self):
-        decay = self.decay_fit_exponent
-        return {
-            "schema": SUMMARY_SCHEMA_VERSION,
-            "n_paths": self.n_paths,
-            "tau_r": self.tau_r,
-            "times": self.times,
-            "hk_quantiles": self.hk_quantiles,
-            "min_deriv_quantiles": self.min_deriv_quantiles,
-            "decay_fit_exponent": decay if decay is not None and np.isfinite(decay) else None,
-            "checks": self.checks,
-            "extra": self.extra,
-        }
+def _summary(n_paths, checks=(), extra=None, tau_r=(), times=(), hk_quantiles=None,
+             min_deriv_quantiles=None, decay_fit_exponent=math.nan):
+    """The ``summary.json`` object of ``docs/summary.schema.json``; a decay
+    fit that is not finite is null."""
+    decay = decay_fit_exponent if math.isfinite(decay_fit_exponent) else None
+    return {
+        "schema": SUMMARY_SCHEMA_VERSION,
+        "n_paths": n_paths,
+        "tau_r": list(tau_r),
+        "times": list(times),
+        "hk_quantiles": hk_quantiles or {},
+        "min_deriv_quantiles": min_deriv_quantiles or {},
+        "decay_fit_exponent": decay,
+        "checks": list(checks),
+        "extra": extra or {},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +280,8 @@ def summarize(records, cfg):
         qs = (5, 50, 95)
         hk_q = {f"p{q:02d}": _percentile(hk, q).tolist() for q in qs}
         md_q = {f"p{q:02d}": _percentile(md, q).tolist() for q in qs}
-    return EnsembleSummary(
-        n_paths=len(records),
+    return _summary(
+        len(records),
         tau_r=[r.tau_r for r in records],
         times=times,
         hk_quantiles=hk_q,
@@ -318,15 +304,13 @@ def _percentile(ordered, q):
 
 
 def _decay_fit(finals):
-    """Exponent p of the exponential fit amp(n) ~ exp(-p n) of final states."""
-    finals = [f for f in finals if f is not None]
+    """Exponent p of the exponential fit amp(n) ~ exp(-p n) of final states,
+    analyzed by one transform of their stacked samples."""
+    finals = [f.grid_values for f in finals if f is not None]
     if not finals:
         return float("nan")
-    amps = []
-    for f in finals:
-        a, b = f.coefficients
-        amps.append(np.hypot(a[1:], b[1:]))
-    mean_amp = np.mean(amps, axis=0)
+    a, b = _analyze(np.array(finals))
+    mean_amp = np.mean(np.hypot(a[:, 1:], b[:, 1:]), axis=0)
     n = np.arange(1, mean_amp.size + 1, dtype=float)
     keep = mean_amp > 1e-300
     if keep.sum() < 2:
@@ -345,10 +329,10 @@ def run_experiment(cfg):
     ``(exit_code, artifacts)``.
 
     The one artifact tail.  Each runner returns ``(summary, runs, report)``:
-    ``runs`` are the records whose columns ``paths.csv`` holds, one path
-    each (None: no CSV), and
-    ``report`` the fields ``report.json`` holds beside the checks (None: no
-    report).  An output directory that cannot be created is a ConfigError,
+    ``summary`` is the ``summary.json`` object (``_summary``), ``runs`` the
+    records whose columns ``paths.csv`` holds, one path each (None: no CSV),
+    and ``report`` the fields ``report.json`` holds beside the checks (None:
+    no report).  An output directory that cannot be created is a ConfigError,
     raised before any path is stepped; so is an artifact that cannot be
     written, after the artifacts already written are removed again.
     """
@@ -364,17 +348,16 @@ def run_experiment(cfg):
             artifacts.append(out / "paths.csv")
             _write_sample_csv(artifacts[-1], runs)
         artifacts.append(out / "summary.json")
-        _write_json(artifacts[-1], summary.to_dict())
+        _write_json(artifacts[-1], summary)
         if report is not None:
             artifacts.append(out / "report.json")
-            _write_json(
-                artifacts[-1], {"schema": SUMMARY_SCHEMA_VERSION, "checks": summary.checks, **report}
-            )
+            report = {"schema": SUMMARY_SCHEMA_VERSION, "checks": summary["checks"], **report}
+            _write_json(artifacts[-1], report)
     except OSError as exc:
         for path in artifacts[:-1]:  # written; the last one failed
             path.unlink(missing_ok=True)
         raise ConfigError(f"cannot write artifact: {exc}") from exc
-    return (0 if summary.all_passed() else 1), artifacts
+    return (0 if all(c["passed"] for c in summary["checks"]) else 1), artifacts
 
 
 def _check(name, value, bound, passed):
@@ -396,14 +379,14 @@ def _run_hitting(cfg):
     ]
     records = [r for recs in per_solver for r in recs]
     summary = summarize(records, cfg)
-    summary.extra["hitting_table"] = rows
+    summary["extra"]["hitting_table"] = rows
     # the radii may come in any order; the table keeps it, the check sorts
     means = [row["mean_tau"] for row in sorted(rows, key=lambda row: row["radius"])]
     # with every path censored the means are all the horizon: nothing to order
     any_hit = any(row["n_censored"] < cfg.n_paths for row in rows)
     ordered = any_hit and all(a <= b for a, b in zip(means, means[1:]))
     check = _check("mean_tau_nondecreasing_in_radius", means, "nondecreasing", ordered)
-    summary.checks.append(check)
+    summary["checks"].append(check)
     return summary, records, None
 
 
@@ -444,14 +427,15 @@ def _run_flow_check(cfg):
     passed = report.sup_error <= tol and report.n_checked > 1
     check = _check(f"flow_compose_sup_error_{cfg.xi_kind}", report.sup_error, tol, passed)
     compared = {"n_checked": report.n_checked, "window": report.window}
-    summary = EnsembleSummary(1, checks=[check])
-    summary.extra["flow_check"] = {
-        "xi_kind": cfg.xi_kind,
-        "xi_amplitude": cfg.xi_amplitude,
-        "sup_error": report.sup_error,
-        **compared,
+    extra = {
+        "flow_check": {
+            "xi_kind": cfg.xi_kind,
+            "xi_amplitude": cfg.xi_amplitude,
+            "sup_error": report.sup_error,
+            **compared,
+        }
     }
-    return summary, report.runs, compared
+    return _summary(1, [check], extra), report.runs, compared
 
 
 _CONTRAST_FAMILIES = (
@@ -515,9 +499,7 @@ def _run_contrast(cfg):
         _check("exponential_cutoff_doubling_stable", stable, 1.05, stable < 1.05),
         _check("powerlaw_cutoff_doubling_unstable", unstable, 1.20, unstable > 1.20),
     ]
-    summary = EnsembleSummary(cfg.n_paths, checks=checks)
-    summary.extra["contrast"] = results
-    return summary, None, None
+    return _summary(cfg.n_paths, checks, {"contrast": results}), None, None
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +574,7 @@ def validation_checks(cfg):
 
 def _run_validate(cfg):
     # no paths: paths.csv is the header alone
-    return EnsembleSummary(0, checks=validation_checks(cfg)), (), {}
+    return _summary(0, validation_checks(cfg)), (), {}
 
 
 # The one experiment registry: RunConfig validates names against it and

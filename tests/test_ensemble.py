@@ -170,14 +170,20 @@ class TestSimulateExperiment:
         run_experiment(RunConfig.from_file(parallel))
         assert (tmp_path / "a" / "paths.csv").read_bytes() == (tmp_path / "b" / "paths.csv").read_bytes()
 
-    def test_summary_validates_against_schema(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command", ["run", "validate", "flow-check", "hitting-times", "contrast"]
+    )
+    def test_summary_validates_against_schema(self, tmp_path, command):
+        # hitting-times holds a record per path and radius (4 default radii)
+        n_paths = {"validate": 0, "flow-check": 1, "hitting-times": 8}.get(command, 2)
         path, raw = write_config(tmp_path)
-        run_experiment(RunConfig.from_file(path))
+        assert cli_main([command, str(path)]) in (0, 1)
         summary = json.loads((Path(raw["output_dir"]) / "summary.json").read_text())
         jsonschema.validate(summary, SCHEMA)
-        assert summary["n_paths"] == 2
-        assert len(summary["tau_r"]) == 2
-        assert summary["hk_quantiles"]["p05"] is not None
+        assert summary["n_paths"] == n_paths
+        sampled = command in ("run", "hitting-times")
+        assert len(summary["tau_r"]) == (n_paths if sampled else 0)
+        assert sorted(summary["hk_quantiles"]) == (["p05", "p50", "p95"] if sampled else [])
 
     def test_documented_config_quantiles_cover_the_record_grid(self, tmp_path):
         # paths cross the radius at different off-grid steps; the quantiles
