@@ -50,7 +50,6 @@ _SURFACE = {
         "integrate",
         "simulate_path",
         "stratonovich_correction",
-        "truncation_scale",
     ),
     "noise": ("NoiseStream", "field_values"),
 }

@@ -22,7 +22,6 @@ import numpy as np
 from .basis import ScaledBasis, ScalingSequence
 from .circlefn import AffineCircleMap, CircleFunction, _analyze
 from .flow import (
-    FlowState,
     SolverConfig,
     _check_shared,
     _on_record_grid,
@@ -521,12 +520,13 @@ _CERTIFIED = (
 
 def _pilot(cfg):
     """The vector parts of path 0 of the seed, from the identity, for at most
-    PILOT_STEPS steps and while the path stays inside the ball of radius R."""
+    PILOT_STEPS steps and while the path stays inside the ball of radius R:
+    up to its first crossing, where the stepper's ``stopped`` latches."""
     solver = cfg.solver
     stream = NoiseStream(cfg.master_seed, 0, solver.mode_cutoff, solver.dt)
     incs = (stream.next_increment() for _ in range(min(PILOT_STEPS, solver.n_steps)))
-    states = chain([FlowState.initial(solver)], integrate(solver, incs))
-    return [s.x for s in takewhile(lambda s: not s.stopped, states)]
+    states = chain([CircleFunction.zero(solver.grid_size)], integrate(solver, incs))
+    return list(takewhile(lambda x: x.hk_norm(solver.k) < solver.radius, states))
 
 
 def validation_checks(cfg):

@@ -39,9 +39,7 @@ from .noise import field_values, next_increments
 __all__ = [
     "SimulationDiverged",
     "SolverConfig",
-    "FlowState",
     "PathRecord",
-    "truncation_scale",
     "integrate",
     "simulate_path",
     "simulate_paths",
@@ -151,25 +149,6 @@ class SolverConfig:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """Solution snapshot: vector part, time, H^k norm and stop flag.
-
-    ``stopped`` latches once the H^k norm has reached the truncation radius
-    (discrete first-crossing semantics); the state remains steppable since
-    the truncated dynamics are defined for all time.
-    """
-
-    x: CircleFunction
-    t: float
-    hk: float
-    stopped: bool
-
-    @classmethod
-    def initial(cls, cfg):
-        return cls(CircleFunction.zero(cfg.grid_size), 0.0, 0.0, False)
-
-
 @dataclass(frozen=True, eq=False)
 class PathRecord:
     """Sampled trajectory as columns, with its hitting time and the states
@@ -228,8 +207,11 @@ class _Block:
     their H^k norms and stop flags, all at the integer ``step`` (time
     ``step * dt``, one rounding, not a running sum), with each row's mode
     weights (``(P, N+1)``, zero-padded to the largest cutoff N of the
-    block) and radius.  ``coeffs`` holds the coefficient tables of ``x``
-    when a step built them (None in a starting block)."""
+    block) and radius.  ``stopped`` latches once a row's norm has reached
+    its radius (discrete first-crossing semantics); the row stays steppable,
+    since the truncated dynamics are defined for all time.  ``coeffs``
+    holds the coefficient tables of ``x`` when a step built them (None in a
+    starting block)."""
 
     x: np.ndarray
     step: int
@@ -240,23 +222,19 @@ class _Block:
     coeffs: tuple = None
 
     @classmethod
-    def of(cls, states, solvers, step=0):
-        """The block of the given states (all at step ``step``), row ``i``
-        under the solver ``solvers[i % len(solvers)]``."""
+    def start(cls, x, hk, solvers):
+        """The block at step 0 of the ``(P, M)`` vector parts ``x`` and
+        their H^k norms ``hk``, row ``i`` under the solver
+        ``solvers[i % len(solvers)]``; a row at its radius starts stopped."""
         weights = np.zeros((len(solvers), max(c.mode_cutoff for c in solvers) + 1))
         for row, cfg in zip(weights, solvers):
             row[: cfg.weights.size] = cfg.weights
-        paths = len(states) // len(solvers)
+        paths = len(x) // len(solvers)
         weights = np.tile(weights, (paths, 1))
         weights.flags.writeable = False
-        return cls(
-            np.array([s.x.grid_values for s in states]),
-            step,
-            np.array([s.hk for s in states], dtype=float),
-            np.array([s.stopped for s in states], dtype=bool),
-            weights,
-            np.tile(np.array([c.radius for c in solvers], dtype=float), paths),
-        )
+        radius = np.tile(np.array([c.radius for c in solvers], dtype=float), paths)
+        hk = np.asarray(hk, dtype=float)
+        return cls(x, 0, hk, hk >= radius, weights, radius)
 
     def take(self, rows):
         coeffs = None if self.coeffs is None else tuple(c[rows] for c in self.coeffs)
@@ -264,10 +242,6 @@ class _Block:
             self.x[rows], self.step, self.hk[rows], self.stopped[rows],
             self.weights[rows], self.radius[rows], coeffs,
         )
-
-    def row(self, i, dt):
-        x = CircleFunction(self.x[i])
-        return FlowState(x, self.step * dt, float(self.hk[i]), bool(self.stopped[i]))
 
 
 def _advance(prev, new_values, cfg):
@@ -283,15 +257,10 @@ def _advance(prev, new_values, cfg):
     return _Block(new_values, prev.step + 1, hk, stopped, prev.weights, prev.radius, coeffs)
 
 
-def truncation_scale(state, cfg):
-    """Applied radial scale: 1 inside the ball, R/||x|| outside (boundary in)."""
-    return cfg.radius / np.maximum(state.hk, cfg.radius)  # R / R is exactly 1
-
-
 def _warped_points(block, cfg):
-    """``theta + s x`` row by row, ``s`` the ``truncation_scale`` at the
-    row's own radius."""
-    scale = block.radius / np.maximum(block.hk, block.radius)
+    """``theta + s x`` row by row, ``s`` the radial truncation scale at the
+    row's own radius: 1 inside the ball, ``R / ||x||`` outside (boundary in)."""
+    scale = block.radius / np.maximum(block.hk, block.radius)  # R / R is exactly 1
     return grid_points(cfg.grid_size) + scale[:, None] * block.x
 
 
@@ -350,15 +319,15 @@ def _integrate(cfg, block, draw, drop_stopped=False):
         yield rows, block
 
 
-def integrate(cfg, increments, start=None):
-    """Yield the state after each increment under ``cfg.scheme``.
+def integrate(cfg, increments):
+    """Yield the vector part after each increment under ``cfg.scheme``, as a
+    ``CircleFunction``, stepping from the identity.
 
     The block loop at P = 1.  ``increments`` yields one ``(2N+1,)`` array
     per step, mode ``i - N`` at index ``i`` (as ``NoiseStream`` draws them).
-    The truncation of ``cfg`` applies at each step; ``start`` defaults to the
-    identity, and its time is taken at the nearest step.  A state's time is
-    its step times ``dt``.  Increments are pulled lazily, so a caller that
-    stops early draws no further noise.
+    The truncation of ``cfg`` applies at each step; the ``i``-th state
+    yielded is at step ``i``, time ``i * dt``.  Increments are pulled
+    lazily, so a caller that stops early draws no further noise.
     """
     incs = iter(increments)
 
@@ -366,10 +335,9 @@ def integrate(cfg, increments, start=None):
         inc = next(incs, None)
         return None if inc is None else inc[None]
 
-    start = FlowState.initial(cfg) if start is None else start
-    block = _Block.of([start], [cfg], round(start.t / cfg.dt))
+    block = _Block.start(np.zeros((1, cfg.grid_size)), np.zeros(1), [cfg])
     for _, block in _integrate(cfg, block, draw):
-        yield block.row(0, cfg.dt)
+        yield CircleFunction(block.x[0])
 
 
 def _draw_per_path(streams, n_rows):
@@ -453,7 +421,7 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
         raise ValueError("every stream must draw at the largest cutoff and the dt of the solvers")
     row_solvers, barriers, where = _path_rows(solvers, stop_after_hit)
     n_rows = len(streams) * len(row_solvers)
-    block = _Block.of([FlowState.initial(cfg)] * n_rows, row_solvers)
+    block = _Block.start(np.zeros((n_rows, cfg.grid_size)), np.zeros(n_rows), row_solvers)
     # each row's barriers, ascending, then inf; a row that has reached
     # ``crossed[r]`` of them waits for ``next_bar[r] = bars[r, crossed[r]]``
     bars = np.full((len(row_solvers), 1 + max(map(len, barriers))), np.inf)
@@ -551,7 +519,7 @@ def concatenate(first, fresh, cfg, record_every=1):
     for i, state in enumerate(integrate(cfg, increments), 1):
         if _on_record_grid(i, record_every, remaining):
             steps.append(tau_step + i)
-            states.append(CircleFunction(xi_vals + state.x.evaluate(warp_pts)))
+            states.append(CircleFunction(xi_vals + state.evaluate(warp_pts)))
     kept = first.step <= tau_step
     step = np.append(first.step[kept], np.array(steps, dtype=np.uint64))
     record = PathRecord(
@@ -594,17 +562,17 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
         raise ValueError("initial map must live on the solver grid")
     n_steps = cfg.n_steps
     xi = xi_map.vector_part
-    xi_hk = xi.hk_norm(cfg.k)
-    y_state = FlowState(xi, 0.0, xi_hk, xi_hk >= cfg.radius)
     warp_pts = xi_map.grid_warp
 
-    block = _Block.of([FlowState.initial(cfg), y_state], [cfg])
+    # the start keeps xi's own coefficient tables, which may be exact, for
+    # its norm and its min_deriv
+    x = np.array([np.zeros(cfg.grid_size), xi.grid_values])
+    block = _Block.start(x, [0.0, xi.hk_norm(cfg.k)], [cfg])
     stepped = zip(range(1, n_steps + 1), _integrate(cfg, block, _draw_per_path([stream], 2)))
     recorded = (b for i, (_, b) in stepped if _on_record_grid(i, record_every, n_steps))
 
     sup_error, window, checked = 0.0, None, 0
     sampled = []  # (t, hk, min_deriv, stopped) of both rows per recorded step
-    # the start keeps xi's own coefficient tables, which may be exact
     start_md = [1.0, xi_map.min_derivative]
     for b in chain([block], recorded):
         if not b.stopped.any():

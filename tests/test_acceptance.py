@@ -214,7 +214,7 @@ def test_criterion_05_ito_equals_stratonovich(rng):
                 alpha=ALPHA, radius=1e9, k=2, scheme=scheme,
             )
             *_, state = integrate(cfg, coarse)
-            final[scheme] = state.x.grid_values
+            final[scheme] = state.grid_values
         gaps[dt] = float(np.max(np.abs(final["euler"] - final["heun"])))
     r1 = gaps[4e-3] / gaps[2e-3]
     r2 = gaps[2e-3] / gaps[1e-3]
@@ -289,14 +289,13 @@ def test_criterion_08_concatenation_consistency():
     first = simulate_path(
         hit, NoiseStream(SEED, 1, 8, hit.dt), record_every=1, stop_after_hit=True
     )
-    k0 = int(round(first.tau_r / hit.dt))
-    fresh = NoiseStream(SEED, 1, 8, hit.dt, step_index=k0)
+    fresh = NoiseStream(SEED, 1, 8, hit.dt, step_index=first.tau_step)
     joined, states = concatenate(first, fresh, free, record_every=1)
-    direct_map = {round(s.t, 9): s.x for s in direct}
+    direct_map = dict(enumerate(direct, 1))  # step -> state
     sup = 0.0
     compared = 0
-    for t, f in zip(joined.t[joined.t > first.tau_r].tolist(), states):
-        ref = direct_map.get(round(t, 9))
+    for step, f in zip(joined.step[joined.step > first.tau_step].tolist(), states):
+        ref = direct_map.get(step)
         if ref is not None:
             sup = max(sup, float(np.max(np.abs(f.grid_values - ref.grid_values))))
             compared += 1
@@ -310,7 +309,7 @@ def test_criterion_08_concatenation_consistency():
     firsts = simulate_paths(ks_cfg, streams, record_every=10**6, stop_after_hit=True)
     taus_first = [r.tau_r for r in firsts]
     offsets = [
-        NoiseStream(SEED, pid, 32, ks_cfg.dt, step_index=int(round(r.tau_r / ks_cfg.dt)))
+        NoiseStream(SEED, pid, 32, ks_cfg.dt, step_index=r.tau_step)
         for pid, r in enumerate(firsts)
     ]
     seconds = simulate_paths(ks_cfg, offsets, record_every=10**6, stop_after_hit=True)

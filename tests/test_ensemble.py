@@ -19,12 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleflow import (
+    AffineCircleMap,
     ConfigError,
     NoiseStream,
     RunConfig,
     ScaledBasis,
     ScalingSequence,
     diffeo_radius,
+    grid_points,
     run_ensemble,
     run_experiment,
     validation_checks,
@@ -563,7 +565,10 @@ class TestContrastExperiment:
         assert _safe_ratio(1.0, 0.0) == float("inf")
         assert _safe_ratio(3.0, 2.0) == 1.5
 
-    def test_dichotomy_recorded(self, tmp_path):
+    @staticmethod
+    def run_contrast(tmp_path):
+        """Exit code and checks of the contrast experiment at 2 paths to
+        t = 0.05 on a grid of 256 points."""
         path, raw = write_config(tmp_path, experiment="contrast_h32", n_paths=2)
         data = json.loads(path.read_text())
         data["solver"]["grid_size"] = 256
@@ -571,11 +576,37 @@ class TestContrastExperiment:
         data["solver"]["horizon"] = 0.05
         path.write_text(json.dumps(data))
         code, _ = run_experiment(RunConfig.from_file(path))
-        assert code == 0
         summary = json.loads((Path(raw["output_dir"]) / "summary.json").read_text())
-        values = {c["name"]: c["value"] for c in summary["checks"]}
-        assert values["exponential_cutoff_doubling_stable"] < 1.05
-        assert values["powerlaw_cutoff_doubling_unstable"] > 1.20
+        return code, {c["name"]: c for c in summary["checks"]}
+
+    def test_dichotomy_recorded(self, tmp_path):
+        code, checks = self.run_contrast(tmp_path)
+        assert code == 0
+        assert checks["exponential_cutoff_doubling_stable"]["value"] < 1.05
+        assert checks["powerlaw_cutoff_doubling_unstable"]["value"] > 1.20
+
+    @pytest.mark.parametrize(
+        "seq, failed, value",
+        [
+            # slow decay under the name of the rapidly decreasing family
+            pytest.param(
+                ScalingSequence.powerlaw(1.5), "exponential_cutoff_doubling_stable", 4.02,
+                id="both-powerlaw",
+            ),
+            # rapid decay under the name of the slow family
+            pytest.param(
+                ScalingSequence.exponential(1.0), "powerlaw_cutoff_doubling_unstable", 1.00,
+                id="both-exponential",
+            ),
+        ],
+    )
+    def test_negative_control_fails_its_check(self, tmp_path, monkeypatch, seq, failed, value):
+        families = (("exponential", seq), ("powerlaw", seq))
+        monkeypatch.setattr(ensemble, "_CONTRAST_FAMILIES", families)
+        code, checks = self.run_contrast(tmp_path)
+        assert code == 1
+        assert [name for name, c in checks.items() if not c["passed"]] == [failed]
+        assert checks[failed]["value"] == pytest.approx(value, abs=0.01)
 
 
 VALIDATE_CHECKS = [
@@ -683,6 +714,26 @@ class TestFlowCheckExperiment:
         report = json.loads((Path(raw["output_dir"]) / "report.json").read_text())
         assert not report["checks"][0]["passed"]
         assert report["n_checked"] == 0
+
+    def test_comparison_at_the_wrong_points_fails(self, tmp_path, monkeypatch):
+        # read x at theta instead of at xi(theta): the error bound itself fails
+        path, raw = write_config(tmp_path, experiment="flow_check")
+        data = json.loads(path.read_text())
+        data["solver"]["grid_size"] = 256
+        data["solver"]["horizon"] = 0.05
+        path.write_text(json.dumps(data))
+        report_path = Path(raw["output_dir"]) / "report.json"
+        assert cli_main(["flow-check", str(path)]) == 0
+        assert json.loads(report_path.read_text())["checks"][0]["value"] < 1e-15
+        monkeypatch.setattr(
+            AffineCircleMap, "grid_warp", property(lambda self: grid_points(self.grid_size))
+        )
+        assert cli_main(["flow-check", str(path)]) == 1
+        report = json.loads(report_path.read_text())
+        check = report["checks"][0]
+        assert check["name"] == "flow_compose_sup_error_sine" and not check["passed"]
+        assert check["value"] == pytest.approx(0.0131, abs=1e-4)
+        assert report["n_checked"] == 6  # t = 0 and every 10th of 50 steps
 
 
 class TestCli:

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import namedtuple
 from unittest import mock
 
 import numpy as np
@@ -21,9 +22,8 @@ from circleflow import (
     simulate_path,
     sobolev_embedding_constant,
     stratonovich_correction,
-    truncation_scale,
 )
-from circleflow.flow import FlowState, simulate_paths, stratonovich_rounding_bound
+from circleflow.flow import _Block, _warped_points, simulate_paths, stratonovich_rounding_bound
 from conftest import columns, random_band_limited
 
 SEED = 20240817
@@ -39,9 +39,9 @@ def make_config(**kw):
     return SolverConfig(**base)
 
 
-def one_step(cfg, state, inc):
-    """One step of ``state`` under ``cfg.scheme``."""
-    return next(integrate(cfg, [inc], start=state))
+def one_step(cfg, inc):
+    """The vector part after one step from the identity under ``cfg.scheme``."""
+    return next(integrate(cfg, [inc]))
 
 
 def single_mode_increment(cfg, n, value):
@@ -82,69 +82,68 @@ class TestSolverConfig:
 
 
 class TestTruncationScale:
-    def test_inside_ball(self):
+    @pytest.mark.parametrize(
+        "hk, scale",
+        [
+            pytest.param(0.5, 1.0, id="inside_ball"),
+            pytest.param(2.0, 0.5, id="outside_ball"),
+            pytest.param(1.0, 1.0, id="boundary_in_the_unit_branch"),
+        ],
+    )
+    def test_warped_points(self, hk, scale):
         cfg = make_config(radius=1.0)
-        state = FlowState(CircleFunction.zero(64), 0.0, 0.5, False)
-        assert truncation_scale(state, cfg) == 1.0
-
-    def test_outside_ball(self):
-        cfg = make_config(radius=1.0)
-        state = FlowState(CircleFunction.zero(64), 0.0, 2.0, True)
-        assert truncation_scale(state, cfg) == 0.5
-
-    def test_boundary_in_the_unit_branch(self):
-        cfg = make_config(radius=1.0)
-        state = FlowState(CircleFunction.zero(64), 0.0, 1.0, False)
-        assert truncation_scale(state, cfg) == 1.0
+        x = CircleFunction.harmonic(64, 1, sin_amp=0.3).grid_values
+        block = _Block.start(x[None], [hk], [cfg])
+        assert block.stopped[0] == (hk >= cfg.radius)
+        assert np.array_equal(_warped_points(block, cfg)[0], grid_points(64) + scale * x)
 
 
 class TestSteps:
     def test_zero_increment_advances_time_only(self):
         cfg = make_config()
-        state = FlowState.initial(cfg)
-        nxt = one_step(cfg, state, single_mode_increment(cfg, 0, 0.0))
-        assert np.array_equal(nxt.x.grid_values, state.x.grid_values)
-        assert nxt.t == pytest.approx(cfg.dt)
+        nxt = one_step(cfg, single_mode_increment(cfg, 0, 0.0))
+        assert np.array_equal(nxt.grid_values, np.zeros(64))
 
     def test_constant_mode_gives_rigid_rotation(self):
         cfg = make_config()
-        state = FlowState.initial(cfg)
-        nxt = one_step(cfg, state, single_mode_increment(cfg, 0, 0.25))
-        assert np.allclose(nxt.x.grid_values, 0.25 * ALPHA.value_at(0))
-        assert AffineCircleMap(nxt.x).min_derivative == pytest.approx(1.0, abs=1e-12)
+        nxt = one_step(cfg, single_mode_increment(cfg, 0, 0.25))
+        assert np.allclose(nxt.grid_values, 0.25 * ALPHA.value_at(0))
+        assert AffineCircleMap(nxt).min_derivative == pytest.approx(1.0, abs=1e-12)
 
     def test_first_cosine_mode_from_identity(self):
         cfg = make_config()
-        state = FlowState.initial(cfg)
-        nxt = one_step(cfg, state, single_mode_increment(cfg, 1, 0.5))
+        nxt = one_step(cfg, single_mode_increment(cfg, 1, 0.5))
         expected = 0.5 * ALPHA.value_at(1) * np.cos(grid_points(64))
-        assert np.max(np.abs(nxt.x.grid_values - expected)) < 1e-15
+        assert np.max(np.abs(nxt.grid_values - expected)) < 1e-15
 
     def test_heun_zero_increment(self):
         cfg = make_config(scheme="heun")
-        state = FlowState.initial(cfg)
-        nxt = one_step(cfg, state, single_mode_increment(cfg, 0, 0.0))
-        assert np.array_equal(nxt.x.grid_values, state.x.grid_values)
+        nxt = one_step(cfg, single_mode_increment(cfg, 0, 0.0))
+        assert np.array_equal(nxt.grid_values, np.zeros(64))
 
     def test_heun_equals_euler_for_additive_mode(self):
         # the constant mode is state independent, so the corrector changes nothing
         cfg = make_config()
-        state = FlowState.initial(cfg)
         inc = single_mode_increment(cfg, 0, 0.3)
         heun = dataclasses.replace(cfg, scheme="heun")
-        assert np.array_equal(
-            one_step(heun, state, inc).x.grid_values,
-            one_step(cfg, state, inc).x.grid_values,
-        )
+        assert np.array_equal(one_step(heun, inc).grid_values, one_step(cfg, inc).grid_values)
 
     def test_non_finite_increment_aborts(self):
         cfg = make_config()
-        state = FlowState.initial(cfg)
         bad = single_mode_increment(cfg, 1, np.nan)
         with pytest.raises(SimulationDiverged):
-            one_step(cfg, state, bad)
+            one_step(cfg, bad)
         with pytest.raises(SimulationDiverged):
-            one_step(dataclasses.replace(cfg, scheme="heun"), state, bad)
+            one_step(dataclasses.replace(cfg, scheme="heun"), bad)
+
+
+# A state of the reference loop: vector part and H^k norm.
+State = namedtuple("State", "x hk")
+
+
+def _scale(state, cfg):
+    """The radial truncation scale: 1 inside the ball, R/||x|| outside."""
+    return cfg.radius / max(state.hk, cfg.radius)
 
 
 def _old_euler_step(state, inc, cfg):
@@ -152,10 +151,9 @@ def _old_euler_step(state, inc, cfg):
     weights = cfg.alpha.values(cfg.mode_cutoff)
     theta = grid_points(cfg.grid_size)
     x0 = state.x.grid_values
-    f0 = field_values(inc, weights, theta + truncation_scale(state, cfg) * x0)
+    f0 = field_values(inc, weights, theta + _scale(state, cfg) * x0)
     x = CircleFunction(x0 + f0)
-    hk = x.hk_norm(cfg.k)
-    return FlowState(x, state.t + cfg.dt, hk, state.stopped or hk >= cfg.radius)
+    return State(x, x.hk_norm(cfg.k))
 
 
 def _old_heun_step(state, inc, cfg):
@@ -164,24 +162,23 @@ def _old_heun_step(state, inc, cfg):
     weights = cfg.alpha.values(cfg.mode_cutoff)
     theta = grid_points(cfg.grid_size)
     x0 = state.x.grid_values
-    f0 = field_values(inc, weights, theta + truncation_scale(state, cfg) * x0)
+    f0 = field_values(inc, weights, theta + _scale(state, cfg) * x0)
     x_pred = x0 + f0
     pred_hk = CircleFunction(x_pred).hk_norm(cfg.k)
     scale = 1.0 if pred_hk <= cfg.radius else cfg.radius / pred_hk
     f1 = field_values(inc, weights, theta + scale * x_pred)
     x = CircleFunction(x0 + 0.5 * (f0 + f1))
-    hk = x.hk_norm(cfg.k)
-    return FlowState(x, state.t + cfg.dt, hk, state.stopped or hk >= cfg.radius)
+    return State(x, x.hk_norm(cfg.k))
 
 
 def reference_states(cfg, increments):
-    """The hand-written stepping loop that integrate replaced, with the time
-    of state ``i`` taken as ``i * dt`` (a step count, not a running sum)."""
+    """The hand-written stepping loop that integrate replaced: the states
+    after each increment, from the identity."""
     step = {"euler": _old_euler_step, "heun": _old_heun_step}[cfg.scheme]
-    state = FlowState.initial(cfg)
+    state = State(CircleFunction.zero(cfg.grid_size), 0.0)
     states = []
-    for i, inc in enumerate(increments, 1):
-        state = dataclasses.replace(step(state, inc, cfg), t=i * cfg.dt)
+    for inc in increments:
+        state = step(state, inc, cfg)
         states.append(state)
     return states
 
@@ -198,19 +195,8 @@ class TestIntegrate:
         truncated = sum(s.hk > cfg.radius for s in want)
         assert truncated > cfg.n_steps / 2
         for a, b in zip(got, want):
-            assert np.array_equal(a.x.grid_values, b.x.grid_values)
-            assert (a.t, a.hk, a.stopped) == (b.t, b.hk, b.stopped)
-
-    def test_start_state_is_continued(self):
-        cfg = make_config(horizon=0.02)
-        stream = NoiseStream(SEED, 0, 8, cfg.dt)
-        incs = [stream.increment_at(i) for i in range(cfg.n_steps)]
-        states = list(integrate(cfg, incs))
-        resumed = list(integrate(cfg, incs[10:], start=states[9]))
-        assert len(resumed) == cfg.n_steps - 10 > 0
-        for a, b in zip(resumed, states[10:]):
-            assert np.array_equal(a.x.grid_values, b.x.grid_values)
-            assert a.t == b.t
+            assert np.array_equal(a.grid_values, b.x.grid_values)
+            assert a.hk_norm(cfg.k) == b.hk
 
 
 class TestSimulatePath:
@@ -256,7 +242,7 @@ class TestSimulatePath:
         stream = NoiseStream(SEED, 2, 8, cfg.dt)
         rec = simulate_path(cfg, stream, stop_after_hit=True)
         assert rec.t[-1] == pytest.approx(rec.tau_r)
-        assert stream.step_index == round(rec.tau_r / cfg.dt) < cfg.n_steps
+        assert stream.step_index == rec.tau_step < cfg.n_steps
 
     def test_shared_stream_advances_while_any_row_is_live(self):
         # two rows of one path on one stream: the draws follow the row that
@@ -267,7 +253,7 @@ class TestSimulatePath:
         )
         stream = NoiseStream(SEED, 2, 16, low.dt)
         recs = simulate_paths([low, high], [stream], stop_after_hit=True)
-        steps = [round(r.tau_r / low.dt) for r in recs]
+        steps = [r.tau_step for r in recs]
         assert steps[0] != steps[1] and stream.step_index == max(steps) < low.n_steps
         for cfg, rec in zip((low, high), recs):
             alone = simulate_path(cfg, NoiseStream(SEED, 2, cfg.mode_cutoff, cfg.dt),
@@ -346,13 +332,12 @@ class TestConcatenate:
         first = simulate_path(
             cfg_hit, NoiseStream(SEED, 1, 8, cfg_hit.dt), record_every=1, stop_after_hit=True
         )
-        k0 = int(round(first.tau_r / cfg_hit.dt))
-        fresh = NoiseStream(SEED, 1, 8, cfg_hit.dt, step_index=k0)
+        fresh = NoiseStream(SEED, 1, 8, cfg_hit.dt, step_index=first.tau_step)
         out, states = concatenate(first, fresh, cfg_free, record_every=1)
-        direct_map = {round(s.t, 9): s.x for s in direct}
+        direct_map = dict(enumerate(direct, 1))  # step -> state
         checked = 0
-        for t, f in zip(out.t[out.t > first.tau_r].tolist(), states):
-            ref = direct_map.get(round(t, 9))
+        for step, f in zip(out.step[out.step > first.tau_step].tolist(), states):
+            ref = direct_map.get(step)
             if ref is not None:
                 assert np.max(np.abs(f.grid_values - ref.grid_values)) < 1e-4
                 checked += 1
@@ -363,20 +348,20 @@ def test_every_recording_loop_keeps_the_last_step():
     # 23 steps at record_every 10: the record grid is steps 0, 10, 20 and 23
     cfg = make_config(horizon=0.023, radius=1e9)
 
-    def steps(t):
-        return [round(s / cfg.dt) for s in t]
+    def steps(rec):
+        return rec.step.tolist()
 
     rec = simulate_path(cfg, NoiseStream(SEED, 0, 8, cfg.dt), record_every=10)
-    assert steps(rec.t) == [0, 10, 20, 23]
+    assert steps(rec) == [0, 10, 20, 23]
     rep = flow_compose_check(
         cfg, NoiseStream(SEED, 0, 8, cfg.dt), AffineCircleMap.identity(64), record_every=10
     )
-    assert rep.n_checked == 4 and steps(rep.runs[0].t) == [0, 10, 20, 23]
+    assert rep.n_checked == 4 and steps(rep.runs[0]) == [0, 10, 20, 23]
     stop = dataclasses.replace(cfg, horizon=0.3, radius=0.05)
     first = simulate_path(stop, NoiseStream(SEED, 1, 8, stop.dt), stop_after_hit=True)
-    remaining = stop.n_steps - round(first.tau_r / stop.dt)
+    remaining = stop.n_steps - first.tau_step
     out, _ = concatenate(first, _ZeroStream(8), stop, record_every=remaining - 1)
-    assert steps(out.t)[-2:] == [stop.n_steps - 1, stop.n_steps]
+    assert steps(out)[-2:] == [stop.n_steps - 1, stop.n_steps]
 
 
 class TestFlowComposeCheck:

@@ -150,5 +150,5 @@ def test_unknown_name_raises_attribute_error_naming_the_module():
     with pytest.raises(AttributeError, match="'circleflow'.*'no_such_name'"):
         circleflow.no_such_name
     # the pruned test-only names are no longer exported
-    for name in ("basis_coefficients", "BellTable", "FlowState"):
+    for name in ("basis_coefficients", "BellTable", "FlowState", "truncation_scale"):
         assert not hasattr(circleflow, name)
