@@ -70,9 +70,6 @@ class ScalingSequence:
     def is_rapidly_decreasing(self):
         return self.family in ("exponential", "gaussian")
 
-    def to_dict(self):
-        return {"family": self.family, "parameter": self.parameter}
-
     @classmethod
     def from_dict(cls, d):
         parameter = d["parameter"]

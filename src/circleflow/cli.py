@@ -10,12 +10,14 @@ Exit codes: 0 all asserted checks pass, 1 a validation check failed,
 2 the config failed to parse or validate, its output directory cannot be
 created or an artifact cannot be written, 3 the integration produced
 non-finite values.  ``--seed``, ``--out`` and ``--workers`` override the
-config file; CIRCLEFLOW_OUTDIR supplies a default output directory.
+config file.  CIRCLEFLOW_OUTDIR is the output directory of a config with no
+``output_dir``, or a null or empty one; ``--out`` beats both.  A malformed
+config exits 2 with one line naming the dotted key, e.g. ``solver.dt``.
 """
 
 import argparse
-import os
 import sys
+from dataclasses import replace
 
 from .ensemble import ConfigError, RunConfig, run_experiment
 from .flow import SimulationDiverged
@@ -42,20 +44,16 @@ def build_parser():
 
 
 def load_config(args):
-    cfg = RunConfig.from_file(args.config)
-    d = cfg.to_dict()
-    if args.seed is not None:
-        d["master_seed"] = args.seed
-    if args.out is not None:
-        d["output_dir"] = args.out
-    elif not d.get("output_dir"):
-        d["output_dir"] = os.environ.get("CIRCLEFLOW_OUTDIR", "out")
-    if args.workers is not None:
-        d["workers"] = args.workers
-    forced = _FORCED[args.command]
-    if forced is not None:
-        d["experiment"] = forced
-    return RunConfig.from_dict(d)
+    """The config file, validated as written, with the given overrides
+    applied and validated in turn."""
+    overrides = {
+        "master_seed": args.seed,
+        "output_dir": args.out,
+        "workers": args.workers,
+        "experiment": _FORCED[args.command],
+    }
+    given = {key: value for key, value in overrides.items() if value is not None}
+    return replace(RunConfig.from_file(args.config), **given)
 
 
 def main(argv=None):

@@ -13,7 +13,8 @@ certificates (``bell``) load with ``validation_checks``, their only caller.
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+import os
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from itertools import chain, takewhile
 from pathlib import Path
 
@@ -77,16 +78,23 @@ class ConfigError(ValueError):
     """Configuration file failed to parse or validate."""
 
 
-def _reject_unknown_keys(d, cls, prefix=""):
-    """ConfigError naming, dotted, the first key of the config object ``d``
-    that is no constructor field of the dataclass ``cls``."""
-    if isinstance(d, dict):  # any other type is the constructor's to reject
-        known = {f.name: f.type for f in fields(cls) if f.init}
-        for key, value in d.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key '{prefix}{key}'")
-            if is_dataclass(known[key]):
-                _reject_unknown_keys(value, known[key], f"{prefix}{key}.")
+def _check_keys(d, cls, prefix=""):
+    """ConfigError naming, dotted, the first section of the config object
+    ``d`` that is no object, key that is no constructor field of the
+    dataclass ``cls``, or field without a default that is missing."""
+    if not isinstance(d, dict):
+        if prefix:
+            raise ConfigError(f"config key '{prefix[:-1]}' must be an object")
+        raise ConfigError("config must be a JSON object")
+    known = {f.name: f for f in fields(cls) if f.init}
+    for key, value in d.items():
+        if key not in known:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+        if is_dataclass(known[key].type):
+            _check_keys(value, known[key].type, f"{prefix}{key}.")
+    for key, f in known.items():
+        if key not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing config key '{prefix}{key}'")
 
 
 @dataclass(frozen=True)
@@ -98,7 +106,7 @@ class RunConfig:
     n_paths: int = 1
     master_seed: int = 20240817
     record_every: int = 1
-    output_dir: str = "out"
+    output_dir: str | None = None  # None or "": $CIRCLEFLOW_OUTDIR, else "out"
     workers: int = 1
     radii: tuple = DEFAULT_RADII
     xi_kind: str = "sine"
@@ -118,7 +126,9 @@ class RunConfig:
             raise ConfigError("record_every must be >= 1")
         if not 1 <= self.workers <= 256:
             raise ConfigError("workers must lie in [1, 256]")
-        if self.output_dir is not None and not isinstance(self.output_dir, str):
+        if self.output_dir in (None, ""):
+            object.__setattr__(self, "output_dir", os.environ.get("CIRCLEFLOW_OUTDIR", "out"))
+        elif not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not self.radii:
             raise ConfigError("radii must hold at least one value")
@@ -134,38 +144,28 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"contrast solver: {exc}") from exc
 
-    def to_dict(self):
-        return {
-            "experiment": self.experiment,
-            "n_paths": self.n_paths,
-            "master_seed": self.master_seed,
-            "record_every": self.record_every,
-            "output_dir": self.output_dir,
-            "workers": self.workers,
-            "radii": list(self.radii),
-            "xi_kind": self.xi_kind,
-            "xi_amplitude": self.xi_amplitude,
-            "solver": self.solver.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, d):
-        _reject_unknown_keys(d, cls)
+        _check_keys(d, cls)
+        d = dict(d)
+        solver = dict(d.pop("solver"))
+        radii = d.pop("radii", DEFAULT_RADII)
+        if not isinstance(radii, (list, tuple)):
+            raise ConfigError("radii must be a list of numbers")
         try:
-            d = dict(d)
-            solver = SolverConfig.from_dict(d.pop("solver"))
-            d["radii"] = tuple(d.get("radii", DEFAULT_RADII))
-            return cls(solver=solver, **d)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ConfigError too
+            solver["alpha"] = ScalingSequence.from_dict(solver["alpha"])
+            return cls(solver=SolverConfig(**solver), radii=tuple(radii), **d)
+        except (TypeError, ValueError, OverflowError) as exc:  # ConfigError too
             raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_file(cls, path):
         try:
             with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+                d = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors too
             raise ConfigError(str(exc)) from exc
+        return cls.from_dict(d)
 
 
 def _summary(n_paths, checks=(), extra=None, tau_r=(), times=(), hk_quantiles=None,

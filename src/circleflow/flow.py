@@ -130,24 +130,6 @@ class SolverConfig:
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
-    def to_dict(self):
-        return {
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "mode_cutoff": self.mode_cutoff,
-            "grid_size": self.grid_size,
-            "alpha": self.alpha.to_dict(),
-            "radius": self.radius,
-            "k": self.k,
-            "scheme": self.scheme,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["alpha"] = ScalingSequence.from_dict(d["alpha"])
-        return cls(**d)
-
 
 @dataclass(frozen=True, eq=False)
 class PathRecord:

@@ -32,10 +32,6 @@ class TestScalingSequence:
         with pytest.raises(ValueError):
             ScalingSequence("cauchy", 1.0)
 
-    def test_round_trip_dict(self):
-        seq = ScalingSequence.gaussian(0.25)
-        assert ScalingSequence.from_dict(seq.to_dict()) == seq
-
 
 class TestScaledBasis:
     def test_constant_mode(self, exp_basis):

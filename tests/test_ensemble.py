@@ -32,6 +32,7 @@ from circleflow import (
     validation_checks,
 )
 from circleflow import ensemble, flow
+from circleflow.cli import build_parser, load_config
 from circleflow.cli import main as cli_main
 from circleflow.ensemble import _percentile, _safe_ratio
 from conftest import columns
@@ -41,9 +42,12 @@ ROOT = Path(__file__).resolve().parent.parent
 DOCS = ROOT / "docs"
 SCHEMA = json.loads((DOCS / "summary.schema.json").read_text())
 
+# Stands for a field removed from the config.
+DELETE = mock.sentinel.DELETE
+
 # Values a hand-edited or generated config can carry in any one field.
 MUTATION_POOL = (
-    float("nan"), float("inf"), float("-inf"), -1, 0, 1.5, "x", None, [], 2**64, True,
+    float("nan"), float("inf"), float("-inf"), -1, 0, 1.5, "x", None, [], 2**64, True, DELETE,
 )
 
 
@@ -56,6 +60,22 @@ def _mutable_fields():
 
 
 MUTABLE_FIELDS = _mutable_fields()
+
+
+def _mutated(cfg, field, value):
+    """``cfg`` with the value at the key path ``field`` set to ``value``, or
+    removed for ``DELETE``; the empty path replaces the whole config."""
+    if not field:
+        return value
+    *parents, leaf = field
+    target = cfg
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        target.pop(leaf, None)
+    else:
+        target[leaf] = value
+    return cfg
 
 
 @contextmanager
@@ -109,13 +129,6 @@ def write_diffeo_config(tmp_path, **solver):
 
 
 class TestRunConfig:
-    def test_round_trip_lossless(self, tmp_path):
-        path, raw = write_config(tmp_path)
-        cfg = RunConfig.from_file(path)
-        again = RunConfig.from_dict(cfg.to_dict())
-        assert again == cfg
-        assert cfg.solver.dt == raw["solver"]["dt"]
-
     def test_unknown_experiment_rejected(self, tmp_path):
         path, _ = write_config(tmp_path, experiment="explode")
         with pytest.raises(ConfigError):
@@ -126,6 +139,15 @@ class TestRunConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             RunConfig.from_file(path)
+
+    @pytest.mark.parametrize("output_dir", [DELETE, None], ids=["absent", "null"])
+    def test_run_experiment_without_output_dir(self, tmp_path, monkeypatch, output_dir):
+        cfg = _mutated(base_config(tmp_path), ("output_dir",), output_dir)
+        monkeypatch.setenv("CIRCLEFLOW_OUTDIR", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
+        assert run_experiment(RunConfig.from_dict(cfg))[0] == 0
+        assert (tmp_path / "envout" / "paths.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_solver_validation_propagates(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -783,6 +805,14 @@ class TestCli:
         bad.write_text("{broken")
         assert cli_main(["run", str(bad)]) == 2
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte order mark
+        assert cli_main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "command, solver, overrides",
         [
@@ -902,6 +932,41 @@ class TestCli:
         dotted = ".".join((*where, key))
         assert capsys.readouterr().err == f"config error: unknown config key '{dotted}'\n"
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (("solver", "dt"), DELETE, "missing config key 'solver.dt'"),
+            (("solver", "alpha"), DELETE, "missing config key 'solver.alpha'"),
+            (("solver",), DELETE, "missing config key 'solver'"),
+            (("solver", "alpha", "family"), DELETE, "missing config key 'solver.alpha.family'"),
+            (("solver",), 5, "config key 'solver' must be an object"),
+            (("solver", "alpha"), "x", "config key 'solver.alpha' must be an object"),
+            (("radii",), 5, "radii must be a list of numbers"),
+            ((), [1, 2], "config must be a JSON object"),
+        ],
+        ids=[
+            "no-dt", "no-alpha", "no-solver", "no-family",
+            "solver-int", "alpha-string", "radii-int", "top-level-list",
+        ],
+    )
+    def test_malformed_shape_is_named(self, tmp_path, capsys, field, value, message):
+        cfg = json.loads((DOCS / "example-config.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_mutated(cfg, field, value)))
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, overrides, flags",
+        [("run", {"workers": 0}, ["--workers", "1"]), ("validate", {"experiment": "explode"}, [])],
+        ids=["workers", "experiment"],
+    )
+    def test_file_is_validated_before_overrides(self, tmp_path, capsys, command, overrides, flags):
+        path, _ = write_config(tmp_path, **overrides)
+        assert cli_main([command, str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
     def test_uncreatable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, below):
         path, _ = write_config(tmp_path)
@@ -934,11 +999,7 @@ class TestCli:
         cfg = json.loads((DOCS / "example-config.json").read_text())
         cfg["n_paths"] = 1
         cfg["solver"]["horizon"] = 2 * cfg["solver"]["dt"]
-        *parents, leaf = field
-        target = cfg
-        for key in parents:
-            target = target[key]
-        target[leaf] = value
+        cfg = _mutated(cfg, field, value)
         try:
             parsed = RunConfig.from_dict(cfg)
         except ConfigError:
@@ -958,6 +1019,9 @@ class TestCli:
                     code = cli_main([command, "config.json"])
                 assert code in (0, 1, 2), (command, err.getvalue())
                 assert (code == 2) == rejected, (command, err.getvalue())
+                if code == 2:
+                    lines = err.getvalue().splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
 
     def test_seed_and_out_overrides(self, tmp_path):
         path, raw = write_config(tmp_path)
@@ -978,9 +1042,28 @@ class TestCli:
         assert raw["solver"]["radius"] > diffeo_radius(2)
         assert validate_failures(path, tmp_path / "v") == (1, {"radius_within_diffeo_ball"})
 
-    def test_env_var_default_outdir(self, tmp_path, monkeypatch):
-        path, _ = write_config(tmp_path, output_dir="")
+    @pytest.mark.parametrize("output_dir", [DELETE, None, ""], ids=["absent", "null", "empty"])
+    def test_env_var_default_outdir(self, tmp_path, monkeypatch, output_dir):
+        cfg = _mutated(base_config(tmp_path), ("output_dir",), output_dir)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
         monkeypatch.setenv("CIRCLEFLOW_OUTDIR", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
         assert cli_main(["run", str(path)]) == 0
         assert (tmp_path / "envout" / "paths.csv").exists()
+        assert not (tmp_path / "out").exists()
+        # --out beats the variable
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "paths.csv").exists()
+
+    def test_load_config_applies_each_override(self, tmp_path):
+        path, raw = write_config(tmp_path)
+        from_file = RunConfig.from_file(path)
+        assert from_file.solver.dt == raw["solver"]["dt"]
+        assert load_config(build_parser().parse_args(["run", str(path)])) == from_file
+        out = str(tmp_path / "flag")
+        flags = ["--seed", "7", "--out", out, "--workers", "2"]
+        cfg = load_config(build_parser().parse_args(["hitting-times", str(path), *flags]))
+        given = dict(master_seed=7, output_dir=out, workers=2, experiment="hitting_times")
+        assert {key: getattr(cfg, key) for key in given} == given
+        assert dataclasses.replace(from_file, **given) == cfg

@@ -64,10 +64,6 @@ class TestSolverConfig:
     def test_zero_horizon_allowed(self):
         assert make_config(horizon=0.0).n_steps == 0
 
-    def test_round_trips_through_dict(self):
-        cfg = make_config()
-        assert SolverConfig.from_dict(cfg.to_dict()) == cfg
-
     def test_weights_computed_once_per_config(self):
         cfg = make_config(horizon=0.02)
         assert np.array_equal(cfg.weights, ALPHA.values(cfg.mode_cutoff))
