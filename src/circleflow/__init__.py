@@ -24,7 +24,6 @@ _SURFACE = {
         "lipschitz_certificate",
     ),
     "circlefn": (
-        "AffineCircleMap",
         "CircleFunction",
         "compose",
         "grid_points",

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circlefn import AffineCircleMap, _warp_points, hk_norms, sobolev_embedding_constant
+from .circlefn import _warp_points, hk_norms, sobolev_embedding_constant
 
 __all__ = [
     "bell_polynomial",
@@ -190,7 +190,7 @@ def _warped_basis(basis, f):
     where ``compose`` samples (``_warp_points`` on the finer of the grids).
     Each row evaluates only the function it keeps.
     """
-    w = _warp_points(AffineCircleMap(f), max(basis.grid_size, f.grid_size))
+    w = _warp_points(f, max(basis.grid_size, f.grid_size))
     n, lam = _modes(basis)
     cut = basis.mode_cutoff  # rows 0..cut-1 hold n < 0
     rows = np.empty((n.size, w.size))

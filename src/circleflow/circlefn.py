@@ -12,6 +12,10 @@ have L2 norm ``|c|`` and a pure mode has squared norm ``1/2``.  The H^k norm
 is the two-term form ``sqrt(||f||_L2^2 + ||f^(k)||_L2^2)`` (for ``k = 0`` this
 is literally ``sqrt(2)`` times the L2 norm; the full-sum Sobolev norm is
 equivalent but not what is implemented here).
+
+A degree-one circle map ``id + f`` is passed as its vector part ``f``:
+``compose`` warps by it, and ``CircleFunction.min_derivative`` tells
+whether it is a diffeomorphism.
 """
 
 import functools
@@ -20,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "CircleFunction",
-    "AffineCircleMap",
     "compose",
     "grid_points",
     "hk_norms",
@@ -138,6 +141,14 @@ class CircleFunction:
         if m == 0:
             return self
         return CircleFunction.from_coefficients(*_derivative_tables(*self.coefficients, m))
+
+    @property
+    def min_derivative(self):
+        """Minimum of ``1 + f'`` on a grid ``MIN_DERIV_OVERSAMPLE`` times
+        denser than the stored one, the quantity of ``PathRecord.min_deriv``:
+        the map ``id + f`` is an orientation preserving diffeomorphism
+        exactly when ``1 + f' > 0`` everywhere."""
+        return float(_min_derivatives(*self.coefficients))
 
     def l2_norm(self):
         a, b = self.coefficients
@@ -323,7 +334,7 @@ def _min_derivatives(a, b):
     """Minimum of ``1 + f'`` on a grid ``MIN_DERIV_OVERSAMPLE`` times denser
     than the stored one, for each function whose coefficient tables are the
     rows of ``(a, b)``: one zero-padded ``irfft`` over all rows.  A row's
-    value is bitwise ``AffineCircleMap.min_derivative`` of its function."""
+    value is bitwise ``CircleFunction.min_derivative`` of its function."""
     p = MIN_DERIV_OVERSAMPLE * 2 * (a.shape[-1] - 1)
     return 1.0 + np.min(_synthesize(*_derivative_tables(a, b, 1), p), axis=-1)
 
@@ -371,70 +382,28 @@ def _synthesize(a, b, p):
     return np.fft.irfft(spec, n=p, axis=-1)
 
 
-class AffineCircleMap:
-    """Degree-one circle map ``id + f``: satisfies map(t + 2*pi) = map(t) + 2*pi.
-
-    It is an orientation preserving diffeomorphism exactly when
-    ``1 + f' > 0`` everywhere; ``min_derivative`` reports the grid minimum of
-    ``1 + f'`` on a 4x oversampled grid.
-    """
-
-    __slots__ = ("vector_part",)
-
-    def __init__(self, vector_part):
-        if not isinstance(vector_part, CircleFunction):
-            raise TypeError("vector part must be a CircleFunction")
-        self.vector_part = vector_part
-
-    @classmethod
-    def identity(cls, grid_size):
-        return cls(CircleFunction.zero(grid_size))
-
-    @classmethod
-    def rotation(cls, angle, grid_size):
-        return cls(CircleFunction.constant(angle, grid_size))
-
-    @property
-    def grid_size(self):
-        return self.vector_part.grid_size
-
-    @property
-    def grid_warp(self):
-        """theta_j + f(theta_j), exact at the stored grid."""
-        return grid_points(self.grid_size) + self.vector_part.grid_values
-
-    def __call__(self, points):
-        points = np.asarray(points, dtype=float)
-        return points + self.vector_part.evaluate(points)
-
-    @property
-    def min_derivative(self):
-        return float(_min_derivatives(*self.vector_part.coefficients))
-
-    @property
-    def is_diffeo(self):
-        return self.min_derivative > 0.0
-
-
-def compose(g, warp):
-    """Left translation of ``g`` by the map ``warp``: theta -> g(warp(theta)).
+def compose(g, f):
+    """Left translation of ``g`` by the map ``id + f``: theta -> g(theta + f(theta)).
 
     The result is re-sampled on the finer of the two grids; composed
     functions are not band-limited, so callers keep aliasing in check by the
     usual margin (grid at least 4x the active mode band).
     """
-    if not isinstance(warp, AffineCircleMap):
-        raise TypeError("warp must be an AffineCircleMap")
-    if not np.any(warp.vector_part.grid_values) and g.grid_size >= warp.grid_size:
-        return g  # identity warp: exact on the grid
-    return CircleFunction(g.evaluate(_warp_points(warp, max(g.grid_size, warp.grid_size))))
+    if not isinstance(f, CircleFunction):
+        raise TypeError("f must be a CircleFunction, the vector part of the map id + f")
+    if not np.any(f.grid_values) and g.grid_size >= f.grid_size:
+        return g  # identity map: exact on the grid
+    return CircleFunction(g.evaluate(_warp_points(f, max(g.grid_size, f.grid_size))))
 
 
-def _warp_points(warp, m):
-    """The points ``warp(theta_j)`` of the m-point grid, m at least the
-    warp's own grid: its exact ``grid_warp`` when m is that grid, else
-    ``warp`` evaluated at ``grid_points(m)``."""
-    return warp.grid_warp if warp.grid_size == m else warp(grid_points(m))
+def _warp_points(f, m):
+    """The points ``theta_j + f(theta_j)`` of the m-point grid, m at least
+    the grid of ``f``: exact from the stored samples when m is that grid,
+    else ``f`` evaluated at ``grid_points(m)``."""
+    theta = grid_points(m)
+    if m == f.grid_size:
+        return theta + f.grid_values
+    return theta + f.evaluate(theta)
 
 
 def sobolev_embedding_constant(k, m):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import ScaledBasis, ScalingSequence
-from .circlefn import AffineCircleMap, CircleFunction, _analyze
+from .circlefn import CircleFunction, _analyze
 from .flow import (
     SolverConfig,
     _check_shared,
@@ -106,7 +106,7 @@ class RunConfig:
     n_paths: int = 1
     master_seed: int = 20240817
     record_every: int = 1
-    output_dir: str | None = None  # None or "": $CIRCLEFLOW_OUTDIR, else "out"
+    output_dir: str | None = None  # None or "": $CIRCLEFLOW_OUTDIR if set and not empty, else "out"
     workers: int = 1
     radii: tuple = DEFAULT_RADII
     xi_kind: str = "sine"
@@ -127,7 +127,7 @@ class RunConfig:
         if not 1 <= self.workers <= 256:
             raise ConfigError("workers must lie in [1, 256]")
         if self.output_dir in (None, ""):
-            object.__setattr__(self, "output_dir", os.environ.get("CIRCLEFLOW_OUTDIR", "out"))
+            object.__setattr__(self, "output_dir", os.environ.get("CIRCLEFLOW_OUTDIR") or "out")
         elif not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not self.radii:
@@ -408,18 +408,19 @@ def hitting_row(radius, records, solver):
     }
 
 
-def _xi_map(cfg):
+def _xi(cfg):
+    """The vector part of the configured starting map ``id + xi``."""
     m = cfg.solver.grid_size
     if cfg.xi_kind == "identity":
-        return AffineCircleMap.identity(m)
+        return CircleFunction.zero(m)
     if cfg.xi_kind == "rotation":
-        return AffineCircleMap.rotation(cfg.xi_amplitude, m)
-    return AffineCircleMap(CircleFunction.harmonic(m, 1, sin_amp=cfg.xi_amplitude))
+        return CircleFunction.constant(cfg.xi_amplitude, m)
+    return CircleFunction.harmonic(m, 1, sin_amp=cfg.xi_amplitude)
 
 
 def _run_flow_check(cfg):
     stream = NoiseStream(cfg.master_seed, 0, cfg.solver.mode_cutoff, cfg.solver.dt)
-    xi = _xi_map(cfg)
+    xi = _xi(cfg)
     report = flow_compose_check(cfg.solver, stream, xi, record_every=cfg.record_every)
     tol = 1e-10 if cfg.xi_kind in ("identity", "rotation") else 1e-4
     # a check over the t = 0 sample alone compares nothing
@@ -562,7 +563,7 @@ def validation_checks(cfg):
     pairs = zip(pilot, pilot[1:])
     lip_reps = [bell.lipschitz_certificate(f, g, k, radius, basis) for f, g in pairs]
     lip = max((_safe_ratio(r.ratio, r.c_r) for r in lip_reps), default=None)
-    drift = float(np.max(np.abs(stratonovich_correction(AffineCircleMap(pilot[-1]), basis))))
+    drift = float(np.max(np.abs(stratonovich_correction(pilot[-1], basis))))
     rounding = stratonovich_rounding_bound(basis)
     return checks + [
         _check(_CERTIFIED[0], rel, 1e-10, rel <= 1e-10),

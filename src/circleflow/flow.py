@@ -12,8 +12,9 @@ Paths are stepped in blocks: a range of paths, each under every solver of
 the block, held as one ``(P, M)`` array of rows, one per path and group of its
 solvers; solvers that differ only in radius may share a row whose radii are
 barriers (``_path_rows``).  A path's rows step on its one increment per
-step, each under its own mode weights and radius.  Every update is elementwise or per row, so a row's values do
-not depend on the other rows or on P; one state is the block with P = 1.
+step, each under its own mode weights and radius.  Every update is
+elementwise or per row, so a row's values do not depend on the other rows
+or on P; one state is the block with P = 1.
 The solvers of a block share the time grid, the grid size, the Sobolev
 index and the scheme (``_SHARED``).
 """
@@ -26,11 +27,11 @@ import numpy as np
 
 from .basis import ScalingSequence
 from .circlefn import (
-    AffineCircleMap,
     CircleFunction,
     _analyze,
     _hk_norm,
     _min_derivatives,
+    _warp_points,
     grid_points,
     sobolev_embedding_constant,
 )
@@ -441,10 +442,9 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     order = np.argsort(ids, kind="stable")
     cuts = np.searchsorted(ids[order], np.arange(1, n_rows))
     per_row = list(zip(*(np.split(c[order], cuts) for c in columns)))
-    # a row missing from the last block left it at its last crossing
+    # a row missing from the last block left it at its last crossing, so
+    # each of its records ends at its own crossing state instead
     final = [None] * n_rows
-    for (r, _), (_, state) in at_crossing.items():  # in time order
-        final[r] = state
     for j, r in enumerate(rows):
         final[r] = CircleFunction(block.x[j])
 
@@ -477,17 +477,17 @@ def concatenate(first, fresh, cfg, record_every=1):
     ``first`` (cut at its hitting time) with the samples of
     ``t -> (id + y_{t - tau}) o (id + xi)``, where xi is the state at the
     hitting time, and ``states`` the composed states of those samples, in
-    order.  The map id + xi must be a diffeomorphism for the composition to
-    be a reparameterization, and the horizon of ``cfg`` must not end before
-    the hitting time.
+    order.  The map ``id + xi`` must be a diffeomorphism
+    (``xi.min_derivative > 0``) for the composition to be a
+    reparameterization, and the horizon of ``cfg`` must not end before the
+    hitting time.
     """
     if first.tau_r is None:
         raise ValueError("first record has no hitting time to continue from")
     if first.state_at_tau is None:
         raise ValueError("first record kept no state at the hitting time")
     xi = first.state_at_tau
-    xi_map = AffineCircleMap(xi)
-    if not xi_map.is_diffeo:
+    if not xi.min_derivative > 0.0:
         raise ValueError("state at the hitting time is not a diffeomorphism")
     tau_step = first.tau_step
     remaining = cfg.n_steps - tau_step
@@ -495,7 +495,7 @@ def concatenate(first, fresh, cfg, record_every=1):
         raise ValueError("the solver's horizon ends before the hitting time")
 
     xi_vals = xi.grid_values
-    warp_pts = xi_map.grid_warp
+    warp_pts = _warp_points(xi, xi.grid_size)
     steps, states = [], []
     increments = (fresh.next_increment() for _ in range(remaining))
     for i, state in enumerate(integrate(cfg, increments), 1):
@@ -508,7 +508,7 @@ def concatenate(first, fresh, cfg, record_every=1):
         step,
         step * cfg.dt,
         np.append(first.hk[kept], [f.hk_norm(cfg.k) for f in states]),
-        np.append(first.min_deriv[kept], [AffineCircleMap(f).min_derivative for f in states]),
+        np.append(first.min_deriv[kept], [f.min_derivative for f in states]),
         np.append(first.stopped[kept], [True] * len(states)),
         first.tau_r,
         xi,
@@ -525,12 +525,13 @@ class FlowCheckReport:
     runs: tuple = ()  # the columns of the two runs (from id, from xi) as PathRecords
 
 
-def flow_compose_check(cfg, stream, xi_map, record_every=1):
-    """Left-invariance probe: evolve from id and from xi with one noise path.
+def flow_compose_check(cfg, stream, xi, record_every=1):
+    """Left-invariance probe: evolve from id and from the map ``id + xi``
+    with one noise path.
 
-    Runs x from 0 and y from the vector part of ``xi_map`` as the two rows of
-    one path, on its one increment per step, and reports sup over recorded
-    times and grid points of |(id + y)(theta) - (id + x)(xi(theta))|.  For the identity the two
+    Runs x from 0 and y from ``xi`` as the two rows of one path, on its one
+    increment per step, and reports sup over recorded times and grid points
+    of |(id + y)(theta) - (id + x)(theta + xi(theta))|.  For the identity the two
     recursions coincide bit for bit; for rigid rotations the grid is mapped
     onto itself so only rounding enters; for generic warps the error is the
     band-limited interpolation of the composed state.
@@ -540,11 +541,10 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
     The two runs' records hold their sample columns only: no hitting time
     or states.
     """
-    if xi_map.grid_size != cfg.grid_size:
+    if xi.grid_size != cfg.grid_size:
         raise ValueError("initial map must live on the solver grid")
     n_steps = cfg.n_steps
-    xi = xi_map.vector_part
-    warp_pts = xi_map.grid_warp
+    warp_pts = _warp_points(xi, cfg.grid_size)
 
     # the start keeps xi's own coefficient tables, which may be exact, for
     # its norm and its min_deriv
@@ -555,7 +555,7 @@ def flow_compose_check(cfg, stream, xi_map, record_every=1):
 
     sup_error, window, checked = 0.0, None, 0
     sampled = []  # (t, hk, min_deriv, stopped) of both rows per recorded step
-    start_md = [1.0, xi_map.min_derivative]
+    start_md = [1.0, xi.min_derivative]
     for b in chain([block], recorded):
         if not b.stopped.any():
             x_at_xi = CircleFunction(b.x[0]).evaluate(warp_pts)
@@ -581,16 +581,16 @@ def diffeo_radius(k):
     return 1.0 / sobolev_embedding_constant(k, 1)
 
 
-def stratonovich_correction(warp, basis):
+def stratonovich_correction(f, basis):
     """The Ito-Stratonovich correction drift ``1/2 sum_n e_n'(w) e_n(w)``.
 
-    Summed over the basis functions ``e_n``, ``|n| <= cutoff``, at the warped
-    grid ``w``.  The modes n and -n contribute
+    Summed over the basis functions ``e_n``, ``|n| <= cutoff``, at the grid
+    ``w`` warped by the map ``id + f``.  The modes n and -n contribute
     ``n (lam(-n)^2 - lam(n)^2) sin(n w) cos(n w) / 2``, so with equal cos and
     sin weights the drift vanishes, up to the rounding bounded by
     ``stratonovich_rounding_bound``, and the steppers integrate without any.
     """
-    w = warp.grid_warp
+    w = _warp_points(f, f.grid_size)
     out = np.zeros_like(w)
     for n in range(1, basis.mode_cutoff + 1):
         pair = [basis.basis_function(m) for m in (n, -n)]

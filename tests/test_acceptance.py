@@ -14,7 +14,6 @@ import numpy as np
 from scipy import stats
 
 from circleflow import (
-    AffineCircleMap,
     CircleFunction,
     NoiseStream,
     RunConfig,
@@ -74,10 +73,9 @@ def test_criterion_01_bell_faa_di_bruno_oracles(rng):
         f = random_band_limited(rng, grid, 5, decay=0.5)
         g = random_band_limited(rng, grid, 3, decay=0.5)
         g = g * (0.2 / max(g.linf_norm(), 1e-9))
-        warp = AffineCircleMap(g)
-        composed = compose(f, warp)
+        composed = compose(f, g)
         pts = np.linspace(0.0, 2 * np.pi, 9)[:-1]
-        warped = warp(pts)
+        warped = pts + g.evaluate(pts)
         f_jets = np.array([f.derivative(i).evaluate(warped) for i in range(6)])
         g_jets = np.array([g.derivative(i).evaluate(pts) for i in range(6)])
         g_jets[0] = warped
@@ -191,8 +189,8 @@ def test_criterion_05_ito_equals_stratonovich(rng):
     basis = ScaledBasis(ALPHA, 8, 64)
     worst = 0.0
     for _ in range(100):
-        warp = AffineCircleMap(CircleFunction(rng.normal(0.0, 0.7, 64)))
-        worst = max(worst, float(np.max(np.abs(stratonovich_correction(warp, basis)))))
+        f = CircleFunction(rng.normal(0.0, 0.7, 64))
+        worst = max(worst, float(np.max(np.abs(stratonovich_correction(f, basis)))))
     # zero up to the rounding bound derived in stratonovich_rounding_bound
     correction_ok = worst <= stratonovich_rounding_bound(basis)
 
@@ -233,13 +231,13 @@ def test_criterion_06_flow_composition_property():
     cfg = SolverConfig(
         dt=1e-3, horizon=0.5, mode_cutoff=8, grid_size=1024, alpha=ALPHA, radius=1e9, k=2
     )
-    xi = AffineCircleMap(CircleFunction.harmonic(1024, 1, sin_amp=0.1))
+    xi = CircleFunction.harmonic(1024, 1, sin_amp=0.1)
     rep_sine = flow_compose_check(cfg, NoiseStream(SEED, 0, 8, cfg.dt), xi, record_every=1)
 
     cfg_rot = SolverConfig(
         dt=1e-3, horizon=0.5, mode_cutoff=8, grid_size=256, alpha=ALPHA, radius=1e9, k=2
     )
-    rot = AffineCircleMap.rotation(np.pi, 256)
+    rot = CircleFunction.constant(np.pi, 256)
     rep_rot = flow_compose_check(cfg_rot, NoiseStream(SEED, 0, 8, cfg_rot.dt), rot, record_every=1)
     elapsed = time.time() - start
     passed = rep_sine.sup_error <= 1e-4 and rep_rot.sup_error <= 1e-10 and elapsed < 60.0

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from circleflow import (
-    AffineCircleMap,
     CircleFunction,
     compose,
     grid_points,
     sobolev_embedding_constant,
 )
-from circleflow.circlefn import _analyze, _hk_norm, _min_derivatives
+from circleflow.circlefn import _analyze, _hk_norm, _min_derivatives, _warp_points
 from conftest import quadrature_norms, random_band_limited
 
 
@@ -190,17 +189,17 @@ class TestEvaluate:
 class TestCompose:
     def test_identity_warp_exact(self, rng):
         g = random_band_limited(rng, 64, 12)
-        out = compose(g, AffineCircleMap.identity(64))
+        out = compose(g, CircleFunction.zero(64))
         assert np.array_equal(out.grid_values, g.grid_values)
 
     def test_rotation_by_pi_flips_sine(self):
         g = CircleFunction.harmonic(64, 1, sin_amp=1.0)
-        out = compose(g, AffineCircleMap.rotation(np.pi, 64))
+        out = compose(g, CircleFunction.constant(np.pi, 64))
         assert np.allclose(out.grid_values, -g.grid_values, atol=1e-12)
 
     def test_against_pointwise_oracle(self):
         g = CircleFunction.harmonic(128, 1, sin_amp=1.0)
-        warp = AffineCircleMap(CircleFunction.harmonic(128, 1, sin_amp=0.1))
+        warp = CircleFunction.harmonic(128, 1, sin_amp=0.1)
         out = compose(g, warp)
         theta = grid_points(128)
         oracle = np.sin(theta + 0.1 * np.sin(theta))
@@ -209,32 +208,51 @@ class TestCompose:
     def test_derivative_commutes_with_zero_warp(self, rng):
         # finer-grid identity warp forces the spectral evaluation path
         g = random_band_limited(rng, 64, 14)
-        warp = AffineCircleMap.identity(256)
+        warp = CircleFunction.zero(256)
         left = compose(g, warp).derivative()
         right = compose(g.derivative(), warp)
         assert np.max(np.abs(left.grid_values - right.grid_values)) < 1e-11
 
     def test_mixed_grids_resample_on_finer(self):
         g = CircleFunction.harmonic(64, 2, cos_amp=1.0)
-        warp = AffineCircleMap(CircleFunction.zero(16))
+        warp = CircleFunction.zero(16)
         out = compose(g, warp)
         assert out.grid_size == 64
         assert np.max(np.abs(out.grid_values - g.grid_values)) < 1e-12
 
+    def test_rejects_a_map_that_is_not_a_circle_function(self):
+        g = CircleFunction.harmonic(64, 1, sin_amp=1.0)
+        with pytest.raises(TypeError):
+            compose(g, np.zeros(64))
 
-class TestAffineCircleMap:
+
+class TestCircleMap:
+    """The map ``id + f``, passed as its vector part ``f``."""
+
     def test_degree_one(self, rng):
         f = random_band_limited(rng, 64, 8) * 0.1
-        warp = AffineCircleMap(f)
+
+        def warp(pts):
+            return pts + f.evaluate(pts)
+
         pts = rng.uniform(0, 2 * np.pi, 16)
         assert np.allclose(warp(pts + 2 * np.pi), warp(pts) + 2 * np.pi, rtol=0, atol=1e-9)
 
-    def test_diffeo_flag_matches_derivative_sign(self):
-        gentle = AffineCircleMap(CircleFunction.harmonic(64, 1, sin_amp=0.5))
-        steep = AffineCircleMap(CircleFunction.harmonic(64, 1, sin_amp=1.5))
-        assert gentle.is_diffeo
+    def test_warp_points_on_both_branches(self, rng):
+        f = random_band_limited(rng, 64, 12) * 0.1
+        own = _warp_points(f, 64)  # the stored samples, exactly
+        assert np.array_equal(own, grid_points(64) + f.grid_values)
+        theta = grid_points(256)  # a finer grid: the interpolant
+        finer = _warp_points(f, 256)
+        assert np.array_equal(finer, theta + f.evaluate(theta))
+        assert np.max(np.abs(finer[::4] - own)) < 1e-12
+
+    def test_min_derivative_matches_derivative_sign(self):
+        gentle = CircleFunction.harmonic(64, 1, sin_amp=0.5)
+        steep = CircleFunction.harmonic(64, 1, sin_amp=1.5)
+        assert gentle.min_derivative > 0.0
         assert gentle.min_derivative == pytest.approx(0.5, abs=1e-10)
-        assert not steep.is_diffeo
+        assert not steep.min_derivative > 0.0
 
 
 class TestBatchedDiagnostics:
@@ -245,7 +263,7 @@ class TestBatchedDiagnostics:
         got = _min_derivatives(a, b)
         assert got.shape == (rows,)
         for md, f in zip(got, fns):
-            assert md == AffineCircleMap(f).min_derivative == old_min_derivative(f)
+            assert md == f.min_derivative == old_min_derivative(f)
 
     @pytest.mark.parametrize("rows", [1, 4, 25])
     def test_hk_norms_equal_the_old_formula(self, rng, rows):

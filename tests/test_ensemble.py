@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleflow import (
-    AffineCircleMap,
     ConfigError,
     NoiseStream,
     RunConfig,
@@ -738,7 +737,7 @@ class TestFlowCheckExperiment:
         assert report["n_checked"] == 0
 
     def test_comparison_at_the_wrong_points_fails(self, tmp_path, monkeypatch):
-        # read x at theta instead of at xi(theta): the error bound itself fails
+        # read x at theta instead of at theta + xi(theta): the error bound itself fails
         path, raw = write_config(tmp_path, experiment="flow_check")
         data = json.loads(path.read_text())
         data["solver"]["grid_size"] = 256
@@ -747,9 +746,7 @@ class TestFlowCheckExperiment:
         report_path = Path(raw["output_dir"]) / "report.json"
         assert cli_main(["flow-check", str(path)]) == 0
         assert json.loads(report_path.read_text())["checks"][0]["value"] < 1e-15
-        monkeypatch.setattr(
-            AffineCircleMap, "grid_warp", property(lambda self: grid_points(self.grid_size))
-        )
+        monkeypatch.setattr(flow, "_warp_points", lambda f, m: grid_points(m))
         assert cli_main(["flow-check", str(path)]) == 1
         report = json.loads(report_path.read_text())
         check = report["checks"][0]
@@ -1055,6 +1052,11 @@ class TestCli:
         # --out beats the variable
         assert cli_main(["run", str(path), "--out", str(tmp_path / "flag")]) == 0
         assert (tmp_path / "flag" / "paths.csv").exists()
+        # an empty variable counts as unset
+        monkeypatch.setenv("CIRCLEFLOW_OUTDIR", "")
+        assert cli_main(["run", str(path)]) == 0
+        assert (tmp_path / "out" / "paths.csv").exists()
+        assert not (tmp_path / "paths.csv").exists()
 
     def test_load_config_applies_each_override(self, tmp_path):
         path, raw = write_config(tmp_path)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from circleflow import (
-    AffineCircleMap,
     CircleFunction,
     NoiseStream,
     ScaledBasis,
@@ -104,7 +103,7 @@ class TestSteps:
         cfg = make_config()
         nxt = one_step(cfg, single_mode_increment(cfg, 0, 0.25))
         assert np.allclose(nxt.grid_values, 0.25 * ALPHA.value_at(0))
-        assert AffineCircleMap(nxt).min_derivative == pytest.approx(1.0, abs=1e-12)
+        assert nxt.min_derivative == pytest.approx(1.0, abs=1e-12)
 
     def test_first_cosine_mode_from_identity(self):
         cfg = make_config()
@@ -350,7 +349,7 @@ def test_every_recording_loop_keeps_the_last_step():
     rec = simulate_path(cfg, NoiseStream(SEED, 0, 8, cfg.dt), record_every=10)
     assert steps(rec) == [0, 10, 20, 23]
     rep = flow_compose_check(
-        cfg, NoiseStream(SEED, 0, 8, cfg.dt), AffineCircleMap.identity(64), record_every=10
+        cfg, NoiseStream(SEED, 0, 8, cfg.dt), CircleFunction.zero(64), record_every=10
     )
     assert rep.n_checked == 4 and steps(rep.runs[0]) == [0, 10, 20, 23]
     stop = dataclasses.replace(cfg, horizon=0.3, radius=0.05)
@@ -363,20 +362,20 @@ def test_every_recording_loop_keeps_the_last_step():
 class TestFlowComposeCheck:
     def test_identity_initial_map(self):
         cfg = make_config(horizon=0.05, mode_cutoff=8, grid_size=256, radius=10.0)
-        rep = flow_compose_check(cfg, NoiseStream(SEED, 0, 8, cfg.dt), AffineCircleMap.identity(256))
+        rep = flow_compose_check(cfg, NoiseStream(SEED, 0, 8, cfg.dt), CircleFunction.zero(256))
         assert rep.sup_error <= 1e-12
 
     def test_rotation_initial_map(self):
         cfg = make_config(horizon=0.1, mode_cutoff=8, grid_size=256, radius=10.0)
         rep = flow_compose_check(
-            cfg, NoiseStream(SEED, 0, 8, cfg.dt), AffineCircleMap.rotation(np.pi, 256)
+            cfg, NoiseStream(SEED, 0, 8, cfg.dt), CircleFunction.constant(np.pi, 256)
         )
         assert rep.sup_error <= 1e-10
 
     def test_grid_mismatch_rejected(self):
         cfg = make_config()
         with pytest.raises(ValueError):
-            flow_compose_check(cfg, NoiseStream(SEED, 0, 8, cfg.dt), AffineCircleMap.identity(128))
+            flow_compose_check(cfg, NoiseStream(SEED, 0, 8, cfg.dt), CircleFunction.zero(128))
 
 
 class TestDiffeoRadius:
@@ -392,14 +391,13 @@ class TestDiffeoRadius:
         for _ in range(1000):
             f = random_band_limited(rng, 64, 8)
             f = f * (rng.uniform(0.0, 0.999) * r_star / max(f.hk_norm(2), 1e-12))
-            warp = AffineCircleMap(f)
-            assert warp.min_derivative > 0.0
+            assert f.min_derivative > 0.0
 
     def test_near_boundary_bump_certified(self, rng):
         r_star = diffeo_radius(2)
         f = random_band_limited(rng, 64, 6)
         f = f * (0.99 * r_star / f.hk_norm(2))
-        assert AffineCircleMap(f).min_derivative > 0.0
+        assert f.min_derivative > 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -423,8 +421,8 @@ class TestStratonovichCorrection:
         bound = stratonovich_rounding_bound(basis)
         worst = 0.0
         for _ in range(50):
-            warp = AffineCircleMap(CircleFunction(rng.normal(0, 0.5, 64)))
-            correction = stratonovich_correction(warp, basis)
+            f = CircleFunction(rng.normal(0, 0.5, 64))
+            correction = stratonovich_correction(f, basis)
             worst = max(worst, float(np.max(np.abs(correction))))
         assert worst <= bound
 
@@ -433,10 +431,10 @@ class TestStratonovichCorrection:
         # leaves n (lam(-n)^2 - lam(n)^2) sin(n w) cos(n w) / 2
         n, lam = 3, ALPHA.value_at(3)
         basis = ScaledBasis(_Lopsided(ALPHA, n, 2.0), 8, 64)
-        warp = AffineCircleMap(CircleFunction(rng.normal(0, 0.5, 64)))
-        w = warp.grid_warp
+        f = CircleFunction(rng.normal(0, 0.5, 64))
+        w = grid_points(64) + f.grid_values
         predicted = n * ((2 * lam) ** 2 - lam**2) * np.sin(n * w) * np.cos(n * w) / 2
-        correction = stratonovich_correction(warp, basis)
+        correction = stratonovich_correction(f, basis)
         bound = stratonovich_rounding_bound(basis)
         slack = 4 * np.finfo(float).eps * np.max(np.abs(predicted))
         assert np.max(np.abs(correction - predicted)) <= bound + slack

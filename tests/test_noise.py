@@ -4,7 +4,6 @@ from numpy.random import Generator, Philox
 from scipy import stats
 
 from circleflow import (
-    AffineCircleMap,
     CircleFunction,
     NoiseStream,
     ScaledBasis,
@@ -162,9 +161,10 @@ class TestStatistics:
             assert lo <= pooled <= hi
 
 
-def noise_field(inc, basis, warp):
-    """The increment field theta -> sum_n dB_n e_n(warp(theta)) on the grid."""
-    return CircleFunction(field_values(inc, basis.weights(), warp.grid_warp))
+def noise_field(inc, basis, f):
+    """The increment field theta -> sum_n dB_n e_n(theta + f(theta)) on the grid."""
+    warped = grid_points(f.grid_size) + f.grid_values
+    return CircleFunction(field_values(inc, basis.weights(), warped))
 
 
 class TestNoiseField:
@@ -172,21 +172,21 @@ class TestNoiseField:
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 4, 32)
         delta = np.zeros(9)
         delta[4 + 1] = 1.0
-        field = noise_field(delta, basis, AffineCircleMap.identity(32))
+        field = noise_field(delta, basis, CircleFunction.zero(32))
         theta = grid_points(32)
         expected = np.exp(-1.0) * np.cos(theta)
         assert np.max(np.abs(field.grid_values - expected)) < 1e-15
 
     def test_zero_increment_gives_zero_field(self):
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 4, 32)
-        field = noise_field(np.zeros(9), basis, AffineCircleMap.identity(32))
+        field = noise_field(np.zeros(9), basis, CircleFunction.zero(32))
         assert np.all(field.grid_values == 0.0)
 
     def test_rotation_warp_flips_cosine(self):
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 4, 32)
         delta = np.zeros(9)
         delta[4 + 1] = 1.0
-        field = noise_field(delta, basis, AffineCircleMap.rotation(np.pi, 32))
+        field = noise_field(delta, basis, CircleFunction.constant(np.pi, 32))
         theta = grid_points(32)
         expected = -np.exp(-1.0) * np.cos(theta)
         assert np.max(np.abs(field.grid_values - expected)) < 1e-12
@@ -195,7 +195,7 @@ class TestNoiseField:
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 4, 32)
         delta = np.zeros(9)
         delta[4 - 1] = 1.0  # mode -1
-        field = noise_field(delta, basis, AffineCircleMap.identity(32))
+        field = noise_field(delta, basis, CircleFunction.zero(32))
         expanded = basis_coefficients(field, basis)
         expected = np.zeros(9)
         expected[4 - 1] = 1.0
@@ -203,7 +203,7 @@ class TestNoiseField:
 
     def test_full_path_replay_bit_identical(self):
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 4, 32)
-        warp = AffineCircleMap(basis.basis_function(1))
+        warp = basis.basis_function(1)
 
         def run():
             s = NoiseStream(SEED, 11, 4, 1e-3)

@@ -31,27 +31,39 @@ HEAVY = (
 
 _PROBE = f"""
 import json, sys
-from circleflow import CircleFunction, ScaledBasis, ScalingSequence, bell
+exec("from circleflow import " + sys.argv[1])
 loaded = [m for m in {HEAVY!r} if m in sys.modules]
 import circleflow
 print(json.dumps([loaded, circleflow.flow.simulate_paths.__module__]))
 """
 
 
-def test_certificate_names_load_no_ensemble_pool_or_random():
-    # the names perfbench/certify_job.py imports, in a fresh interpreter
+def import_probe(names):
+    """``from circleflow import <names>`` in a fresh interpreter: the names of
+    HEAVY it loaded, and the module of ``circleflow.flow.simulate_paths``."""
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", _PROBE, names],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, flow_home = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_certificate_names_load_no_ensemble_pool_or_random():
+    # the names perfbench/certify_job.py imports
+    loaded, flow_home = import_probe("CircleFunction, ScaledBasis, ScalingSequence, bell")
     assert loaded == []
     # a submodule not loaded yet still resolves after a bare import
     assert flow_home == "circleflow.flow"
+
+
+def test_circle_function_alone_loads_no_ensemble_pool_or_random():
+    # a circle map is its vector part, so CircleFunction is all a caller needs
+    loaded, _ = import_probe("CircleFunction")
+    assert loaded == []
 
 
 # What the CLI's setup path (``import circleflow.cli`` and ``load_config``)
@@ -150,5 +162,6 @@ def test_unknown_name_raises_attribute_error_naming_the_module():
     with pytest.raises(AttributeError, match="'circleflow'.*'no_such_name'"):
         circleflow.no_such_name
     # the pruned test-only names are no longer exported
-    for name in ("basis_coefficients", "BellTable", "FlowState", "truncation_scale"):
+    pruned = ("AffineCircleMap", "basis_coefficients", "BellTable", "FlowState", "truncation_scale")
+    for name in pruned:
         assert not hasattr(circleflow, name)
