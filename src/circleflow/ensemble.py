@@ -522,7 +522,8 @@ _CERTIFIED = (
 def _pilot(cfg):
     """The vector parts of path 0 of the seed, from the identity, for at most
     PILOT_STEPS steps and while the path stays inside the ball of radius R:
-    up to its first crossing, where the stepper's ``stopped`` latches."""
+    up to its first crossing, the step at which its H^k norm first reaches R
+    (its hitting time in ``simulate_paths``)."""
     solver = cfg.solver
     stream = NoiseStream(cfg.master_seed, 0, solver.mode_cutoff, solver.dt)
     incs = (stream.next_increment() for _ in range(min(PILOT_STEPS, solver.n_steps)))

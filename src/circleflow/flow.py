@@ -77,6 +77,16 @@ def _require_reals(values, error=ValueError):
             raise error(f"{name} must be a finite number, got {value!r}")
 
 
+def _require_record_every(record_every):
+    """Raise ValueError unless ``record_every`` is an integer >= 1."""
+    if (
+        isinstance(record_every, bool)
+        or not isinstance(record_every, (int, np.integer))
+        or record_every < 1
+    ):
+        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization and truncation parameters for one flow simulation.
@@ -186,20 +196,18 @@ def _check_shared(cfgs):
 
 @dataclass(frozen=True)
 class _Block:
-    """P solution rows stepped as one array: the ``(P, M)`` vector parts,
-    their H^k norms and stop flags, all at the integer ``step`` (time
-    ``step * dt``, one rounding, not a running sum), with each row's mode
-    weights (``(P, N+1)``, zero-padded to the largest cutoff N of the
-    block) and radius.  ``stopped`` latches once a row's norm has reached
-    its radius (discrete first-crossing semantics); the row stays steppable,
-    since the truncated dynamics are defined for all time.  ``coeffs``
-    holds the coefficient tables of ``x`` when a step built them (None in a
-    starting block)."""
+    """P solution rows stepped as one array: the ``(P, M)`` vector parts and
+    their H^k norms, all at the integer ``step`` (time ``step * dt``, one
+    rounding, not a running sum), with each row's mode weights (``(P, N+1)``,
+    zero-padded to the largest cutoff N of the block) and the radius of its
+    truncation scale (``_warped_points``).  A block holds no hitting times:
+    the caller latches a row's first crossing.  ``coeffs`` holds the
+    coefficient tables of ``x`` when a step built them (None in a starting
+    block)."""
 
     x: np.ndarray
     step: int
     hk: np.ndarray
-    stopped: np.ndarray
     weights: np.ndarray
     radius: np.ndarray
     coeffs: tuple = None
@@ -208,7 +216,7 @@ class _Block:
     def start(cls, x, hk, solvers):
         """The block at step 0 of the ``(P, M)`` vector parts ``x`` and
         their H^k norms ``hk``, row ``i`` under the solver
-        ``solvers[i % len(solvers)]``; a row at its radius starts stopped."""
+        ``solvers[i % len(solvers)]``."""
         weights = np.zeros((len(solvers), max(c.mode_cutoff for c in solvers) + 1))
         for row, cfg in zip(weights, solvers):
             row[: cfg.weights.size] = cfg.weights
@@ -216,28 +224,24 @@ class _Block:
         weights = np.tile(weights, (paths, 1))
         weights.flags.writeable = False
         radius = np.tile(np.array([c.radius for c in solvers], dtype=float), paths)
-        hk = np.asarray(hk, dtype=float)
-        return cls(x, 0, hk, hk >= radius, weights, radius)
+        return cls(x, 0, np.asarray(hk, dtype=float), weights, radius)
 
     def take(self, rows):
         coeffs = None if self.coeffs is None else tuple(c[rows] for c in self.coeffs)
         return _Block(
-            self.x[rows], self.step, self.hk[rows], self.stopped[rows],
-            self.weights[rows], self.radius[rows], coeffs,
+            self.x[rows], self.step, self.hk[rows], self.weights[rows], self.radius[rows], coeffs
         )
 
 
 def _advance(prev, new_values, cfg):
     """The block after a step to ``new_values``: finite check, coefficient
-    tables and H^k norms (one ``rfft`` over the rows, as ``hk_norms``) and
-    the stop flags, latched at each row's radius."""
+    tables and H^k norms (one ``rfft`` over the rows, as ``hk_norms``)."""
     if not np.all(np.isfinite(new_values)):
         raise SimulationDiverged(f"non-finite state at t={(prev.step + 1) * cfg.dt:.6g}")
     new_values.flags.writeable = False
     coeffs = _analyze(new_values)
     hk = _hk_norm(*coeffs, cfg.k)
-    stopped = prev.stopped | (hk >= prev.radius)
-    return _Block(new_values, prev.step + 1, hk, stopped, prev.weights, prev.radius, coeffs)
+    return _Block(new_values, prev.step + 1, hk, prev.weights, prev.radius, coeffs)
 
 
 def _warped_points(block, cfg):
@@ -279,27 +283,14 @@ def _on_record_grid(step, record_every, n_steps):
     return (step % min(record_every, max(n_steps, 1)) == 0) | (step == n_steps)
 
 
-def _integrate(cfg, block, draw, drop_stopped=False):
-    """The one stepping loop: step ``block`` under ``cfg.scheme``.
-
-    Yields ``(rows, block)`` after each step, ``rows`` being the indices into
-    the starting block of the rows stepped.  ``draw(rows)`` returns their
-    ``(len(rows), 2N+1)`` increments, or None to end; it is called only
-    when the next step is wanted, so a caller that stops early draws no
-    further noise.  With ``drop_stopped`` a row leaves the block after the
-    step at which it stopped, and its noise is no longer drawn.
-    """
+def _integrate(cfg, block, increments):
+    """Step ``block`` under ``cfg.scheme`` once per ``(P, 2N+1)`` array of
+    ``increments`` and yield the block after each step.  Increments are
+    pulled lazily, so a caller that stops early draws no further noise."""
     step = _STEPPERS[cfg.scheme]
-    rows = np.arange(block.hk.size)
-    while True:
-        if drop_stopped and block.stopped.any():
-            keep = ~block.stopped
-            rows, block = rows[keep], block.take(keep)
-        db = draw(rows) if rows.size else None
-        if db is None:
-            return
+    for db in increments:
         block = step(block, db, cfg)
-        yield rows, block
+        yield block
 
 
 def integrate(cfg, increments):
@@ -312,27 +303,9 @@ def integrate(cfg, increments):
     yielded is at step ``i``, time ``i * dt``.  Increments are pulled
     lazily, so a caller that stops early draws no further noise.
     """
-    incs = iter(increments)
-
-    def draw(rows):
-        inc = next(incs, None)
-        return None if inc is None else inc[None]
-
     block = _Block.start(np.zeros((1, cfg.grid_size)), np.zeros(1), [cfg])
-    for _, block in _integrate(cfg, block, draw):
+    for block in _integrate(cfg, block, (inc[None] for inc in increments)):
         yield CircleFunction(block.x[0])
-
-
-def _draw_per_path(streams, n_rows):
-    """The ``draw`` of ``_integrate`` for stream-major rows, ``n_rows`` per
-    stream: each stream with a live row draws once, in one pass over the
-    block (``next_increments``), and row ``r`` steps on the draw of
-    ``streams[r // n_rows]``."""
-
-    def draw(rows):
-        return next_increments(streams, rows // n_rows)
-
-    return draw
 
 
 def _path_rows(solvers, stop_after_hit):
@@ -381,21 +354,23 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     are products of a row's own data and exact over zero-padded modes, a row
     then steps bitwise as it does alone on its own-cutoff stream.
 
+    The block steps under ``_STEPPERS[scheme]`` on ``next_increments``.
     A solver's hitting time is the first grid time at which its row's H^k
-    norm reaches its radius, a barrier of the row.  At the first crossing of
-    each barrier the row samples its norm, its ``min_deriv`` and its state.
-    A row continues under the truncated dynamics unless ``stop_after_hit``,
-    which drops it from the block after its last crossing; a stream stops
-    with the last of its rows.  Samples are kept every ``record_every``
-    steps plus the initial state and the final step; their ``min_deriv``
-    comes from the coefficient tables the step built, in one batch per
-    sampled step.  A solver's record is cut from its row: the grid samples
-    (only those before the crossing under ``stop_after_hit``) and the
-    crossing sample, ``stopped`` from the crossing on.  Rows never mix, so a
+    norm reaches its radius, a barrier of the row; the barrier table
+    (``bars``, ``crossed``, ``next_bar``) is the one first-crossing latch.
+    At the first crossing of each barrier the row samples its norm, its
+    ``min_deriv`` and its state.  A row continues under the truncated
+    dynamics unless ``stop_after_hit``, which takes it out of the block
+    after the step of its last crossing; nothing is drawn once no row is
+    left.  Samples are kept every ``record_every`` steps (an integer >= 1)
+    plus the initial state and the final step; their ``min_deriv`` comes
+    from the coefficient tables the step built, in one batch per sampled
+    step.  A solver's record is cut from its row: the grid samples (only
+    those before the crossing under ``stop_after_hit``) and the crossing
+    sample, ``stopped`` from the crossing on.  Rows never mix, so a
     record does not depend on the other rows of the block.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    _require_record_every(record_every)
     solvers = [solvers] if isinstance(solvers, SolverConfig) else list(solvers)
     _check_shared(solvers)
     n_max = max(c.mode_cutoff for c in solvers)
@@ -414,15 +389,17 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     crossed = np.zeros(n_rows, dtype=int)
     next_bar = bars[:, 0].copy()
     at_crossing = {}  # (row id, barrier) -> (step, state) at its first crossing
-    rows = np.arange(n_rows)  # the last block's rows, also when n_steps is 0
+    rows = np.arange(n_rows)  # the row ids in the block
     # (row ids, step, hk, min_deriv, on the record grid, barriers reached)
     # per sampled step; at step 0 every row is the identity, whose 1 + x' is 1
     ones = np.ones(n_rows)
     sampled = [(rows, np.zeros(n_rows, dtype=np.uint64), block.hk, ones, ones > 0, crossed.copy())]
 
-    draw = _draw_per_path(streams, len(row_solvers))
-    stepped = _integrate(cfg, block, draw, drop_stopped=stop_after_hit)
-    for i, (rows, block) in zip(range(1, n_steps + 1), stepped):
+    stepper = _STEPPERS[cfg.scheme]
+    for i in range(1, n_steps + 1):
+        if not rows.size:
+            break
+        block = stepper(block, next_increments(streams, rows // len(row_solvers)), cfg)
         new = block.hk >= next_bar[rows]
         for j in np.flatnonzero(new).tolist():
             r, state = int(rows[j]), CircleFunction(block.x[j])
@@ -437,13 +414,16 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
             grid = np.full(md.size, on_grid)
             step = np.full(md.size, block.step, dtype=np.uint64)
             sampled.append((rows[at], step, block.hk[at], md, grid, crossed[rows[at]]))
+        if stop_after_hit and new.any():
+            keep = next_bar[rows] < np.inf
+            rows, block = rows[keep], block.take(keep)
     # one stable sort by row id splits the samples per row, in time order
     ids, *columns = (np.concatenate(c) for c in zip(*sampled))
     order = np.argsort(ids, kind="stable")
     cuts = np.searchsorted(ids[order], np.arange(1, n_rows))
     per_row = list(zip(*(np.split(c[order], cuts) for c in columns)))
-    # a row missing from the last block left it at its last crossing, so
-    # each of its records ends at its own crossing state instead
+    # a row out of the block left it at its last crossing, so each of its
+    # records ends at its own crossing state instead
     final = [None] * n_rows
     for j, r in enumerate(rows):
         final[r] = CircleFunction(block.x[j])
@@ -482,6 +462,7 @@ def concatenate(first, fresh, cfg, record_every=1):
     reparameterization, and the horizon of ``cfg`` must not end before the
     hitting time.
     """
+    _require_record_every(record_every)
     if first.tau_r is None:
         raise ValueError("first record has no hitting time to continue from")
     if first.state_at_tau is None:
@@ -537,10 +518,12 @@ def flow_compose_check(cfg, stream, xi, record_every=1):
     band-limited interpolation of the composed state.
 
     The identity holds for the untruncated flow only, so a sample is
-    compared only while neither run has stopped at the truncation radius.
-    The two runs' records hold their sample columns only: no hitting time
-    or states.
+    compared only while neither run has stopped: each run's ``stopped``
+    latches at the first step, recorded or not, at which its H^k norm
+    reaches the truncation radius.  The two runs' records hold their sample
+    columns only: no hitting time or states.
     """
+    _require_record_every(record_every)
     if xi.grid_size != cfg.grid_size:
         raise ValueError("initial map must live on the solver grid")
     n_steps = cfg.n_steps
@@ -550,21 +533,25 @@ def flow_compose_check(cfg, stream, xi, record_every=1):
     # its norm and its min_deriv
     x = np.array([np.zeros(cfg.grid_size), xi.grid_values])
     block = _Block.start(x, [0.0, xi.hk_norm(cfg.k)], [cfg])
-    stepped = zip(range(1, n_steps + 1), _integrate(cfg, block, _draw_per_path([stream], 2)))
-    recorded = (b for i, (_, b) in stepped if _on_record_grid(i, record_every, n_steps))
+    both = np.zeros(2, dtype=int)  # the two rows step on the stream's one draw
+    increments = (next_increments([stream], both) for _ in range(n_steps))
 
     sup_error, window, checked = 0.0, None, 0
     sampled = []  # (t, hk, min_deriv, stopped) of both rows per recorded step
     start_md = [1.0, xi.min_derivative]
-    for b in chain([block], recorded):
-        if not b.stopped.any():
+    stopped = np.zeros(2, dtype=bool)
+    for i, b in enumerate(chain([block], _integrate(cfg, block, increments))):
+        stopped = stopped | (b.hk >= cfg.radius)
+        if not _on_record_grid(i, record_every, n_steps):
+            continue
+        if not stopped.any():
             x_at_xi = CircleFunction(b.x[0]).evaluate(warp_pts)
             err = np.max(np.abs(b.x[1] - xi.grid_values - x_at_xi))
             sup_error = max(sup_error, float(err))
             window = b.step * cfg.dt
             checked += 1
         md = start_md if b.coeffs is None else _min_derivatives(*b.coeffs)
-        sampled.append(([b.step] * 2, [b.step * cfg.dt] * 2, b.hk, md, b.stopped))
+        sampled.append(([b.step] * 2, [b.step * cfg.dt] * 2, b.hk, md, stopped))
     columns = [np.array(c) for c in zip(*sampled)]  # each (samples, 2)
     runs = tuple(PathRecord(*(c[:, row] for c in columns)) for row in (0, 1))
     return FlowCheckReport(sup_error, window, checked, runs)

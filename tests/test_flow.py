@@ -89,7 +89,6 @@ class TestTruncationScale:
         cfg = make_config(radius=1.0)
         x = CircleFunction.harmonic(64, 1, sin_amp=0.3).grid_values
         block = _Block.start(x[None], [hk], [cfg])
-        assert block.stopped[0] == (hk >= cfg.radius)
         assert np.array_equal(_warped_points(block, cfg)[0], grid_points(64) + scale * x)
 
 
@@ -256,6 +255,11 @@ class TestSimulatePath:
             assert columns(rec) == columns(alone)
             assert np.array_equal(rec.state_at_tau.grid_values, alone.state_at_tau.grid_values)
 
+    def test_no_streams_give_no_records(self):
+        cfg = make_config()
+        assert simulate_paths(cfg, []) == []
+        assert simulate_paths(cfg, [], stop_after_hit=True) == []
+
     def test_rows_must_fit_one_block(self):
         cfg = make_config()
         streams = [NoiseStream(SEED, 0, 8, cfg.dt)]
@@ -359,6 +363,23 @@ def test_every_recording_loop_keeps_the_last_step():
     assert steps(out)[-2:] == [stop.n_steps - 1, stop.n_steps]
 
 
+@pytest.mark.parametrize("bad", [0, 2.5, True, "3"])
+@pytest.mark.parametrize("name", ["simulate_paths", "concatenate", "flow_compose_check"])
+def test_record_every_must_be_an_integer_of_at_least_one(name, bad):
+    cfg = make_config(horizon=0.3, radius=0.05)
+    first = simulate_path(cfg, NoiseStream(SEED, 1, 8, cfg.dt), stop_after_hit=True)
+    stream = NoiseStream(SEED, 0, 8, cfg.dt)
+    calls = {
+        "simulate_paths": lambda: simulate_paths(cfg, [stream], record_every=bad),
+        "concatenate": lambda: concatenate(first, _ZeroStream(8), cfg, record_every=bad),
+        "flow_compose_check": lambda: flow_compose_check(
+            cfg, stream, CircleFunction.zero(64), record_every=bad
+        ),
+    }
+    with pytest.raises(ValueError, match="record_every"):
+        calls[name]()
+
+
 class TestFlowComposeCheck:
     def test_identity_initial_map(self):
         cfg = make_config(horizon=0.05, mode_cutoff=8, grid_size=256, radius=10.0)
@@ -371,6 +392,36 @@ class TestFlowComposeCheck:
             cfg, NoiseStream(SEED, 0, 8, cfg.dt), CircleFunction.constant(np.pi, 256)
         )
         assert rep.sup_error <= 1e-10
+
+    def test_xi_outside_the_ball_is_never_compared(self):
+        cfg = make_config(horizon=0.05, radius=0.3)
+        xi = CircleFunction.harmonic(64, 1, sin_amp=0.5)
+        assert xi.hk_norm(cfg.k) >= cfg.radius
+        rep = flow_compose_check(cfg, NoiseStream(SEED, 0, 8, cfg.dt), xi)
+        assert rep.n_checked == 0 and rep.window is None
+        assert rep.runs[1].stopped.all() and not rep.runs[0].stopped[0]
+
+    def test_stopped_latches_between_recorded_steps(self):
+        # row 1 (from xi) first reaches R at step 7, off the record grid of
+        # record_every 3, and is back below R at the grid step 9: a latch
+        # read at the recorded steps only would miss that crossing
+        free = make_config(horizon=0.1, radius=1e9)
+        xi = CircleFunction.harmonic(64, 1, sin_amp=0.1)
+        hk = [r.hk for r in flow_compose_check(free, NoiseStream(SEED, 0, 8, free.dt), xi).runs]
+        radius = hk[1][7]
+        assert radius > max(hk[1][:7].max(), hk[0][:8].max()) and hk[1][9] < radius
+        cfg = dataclasses.replace(free, radius=radius)
+        fine, coarse = (
+            flow_compose_check(cfg, NoiseStream(SEED, 0, 8, cfg.dt), xi, record_every=every)
+            for every in (1, 3)
+        )
+        assert fine.runs[1].stopped.argmax() == 7
+        on_grid = coarse.runs[0].step.astype(int)
+        assert on_grid.tolist() == list(range(0, cfg.n_steps + 1, 3)) + [cfg.n_steps]
+        for row in (0, 1):
+            assert np.array_equal(coarse.runs[row].stopped, fine.runs[row].stopped[on_grid])
+        live = ~(fine.runs[0].stopped | fine.runs[1].stopped)[on_grid]
+        assert coarse.n_checked == live.sum() == 3
 
     def test_grid_mismatch_rejected(self):
         cfg = make_config()
