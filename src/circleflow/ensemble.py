@@ -53,9 +53,9 @@ SUMMARY_SCHEMA_VERSION = "circleflow-summary-1"
 
 DEFAULT_RADII = (0.05, 0.1, 0.2, 0.4)
 
-# Rows per block task: a task's memory stays O(BLOCK_ROWS * grid_size) at
-# any n_paths and any number of solvers (``run_ensemble`` splits a path's
-# rows into parts of at most BLOCK_ROWS).
+# Rows per block task: sizes the path ranges (``_blocks``), so a task holds
+# at most max(BLOCK_ROWS, rows per path) rows at any n_paths; a path is never
+# split, so one with more rows steps alone.
 BLOCK_ROWS = 64
 
 
@@ -218,33 +218,22 @@ def run_ensemble(cfg, solvers, stop_after_hit=False):
     of records per solver.
 
     The one fan-out.  A path steps one row per group of its solvers
-    (``flow._path_rows``), in parts of at most BLOCK_ROWS rows: each part is
-    the subset of the solvers on those rows, and it draws the path's stream
-    anew.  For each part the paths are split into contiguous ranges
-    (``_blocks``), and each range is one task of a single pool of
-    ``cfg.workers`` processes (in-process at 1 worker).  A task steps each of
-    its paths under the part's solvers as adjacent rows of one block, on the
-    path's one stream; the solvers must therefore agree in all but mode
+    (``flow._path_rows``), all in one task, on its one draw per step.  The
+    paths are split into contiguous ranges (``_blocks``), and each range is
+    one task of a single pool of ``cfg.workers`` processes (in-process at 1
+    worker), so a task holds at most ``max(BLOCK_ROWS, rows per path)``
+    rows.  A task steps each of its paths under every solver as adjacent
+    rows of one block; the solvers must therefore agree in all but mode
     weights and radius (``flow._SHARED``), else ValueError.  Rows never mix
-    within a block, so the result does not depend on the worker count, the
-    block sizes or the parts.
+    within a block, so the result does not depend on the worker count or
+    the block sizes.
     """
     solvers = list(solvers)
     _check_shared(solvers)
-    parts = {}  # part -> (its rows, its solvers' indices)
-    for i, (row, _) in enumerate(_path_rows(solvers, stop_after_hit)[2]):
-        rows, members = parts.setdefault(row // BLOCK_ROWS, (set(), []))
-        rows.add(row)
-        members.append(i)
-    tasks = [
-        (members, first, stop)
-        for rows, members in parts.values()
-        for first, stop in _blocks(cfg.n_paths, len(rows), cfg.workers)
-    ]
+    n_rows = len(_path_rows(solvers, stop_after_hit)[0])
     args = [
-        ([solvers[i] for i in members], cfg.master_seed, first, stop, cfg.record_every,
-         stop_after_hit)
-        for members, first, stop in tasks
+        (solvers, cfg.master_seed, first, stop, cfg.record_every, stop_after_hit)
+        for first, stop in _blocks(cfg.n_paths, n_rows, cfg.workers)
     ]
     if cfg.workers > 1:
         pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
@@ -252,11 +241,8 @@ def run_ensemble(cfg, solvers, stop_after_hit=False):
             blocks = list(pool.map(_run_one_path, args))
     else:
         blocks = [_run_one_path(a) for a in args]
-    per_solver = [[] for _ in solvers]
-    for (members, _, _), block in zip(tasks, blocks):  # stream-major, in path order
-        for j, record in enumerate(block):
-            per_solver[members[j % len(members)]].append(record)
-    return per_solver
+    records = list(chain.from_iterable(blocks))  # stream-major, in path order
+    return [records[i :: len(solvers)] for i in range(len(solvers))]
 
 
 def summarize(records, cfg):

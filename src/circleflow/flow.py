@@ -194,6 +194,22 @@ def _check_shared(cfgs):
                 )
 
 
+def _check_streams(streams, solvers):
+    """Raise ValueError unless every stream draws at the largest cutoff and
+    the dt of ``solvers``, the increments their block steps on."""
+    want = (
+        ("mode_cutoff", max(c.mode_cutoff for c in solvers), "the largest cutoff"),
+        ("dt", solvers[0].dt, "the dt"),
+    )
+    for stream in streams:
+        for name, value, what in want:
+            if getattr(stream, name) != value:
+                raise ValueError(
+                    f"stream {name} {getattr(stream, name)!r} != {value!r}, "
+                    f"{what} of the solvers"
+                )
+
+
 @dataclass(frozen=True)
 class _Block:
     """P solution rows stepped as one array: the ``(P, M)`` vector parts and
@@ -301,11 +317,25 @@ def integrate(cfg, increments):
     per step, mode ``i - N`` at index ``i`` (as ``NoiseStream`` draws them).
     The truncation of ``cfg`` applies at each step; the ``i``-th state
     yielded is at step ``i``, time ``i * dt``.  Increments are pulled
-    lazily, so a caller that stops early draws no further noise.
+    lazily, so a caller that stops early draws no further noise.  An
+    increment of another shape is a ValueError, not broadcast over the modes.
     """
     block = _Block.start(np.zeros((1, cfg.grid_size)), np.zeros(1), [cfg])
-    for block in _integrate(cfg, block, (inc[None] for inc in increments)):
+    for block in _integrate(cfg, block, _increment_rows(increments, cfg)):
         yield CircleFunction(block.x[0])
+
+
+def _increment_rows(increments, cfg):
+    """Each of ``increments`` as a ``(1, 2N+1)`` row; ValueError, naming the
+    shapes, for one that is not ``(2N+1,)``, N the cutoff of ``cfg``."""
+    size = 2 * cfg.mode_cutoff + 1
+    for inc in increments:
+        if np.shape(inc) != (size,):
+            raise ValueError(
+                f"increment shape {np.shape(inc)} != ({size},), the 2N+1 modes of "
+                f"mode_cutoff {cfg.mode_cutoff}"
+            )
+        yield inc[None]
 
 
 def _path_rows(solvers, stop_after_hit):
@@ -373,10 +403,8 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     _require_record_every(record_every)
     solvers = [solvers] if isinstance(solvers, SolverConfig) else list(solvers)
     _check_shared(solvers)
-    n_max = max(c.mode_cutoff for c in solvers)
+    _check_streams(streams, solvers)
     cfg, n_steps = solvers[0], solvers[0].n_steps
-    if any(s.mode_cutoff != n_max or s.dt != cfg.dt for s in streams):
-        raise ValueError("every stream must draw at the largest cutoff and the dt of the solvers")
     row_solvers, barriers, where = _path_rows(solvers, stop_after_hit)
     n_rows = len(streams) * len(row_solvers)
     block = _Block.start(np.zeros((n_rows, cfg.grid_size)), np.zeros(n_rows), row_solvers)
@@ -460,9 +488,14 @@ def concatenate(first, fresh, cfg, record_every=1):
     order.  The map ``id + xi`` must be a diffeomorphism
     (``xi.min_derivative > 0``) for the composition to be a
     reparameterization, and the horizon of ``cfg`` must not end before the
-    hitting time.
+    hitting time.  ``first`` must be sampled at the dt of ``cfg`` (its times
+    are its steps times ``cfg.dt``), and ``fresh`` must draw at the cutoff
+    and dt of ``cfg``.
     """
     _require_record_every(record_every)
+    _check_streams([fresh], [cfg])
+    if not np.array_equal(first.t, first.step * cfg.dt):
+        raise ValueError(f"first record was not sampled at the solver's dt {cfg.dt!r}")
     if first.tau_r is None:
         raise ValueError("first record has no hitting time to continue from")
     if first.state_at_tau is None:
@@ -521,9 +554,11 @@ def flow_compose_check(cfg, stream, xi, record_every=1):
     compared only while neither run has stopped: each run's ``stopped``
     latches at the first step, recorded or not, at which its H^k norm
     reaches the truncation radius.  The two runs' records hold their sample
-    columns only: no hitting time or states.
+    columns only: no hitting time or states.  ``stream`` must draw at the
+    cutoff and dt of ``cfg``.
     """
     _require_record_every(record_every)
+    _check_streams([stream], [cfg])
     if xi.grid_size != cfg.grid_size:
         raise ValueError("initial map must live on the solver grid")
     n_steps = cfg.n_steps

@@ -435,10 +435,13 @@ class TestRunEnsemble:
             most = max(stop - first for first, stop in blocks)
             assert most <= max(1, ensemble.BLOCK_ROWS // n_rows)
 
-    def test_each_path_is_drawn_by_one_task(self, tmp_path, monkeypatch):
-        # 3 paths under 2 solvers on 2 workers: each path's stream is built
-        # by exactly one block task, so no path straddles two tasks.  Pool
-        # workers fork after the patches, and each task logs to a file.
+    @pytest.mark.parametrize("block_rows", [64, 1])
+    def test_each_path_is_drawn_by_one_task(self, tmp_path, monkeypatch, block_rows):
+        # 3 paths under 2 solvers (2 rows each) on 2 workers: each path's
+        # stream is built by exactly one block task, so no path straddles
+        # two tasks, also when its rows exceed BLOCK_ROWS.  Pool workers
+        # fork after the patches, and each task logs to a file.
+        monkeypatch.setattr(ensemble, "BLOCK_ROWS", block_rows)
         cfg = RunConfig.from_dict(base_config(tmp_path, n_paths=3, workers=2))
         solvers = [dataclasses.replace(cfg.solver, radius=r) for r in (0.1, 1.0)]
         log = tmp_path / "tasks"
@@ -462,7 +465,7 @@ class TestRunEnsemble:
         monkeypatch.setattr(ensemble, "_run_one_path", logged)
         run_ensemble(cfg, solvers)
         tasks = [json.loads(path.read_text()) for path in log.iterdir()]
-        assert len(tasks) == 2
+        assert len(tasks) == len(ensemble._blocks(3, 2, 2))
         assert sorted(pid for paths in tasks for pid in paths) == list(range(cfg.n_paths))
 
     @pytest.mark.parametrize(
@@ -873,11 +876,16 @@ class TestCli:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("scheme", ["euler", "heun"])
-    def test_hitting_times_with_100_radii_keeps_blocks_small(self, tmp_path, monkeypatch, scheme):
-        # Any number of radii loads, and no field evaluation sees more than
-        # BLOCK_ROWS rows: under Euler a path's radii step as one row, under
-        # Heun a row each, split into parts of at most BLOCK_ROWS rows.
+    @pytest.mark.parametrize(
+        "scheme, most", [pytest.param("euler", 2, id="euler"), pytest.param("heun", 100, id="heun")]
+    )
+    def test_hitting_times_with_100_radii_steps_each_path_in_one_block(
+        self, tmp_path, monkeypatch, scheme, most
+    ):
+        # Any number of radii loads, and a path steps all its rows in one
+        # block: under Euler a path's radii share one row, so both paths
+        # fit one block of 2 rows; under Heun each radius is a row, so a
+        # path's 100 rows step alone.
         path, cfg = write_config(tmp_path, radii=np.linspace(0.01, 0.2, 100).tolist())
         cfg["solver"]["scheme"] = scheme
         path.write_text(json.dumps(cfg))
@@ -890,7 +898,24 @@ class TestCli:
 
         monkeypatch.setattr(flow, "field_values", counted)
         assert cli_main(["hitting-times", str(path)]) == 0
-        assert 0 < max(rows) <= ensemble.BLOCK_ROWS
+        assert max(rows) == most
+
+    @pytest.mark.parametrize(
+        "command, workers",
+        [(c, "1") for c in ("run", "hitting-times", "contrast", "flow-check", "validate")]
+        + [(c, "2") for c in ("run", "hitting-times", "contrast")],
+    )
+    def test_non_finite_state_exits_3(self, tmp_path, capsys, monkeypatch, command, workers):
+        # A field that is not finite aborts at the first step, with one line
+        # and no traceback; pool workers fork after the patch.
+        path, _ = write_config(tmp_path)
+
+        def nan_field(delta_b, weights, points):
+            return np.full(points.shape, np.nan)
+
+        monkeypatch.setattr(flow, "field_values", nan_field)
+        assert cli_main([command, str(path), "--workers", workers]) == 3
+        assert capsys.readouterr().err == "numerical abort: non-finite state at t=0.001\n"
 
     def test_hitting_order_check_compares_step_counts(self, tmp_path):
         # A path that crosses at the last step and a censored path both enter

@@ -276,13 +276,15 @@ class TestSimulatePath:
 
 
 class _ZeroStream:
-    """Stand-in noise source that always returns zero increments."""
+    """Stand-in noise source that always returns zero increments; it names
+    the cutoff and dt it draws at, as a NoiseStream does."""
 
-    def __init__(self, cutoff):
-        self.cutoff = cutoff
+    def __init__(self, mode_cutoff, dt=1e-3):
+        self.mode_cutoff = mode_cutoff
+        self.dt = dt
 
     def next_increment(self):
-        return np.zeros(2 * self.cutoff + 1)
+        return np.zeros(2 * self.mode_cutoff + 1)
 
 
 class TestConcatenate:
@@ -378,6 +380,50 @@ def test_record_every_must_be_an_integer_of_at_least_one(name, bad):
     }
     with pytest.raises(ValueError, match="record_every"):
         calls[name]()
+
+
+@pytest.mark.parametrize(
+    "stream, message",
+    [
+        pytest.param({"mode_cutoff": 1}, "stream mode_cutoff 1 != 8", id="cutoff-1"),
+        pytest.param({"mode_cutoff": 16}, "stream mode_cutoff 16 != 8", id="cutoff-16"),
+        pytest.param({"dt": 4e-3}, "stream dt 0.004 != 0.001", id="dt-4e-3"),
+    ],
+)
+@pytest.mark.parametrize("name", ["simulate_paths", "concatenate", "flow_compose_check"])
+def test_stream_must_draw_at_the_solver_cutoff_and_dt(name, stream, message):
+    # Negative control: a stream of another cutoff or dt steps the solver on
+    # the wrong noise (or fails to broadcast), so each entry point rejects it.
+    cfg = make_config(horizon=0.3, radius=0.05)
+    first = simulate_path(cfg, NoiseStream(SEED, 1, 8, cfg.dt), stop_after_hit=True)
+    wrong = NoiseStream(SEED, 1, **{"mode_cutoff": 8, "dt": cfg.dt, **stream})
+    calls = {
+        "simulate_paths": lambda: simulate_paths(cfg, [wrong]),
+        "concatenate": lambda: concatenate(first, wrong, cfg),
+        "flow_compose_check": lambda: flow_compose_check(cfg, wrong, CircleFunction.zero(64)),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[name]()
+
+
+@pytest.mark.parametrize("size", [3, 33])
+def test_integrate_rejects_an_increment_of_another_length(size):
+    # Negative control: a length-3 increment would broadcast over the 8
+    # modes of the cutoff-8 solver.
+    cfg = make_config()
+    with pytest.raises(ValueError, match=rf"increment shape \({size},\) != \(17,\)"):
+        next(integrate(cfg, [np.zeros(size)]))
+
+
+def test_concatenate_rejects_another_dt():
+    # Negative control: a record sampled at dt 1e-3, continued at dt 5e-4,
+    # would get samples on a mixed time grid (t = 0.0025, 0.003, ...).
+    cfg = make_config(horizon=0.3, radius=0.05)
+    first = simulate_path(cfg, NoiseStream(SEED, 1, 8, cfg.dt), stop_after_hit=True)
+    assert first.tau_r is not None
+    half = dataclasses.replace(cfg, dt=cfg.dt / 2)
+    with pytest.raises(ValueError, match="not sampled at the solver's dt 0.0005"):
+        concatenate(first, NoiseStream(SEED, 1, 8, half.dt), half)
 
 
 class TestFlowComposeCheck:
