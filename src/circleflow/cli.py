@@ -16,8 +16,14 @@ config exits 2 with one line naming the dotted key, e.g. ``solver.dt``.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
+
+# BLAS on one thread unless the caller set otherwise, before .ensemble loads
+# numpy: pool workers would each start a thread per core (same artifacts)
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from .ensemble import ConfigError, RunConfig, run_experiment
 from .flow import SimulationDiverged

@@ -21,7 +21,6 @@ index and the scheme (``_SHARED``).
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -144,38 +143,41 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class PathRecord:
-    """Sampled trajectory as columns, with its hitting time and the states
-    it reached at that time and at the end.
+    """Sampled trajectory as columns, with its hitting step and the states
+    it reached at that step and at the end.
 
-    ``step``, ``t``, ``hk``, ``min_deriv`` and ``stopped`` hold one entry per
-    sample, in time order; each is a read-only copy of the sequence it was
-    built from.  A sample's time is its step (unsigned, as the noise
-    counter) times ``dt``, and ``tau_r`` is that of the first stopped sample
-    (``tau_step``).
+    ``step``, ``hk`` and ``min_deriv`` hold one entry per sample, in time
+    order, each a read-only copy of the sequence it was built from;
+    ``tau_step`` is the first step at which the H^k norm reached the radius
+    (None without one).  The read-only columns ``t = step * dt`` (``step``
+    unsigned, as the noise counter) and ``stopped = step >= tau_step`` are
+    derived once, at construction; ``tau_r`` is ``tau_step * dt``.
     """
 
     step: np.ndarray
-    t: np.ndarray
     hk: np.ndarray
     min_deriv: np.ndarray
-    stopped: np.ndarray
-    tau_r: float = None
+    dt: float
+    tau_step: int = None
     state_at_tau: CircleFunction = None
     final_state: CircleFunction = None
+    t: np.ndarray = field(init=False)
+    stopped: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        columns = (("step", np.uint64), ("t", float), ("hk", float), ("min_deriv", float),
-                   ("stopped", bool))
-        for name, dtype in columns:
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        columns = {"step": np.uint64, "hk": float, "min_deriv": float}
+        for name, dtype in columns.items():
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "t", self.step * self.dt)
+        tau = np.inf if self.tau_step is None else self.tau_step
+        object.__setattr__(self, "stopped", self.step >= tau)
+        for name in (*columns, "t", "stopped"):
+            getattr(self, name).flags.writeable = False
 
     @property
-    def tau_step(self):
-        """The step of the hitting time, None without one: the crossing is
-        the first stopped sample."""
-        return None if self.tau_r is None else int(self.step[self.stopped.argmax()])
+    def tau_r(self):
+        """The hitting time ``tau_step * dt``, None without one."""
+        return None if self.tau_step is None else self.tau_step * self.dt
 
 
 # The solver fields every row of a block shares; rows may differ in their
@@ -216,10 +218,10 @@ class _Block:
     their H^k norms, all at the integer ``step`` (time ``step * dt``, one
     rounding, not a running sum), with each row's mode weights (``(P, N+1)``,
     zero-padded to the largest cutoff N of the block) and the radius of its
-    truncation scale (``_warped_points``).  A block holds no hitting times:
-    the caller latches a row's first crossing.  ``coeffs`` holds the
-    coefficient tables of ``x`` when a step built them (None in a starting
-    block)."""
+    truncation scale (``_warped_points``).  A block holds no hitting steps:
+    ``simulate_paths`` and ``flow_compose_check`` latch each row's first
+    crossing step themselves.  ``coeffs`` holds the coefficient tables of
+    ``x`` when a step built them (None in a starting block)."""
 
     x: np.ndarray
     step: int
@@ -299,29 +301,21 @@ def _on_record_grid(step, record_every, n_steps):
     return (step % min(record_every, max(n_steps, 1)) == 0) | (step == n_steps)
 
 
-def _integrate(cfg, block, increments):
-    """Step ``block`` under ``cfg.scheme`` once per ``(P, 2N+1)`` array of
-    ``increments`` and yield the block after each step.  Increments are
-    pulled lazily, so a caller that stops early draws no further noise."""
-    step = _STEPPERS[cfg.scheme]
-    for db in increments:
-        block = step(block, db, cfg)
-        yield block
-
-
 def integrate(cfg, increments):
     """Yield the vector part after each increment under ``cfg.scheme``, as a
     ``CircleFunction``, stepping from the identity.
 
-    The block loop at P = 1.  ``increments`` yields one ``(2N+1,)`` array
-    per step, mode ``i - N`` at index ``i`` (as ``NoiseStream`` draws them).
-    The truncation of ``cfg`` applies at each step; the ``i``-th state
-    yielded is at step ``i``, time ``i * dt``.  Increments are pulled
-    lazily, so a caller that stops early draws no further noise.  An
-    increment of another shape is a ValueError, not broadcast over the modes.
+    One row stepped under ``_STEPPERS[cfg.scheme]``.  ``increments`` yields
+    one ``(2N+1,)`` array per step, mode ``i - N`` at index ``i`` (as
+    ``NoiseStream`` draws them).  The truncation of ``cfg`` applies at each
+    step; the ``i``-th state yielded is at step ``i``, time ``i * dt``.
+    Increments are pulled lazily, so a caller that stops early draws no more
+    noise.  An increment of another shape is a ValueError, not broadcast.
     """
     block = _Block.start(np.zeros((1, cfg.grid_size)), np.zeros(1), [cfg])
-    for block in _integrate(cfg, block, _increment_rows(increments, cfg)):
+    stepper = _STEPPERS[cfg.scheme]
+    for db in _increment_rows(increments, cfg):
+        block = stepper(block, db, cfg)
         yield CircleFunction(block.x[0])
 
 
@@ -395,9 +389,9 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     left.  Samples are kept every ``record_every`` steps (an integer >= 1)
     plus the initial state and the final step; their ``min_deriv`` comes
     from the coefficient tables the step built, in one batch per sampled
-    step.  A solver's record is cut from its row: the grid samples (only
-    those before the crossing under ``stop_after_hit``) and the crossing
-    sample, ``stopped`` from the crossing on.  Rows never mix, so a
+    step.  A solver's record is cut from its row at its ``tau_step``, read
+    from ``at_crossing``: the grid samples (only those before it under
+    ``stop_after_hit``) and the crossing sample.  Rows never mix, so a
     record does not depend on the other rows of the block.
     """
     _require_record_every(record_every)
@@ -418,10 +412,10 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     next_bar = bars[:, 0].copy()
     at_crossing = {}  # (row id, barrier) -> (step, state) at its first crossing
     rows = np.arange(n_rows)  # the row ids in the block
-    # (row ids, step, hk, min_deriv, on the record grid, barriers reached)
-    # per sampled step; at step 0 every row is the identity, whose 1 + x' is 1
+    # (row ids, step, hk, min_deriv, on the record grid) per sampled step;
+    # at step 0 every row is the identity, whose 1 + x' is 1
     ones = np.ones(n_rows)
-    sampled = [(rows, np.zeros(n_rows, dtype=np.uint64), block.hk, ones, ones > 0, crossed.copy())]
+    sampled = [(rows, np.zeros(n_rows, dtype=np.uint64), block.hk, ones, ones > 0)]
 
     stepper = _STEPPERS[cfg.scheme]
     for i in range(1, n_steps + 1):
@@ -441,7 +435,7 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
             md = _min_derivatives(*(c[at] for c in block.coeffs))
             grid = np.full(md.size, on_grid)
             step = np.full(md.size, block.step, dtype=np.uint64)
-            sampled.append((rows[at], step, block.hk[at], md, grid, crossed[rows[at]]))
+            sampled.append((rows[at], step, block.hk[at], md, grid))
         if stop_after_hit and new.any():
             keep = next_bar[rows] < np.inf
             rows, block = rows[keep], block.take(keep)
@@ -460,15 +454,13 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     for first in range(0, n_rows, len(row_solvers)):
         for g, b in where:
             r = first + g
-            step, hk, md, grid, n_crossed = per_row[r]
-            stopped = n_crossed > b
-            crossing = stopped & ~np.append(False, stopped[:-1])
-            keep = crossing | (grid & ~(stopped & stop_after_hit))
+            step, hk, md, grid = per_row[r]
             tau, at_tau = at_crossing.get((r, b), (None, None))
-            fin = at_tau if stop_after_hit and tau is not None else final[r]
-            tau, step = (None if tau is None else tau * cfg.dt), step[keep]
-            t = step * cfg.dt
-            records.append(PathRecord(step, t, hk[keep], md[keep], stopped[keep], tau, at_tau, fin))
+            keep, fin = grid, final[r]
+            if tau is not None:  # the crossing sample; none after it under stop_after_hit
+                keep = (step == tau) | (grid & ~(stop_after_hit & (step > tau)))
+                fin = at_tau if stop_after_hit else fin
+            records.append(PathRecord(step[keep], hk[keep], md[keep], cfg.dt, tau, at_tau, fin))
     return records
 
 
@@ -488,22 +480,21 @@ def concatenate(first, fresh, cfg, record_every=1):
     order.  The map ``id + xi`` must be a diffeomorphism
     (``xi.min_derivative > 0``) for the composition to be a
     reparameterization, and the horizon of ``cfg`` must not end before the
-    hitting time.  ``first`` must be sampled at the dt of ``cfg`` (its times
-    are its steps times ``cfg.dt``), and ``fresh`` must draw at the cutoff
-    and dt of ``cfg``.
+    hitting time.  ``first`` must be sampled at the dt of ``cfg`` and its
+    state at the hitting time live on the grid of ``cfg``, and ``fresh``
+    must draw at the cutoff and dt of ``cfg``.
     """
     _require_record_every(record_every)
     _check_streams([fresh], [cfg])
-    if not np.array_equal(first.t, first.step * cfg.dt):
+    if first.dt != cfg.dt:
         raise ValueError(f"first record was not sampled at the solver's dt {cfg.dt!r}")
-    if first.tau_r is None:
-        raise ValueError("first record has no hitting time to continue from")
-    if first.state_at_tau is None:
-        raise ValueError("first record kept no state at the hitting time")
-    xi = first.state_at_tau
+    tau_step, xi = first.tau_step, first.state_at_tau
+    if tau_step is None or xi is None:
+        raise ValueError("first record kept no hitting time and state to continue from")
+    if xi.grid_size != cfg.grid_size:
+        raise ValueError(f"hitting state grid {xi.grid_size} != solver grid {cfg.grid_size}")
     if not xi.min_derivative > 0.0:
         raise ValueError("state at the hitting time is not a diffeomorphism")
-    tau_step = first.tau_step
     remaining = cfg.n_steps - tau_step
     if remaining < 0:
         raise ValueError("the solver's horizon ends before the hitting time")
@@ -520,11 +511,10 @@ def concatenate(first, fresh, cfg, record_every=1):
     step = np.append(first.step[kept], np.array(steps, dtype=np.uint64))
     record = PathRecord(
         step,
-        step * cfg.dt,
         np.append(first.hk[kept], [f.hk_norm(cfg.k) for f in states]),
         np.append(first.min_deriv[kept], [f.min_derivative for f in states]),
-        np.append(first.stopped[kept], [True] * len(states)),
-        first.tau_r,
+        cfg.dt,
+        tau_step,
         xi,
         states[-1] if states else xi,
     )
@@ -536,7 +526,7 @@ class FlowCheckReport:
     sup_error: float
     window: float  # time of the last compared sample; None if none was compared
     n_checked: int
-    runs: tuple = ()  # the columns of the two runs (from id, from xi) as PathRecords
+    runs: tuple = ()  # the two runs (from id, from xi) as PathRecords without states
 
 
 def flow_compose_check(cfg, stream, xi, record_every=1):
@@ -551,11 +541,11 @@ def flow_compose_check(cfg, stream, xi, record_every=1):
     band-limited interpolation of the composed state.
 
     The identity holds for the untruncated flow only, so a sample is
-    compared only while neither run has stopped: each run's ``stopped``
-    latches at the first step, recorded or not, at which its H^k norm
+    compared only while neither run has stopped: each run latches its
+    ``tau_step`` at the first step, recorded or not, at which its H^k norm
     reaches the truncation radius.  The two runs' records hold their sample
-    columns only: no hitting time or states.  ``stream`` must draw at the
-    cutoff and dt of ``cfg``.
+    columns and that hitting step, but no states.  ``stream`` must draw at
+    the cutoff and dt of ``cfg``.
     """
     _require_record_every(record_every)
     _check_streams([stream], [cfg])
@@ -569,26 +559,28 @@ def flow_compose_check(cfg, stream, xi, record_every=1):
     x = np.array([np.zeros(cfg.grid_size), xi.grid_values])
     block = _Block.start(x, [0.0, xi.hk_norm(cfg.k)], [cfg])
     both = np.zeros(2, dtype=int)  # the two rows step on the stream's one draw
-    increments = (next_increments([stream], both) for _ in range(n_steps))
+    stepper = _STEPPERS[cfg.scheme]
 
     sup_error, window, checked = 0.0, None, 0
-    sampled = []  # (t, hk, min_deriv, stopped) of both rows per recorded step
+    sampled = []  # (step, hk, min_deriv) of both rows per recorded step
     start_md = [1.0, xi.min_derivative]
-    stopped = np.zeros(2, dtype=bool)
-    for i, b in enumerate(chain([block], _integrate(cfg, block, increments))):
-        stopped = stopped | (b.hk >= cfg.radius)
+    hit = np.full(2, -1)  # each row's first step with hk >= R, -1 before it
+    for i in range(n_steps + 1):
+        block = stepper(block, next_increments([stream], both), cfg) if i else block
+        hit[(hit < 0) & (block.hk >= cfg.radius)] = i
         if not _on_record_grid(i, record_every, n_steps):
             continue
-        if not stopped.any():
-            x_at_xi = CircleFunction(b.x[0]).evaluate(warp_pts)
-            err = np.max(np.abs(b.x[1] - xi.grid_values - x_at_xi))
+        if (hit < 0).all():
+            x_at_xi = CircleFunction(block.x[0]).evaluate(warp_pts)
+            err = np.max(np.abs(block.x[1] - xi.grid_values - x_at_xi))
             sup_error = max(sup_error, float(err))
-            window = b.step * cfg.dt
+            window = i * cfg.dt
             checked += 1
-        md = start_md if b.coeffs is None else _min_derivatives(*b.coeffs)
-        sampled.append(([b.step] * 2, [b.step * cfg.dt] * 2, b.hk, md, stopped))
+        md = start_md if block.coeffs is None else _min_derivatives(*block.coeffs)
+        sampled.append(([i] * 2, block.hk, md))
     columns = [np.array(c) for c in zip(*sampled)]  # each (samples, 2)
-    runs = tuple(PathRecord(*(c[:, row] for c in columns)) for row in (0, 1))
+    taus = [None if h < 0 else int(h) for h in hit]
+    runs = tuple(PathRecord(*(c[:, row] for c in columns), cfg.dt, taus[row]) for row in (0, 1))
     return FlowCheckReport(sup_error, window, checked, runs)
 
 

@@ -781,7 +781,7 @@ class TestCli:
 
     def test_artifacts_identical_across_blas_threads(self, tmp_path):
         # The step's field sums its chunks by BLAS products, and the CLI
-        # leaves the BLAS thread count to the environment.  On a 2048-point
+        # takes a BLAS thread count set in the environment.  On a 2048-point
         # grid a chunk product is large enough for OpenBLAS to split it
         # between threads.
         cfg = base_config(tmp_path, n_paths=1)
@@ -799,6 +799,23 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert blobs[0] == blobs[1] and blobs[0]
+
+    @pytest.mark.parametrize("given, expected", [(None, ["1", "1"]), ("3", ["3", "1"])])
+    def test_blas_runs_on_one_thread_unless_set(self, given, expected):
+        # Pool workers stepping large blocks would each start a BLAS thread
+        # per core; the CLI sets one before numpy loads, and a count the
+        # caller set wins.
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if given is not None:
+            env[names[0]] = given
+        probe = f"import os, circleflow.cli; print(*(os.environ[n] for n in {names!r}))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == expected
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

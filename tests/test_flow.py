@@ -426,6 +426,72 @@ def test_concatenate_rejects_another_dt():
         concatenate(first, NoiseStream(SEED, 1, 8, half.dt), half)
 
 
+def test_concatenate_rejects_another_grid():
+    # Negative control: a state at the hitting time on the 64-point grid,
+    # continued under a 128-point solver, would compose the solver's states
+    # onto the 64-point grid and return them there.
+    cfg = make_config(horizon=0.3, radius=0.05)
+    first = simulate_path(cfg, NoiseStream(SEED, 1, 8, cfg.dt), stop_after_hit=True)
+    fine = dataclasses.replace(cfg, grid_size=128)
+    fresh = NoiseStream(SEED, 1, 8, cfg.dt, step_index=first.tau_step)
+    with pytest.raises(ValueError, match="grid 64 != solver grid 128"):
+        concatenate(first, fresh, fine)
+
+
+HITTING_PRODUCERS = [
+    *(f"simulate_paths-{scheme}-{mode}" for scheme in ("euler", "heun") for mode in ("run", "stop")),
+    "concatenate",
+    "flow_compose_check",
+]
+
+
+def _hitting_records(name, record_every):
+    """The ``(record, radius)`` pairs the producer ``name`` builds at
+    ``record_every``; at 3 each producer has a crossing off the record grid."""
+    if name.startswith("simulate_paths"):
+        _, scheme, mode = name.split("-")
+        radii = (0.1, 0.2, 0.3, 0.5, 1e9)  # paths 2 and 3 cross at steps 3, 4, 12, 7, 39, 42, 57
+        solvers = [make_config(radius=r, scheme=scheme) for r in radii]
+        streams = [NoiseStream(SEED, p, 8, 1e-3) for p in (2, 3)]
+        records = simulate_paths(solvers, streams, record_every, stop_after_hit=mode == "stop")
+        return list(zip(records, radii * len(streams)))
+    if name == "concatenate":
+        cfg = make_config(radius=0.2)  # path 1 crosses at step 20
+        first = simulate_path(cfg, NoiseStream(SEED, 1, 8, cfg.dt), record_every, True)
+        fresh = NoiseStream(SEED, 1, 8, cfg.dt, step_index=first.tau_step)
+        return [(concatenate(first, fresh, cfg, record_every)[0], cfg.radius)]
+    # the case of test_stopped_latches_between_recorded_steps: row 1 first
+    # reaches R at step 7
+    free, xi = make_config(radius=1e9), CircleFunction.harmonic(64, 1, sin_amp=0.1)
+    cfg = dataclasses.replace(
+        free, radius=flow_compose_check(free, NoiseStream(SEED, 0, 8, free.dt), xi).runs[1].hk[7]
+    )
+    runs = flow_compose_check(cfg, NoiseStream(SEED, 0, 8, cfg.dt), xi, record_every).runs
+    return [(run, cfg.radius) for run in runs]
+
+
+@pytest.mark.parametrize("name", HITTING_PRODUCERS)
+def test_one_hitting_step_per_record(name):
+    # A record's t, stopped and tau_r all follow from its steps and its one
+    # hitting step, which is the first step, recorded or not, at which its
+    # H^k norm reaches the radius: read off the producer at record_every 1.
+    coarse, every_step = (_hitting_records(name, every) for every in (3, 1))
+    for (rec, radius), (ref, _) in zip(coarse, every_step, strict=True):
+        assert ref.step.tolist() == list(range(ref.step.size))
+        reached = np.flatnonzero(ref.hk >= radius)
+        assert rec.tau_step == (int(reached[0]) if reached.size else None)
+        assert np.array_equal(rec.t, rec.step * rec.dt)
+        tau = np.inf if rec.tau_step is None else rec.tau_step
+        assert np.array_equal(rec.stopped, rec.step >= tau)
+        assert rec.tau_r == (None if rec.tau_step is None else rec.tau_step * rec.dt)
+        if name != "flow_compose_check" and rec.tau_step is not None:
+            assert rec.tau_step in rec.step  # the crossing sample
+    taus = [rec.tau_step for rec, _ in coarse]
+    assert any(tau is not None and tau % 3 for tau in taus)
+    if name == "flow_compose_check":
+        assert taus[1] == 7 and 7 not in coarse[1][0].step
+
+
 class TestFlowComposeCheck:
     def test_identity_initial_map(self):
         cfg = make_config(horizon=0.05, mode_cutoff=8, grid_size=256, radius=10.0)
