@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,7 +34,8 @@ from circleflow import (
 from circleflow import ensemble, flow
 from circleflow.cli import build_parser, load_config
 from circleflow.cli import main as cli_main
-from circleflow.ensemble import _percentile, _safe_ratio
+from circleflow.circlefn import CircleFunction, _analyze
+from circleflow.ensemble import _decay_fit, _percentile, _safe_ratio
 from conftest import columns
 
 SEED = 20240817
@@ -253,6 +255,92 @@ class TestSimulateExperiment:
             assert lo <= hi + 1e-15
 
 
+def polyfit_decay(finals):
+    """The decay exponent as ``np.polyfit`` fits it over the mean amplitudes
+    that ``_decay_fit`` forms, with the fitted points ``(x, y)``."""
+    a, b = _analyze(np.array([f.grid_values for f in finals]))
+    mean_amp = np.mean(np.hypot(a[:, 1:], b[:, 1:]), axis=0)
+    n = np.arange(1, mean_amp.size + 1, dtype=float)
+    keep = mean_amp > 1e-300
+    x, y = n[keep], np.log(mean_amp[keep])
+    return -np.polyfit(x, y, 1)[0], x, y
+
+
+def slope_tolerance(x, y):
+    """Relative distance allowed between two double-precision least-squares
+    slopes of ``(x, y)``.
+
+    The slope is ``sum(dx * dy) / sum(dx * dx)`` with ``dx``, ``dy`` the
+    centered points.  A sum of K terms is within ``K eps sum|terms|`` of its
+    exact value, so its relative error is at most ``K eps`` times its
+    condition number ``sum|terms| / |sum terms|``: 1 for ``sum(dx * dx)``,
+    ``c = sum|dx dy| / |sum dx dy|`` for the numerator.  The centering
+    itself adds at most ``K eps`` to each.  So one slope is within
+    ``2 K eps (1 + c)`` of the exact one; LAPACK's SVD solver is backward
+    stable, and on the two well-scaled columns of a line fit it meets a
+    bound of the same order.  Two slopes: ``4 K eps (1 + c)``.
+    """
+    dx, dy = x - x.mean(), y - y.mean()
+    cond = np.sum(np.abs(dx * dy)) / abs(np.sum(dx * dy))
+    return 4 * x.size * np.finfo(float).eps * (1 + cond)
+
+
+class TestDecayFit:
+    def test_equals_polyfit_on_the_final_states_of_a_run(self, tmp_path):
+        cfg = RunConfig.from_dict(base_config(tmp_path, n_paths=4))
+        [records] = run_ensemble(cfg, [cfg.solver])
+        finals = [r.final_state for r in records]
+        expected, x, y = polyfit_decay(finals)
+        assert math.isfinite(expected) and x.size >= 2
+        assert _decay_fit(finals) == pytest.approx(expected, rel=slope_tolerance(x, y), abs=0)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 1.0, 3.0])
+    def test_equals_polyfit_on_noisy_exponential_spectra(self, rng, p):
+        # amplitudes exp(-p n) times log-normal noise, at random phases; at
+        # p = 3 the high modes sink to rounding level, as in a long run
+        m = 64
+        n = np.arange(m // 2 + 1)
+        finals = []
+        for _ in range(3):
+            amp = np.exp(-p * n) * np.exp(rng.normal(scale=0.3, size=n.size))
+            phase = rng.uniform(0, 2 * np.pi, size=n.size)
+            a, b = amp * np.cos(phase), amp * np.sin(phase)
+            finals.append(CircleFunction.from_coefficients(a, b))
+        expected, x, y = polyfit_decay(finals)
+        assert _decay_fit(finals) == pytest.approx(expected, rel=slope_tolerance(x, y), abs=0)
+        if p * (m // 2) < 20:  # every mode above rounding: the fit finds p
+            assert _decay_fit(finals) == pytest.approx(p, rel=0.2)
+
+    def test_fewer_than_two_modes_is_nan_and_null(self, tmp_path):
+        zero = CircleFunction.zero(64)
+        nyquist = CircleFunction.harmonic(64, 32, cos_amp=0.1)  # +-0.1: one exact mode
+        for finals, n_modes in (([zero], 0), ([nyquist], 1), ([zero, nyquist], 1), ([None], None)):
+            if n_modes is not None:
+                a, b = _analyze(np.array([f.grid_values for f in finals]))
+                assert np.count_nonzero(np.hypot(a[:, 1:], b[:, 1:]).mean(axis=0)) == n_modes
+            assert math.isnan(_decay_fit(finals))
+        # at horizon 0 every final state is the identity: no mode to fit
+        path, raw = write_config(tmp_path)
+        data = json.loads(path.read_text())
+        data["solver"]["horizon"] = 0.0
+        path.write_text(json.dumps(data))
+        run_experiment(RunConfig.from_file(path))
+        summary = json.loads((Path(raw["output_dir"]) / "summary.json").read_text())
+        assert summary["decay_fit_exponent"] is None
+
+    def test_summarize_calls_no_least_squares_solver(self, tmp_path, monkeypatch):
+        cfg = RunConfig.from_dict(base_config(tmp_path))
+        [records] = run_ensemble(cfg, [cfg.solver])
+
+        def refused(*args, **kwargs):
+            raise AssertionError("least-squares solver called")
+
+        monkeypatch.setattr(np, "polyfit", refused)
+        monkeypatch.setattr(np.linalg, "lstsq", refused)
+        summary = ensemble.summarize(records, cfg)
+        assert math.isfinite(summary["decay_fit_exponent"])
+
+
 class TestPathsCsv:
     @pytest.mark.parametrize("experiment", ["simulate", "flow_check"])
     def test_rows_parse_back_to_the_read_only_record_columns(self, tmp_path, experiment):
@@ -467,6 +555,27 @@ class TestRunEnsemble:
         tasks = [json.loads(path.read_text()) for path in log.iterdir()]
         assert len(tasks) == len(ensemble._blocks(3, 2, 2))
         assert sorted(pid for paths in tasks for pid in paths) == list(range(cfg.n_paths))
+
+    def test_pool_starts_one_worker_per_task(self, tmp_path, monkeypatch):
+        # 3 paths make 3 tasks (``_blocks``): at 4 workers the pool forks 3
+        # processes, not 4 with one idle, and the artifacts stay those of
+        # one worker
+        started = []
+
+        class Recorded(ensemble.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", Recorded)
+        path, _ = write_config(tmp_path, n_paths=3)
+        blobs = []
+        for workers in ("1", "4"):
+            out = tmp_path / f"w{workers}"
+            assert cli_main(["run", str(path), "--workers", workers, "--out", str(out)]) == 0
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert started == [3]
+        assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize(
         "command", ["run", "validate", "flow-check", "hitting-times", "contrast"]
