@@ -11,12 +11,11 @@ coefficient space: the norm of ``sum c_n e_n`` is the plain l2 norm of the
 coefficients.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circlefn import CircleFunction
+from .circlefn import CircleFunction, _require_grid_size, _require_ints, _require_reals
 
 __all__ = ["ScalingSequence", "ScaledBasis"]
 
@@ -30,6 +29,8 @@ class ScalingSequence:
     exponential(c): exp(-c|n|)      rapidly decreasing
     gaussian(c):    exp(-c n^2)     rapidly decreasing
     powerlaw(p):    (1+|n|)^-p      NOT rapidly decreasing (contrast only)
+
+    ``parameter`` is a finite real, stored as a float.
     """
 
     family: str
@@ -38,8 +39,10 @@ class ScalingSequence:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown scaling family {self.family!r}")
-        if not (math.isfinite(self.parameter) and self.parameter > 0):
-            raise ValueError("scaling parameter must be finite and positive")
+        _require_reals({"parameter": self.parameter})
+        object.__setattr__(self, "parameter", float(self.parameter))
+        if not self.parameter > 0:
+            raise ValueError("scaling parameter must be positive")
 
     @classmethod
     def exponential(cls, c=1.0):
@@ -72,10 +75,7 @@ class ScalingSequence:
 
     @classmethod
     def from_dict(cls, d):
-        parameter = d["parameter"]
-        if isinstance(parameter, (bool, str)):  # float() would accept both
-            raise ValueError(f"scaling parameter must be a number, got {parameter!r}")
-        return cls(d["family"], float(parameter))
+        return cls(d["family"], d["parameter"])
 
 
 @dataclass(frozen=True)
@@ -88,17 +88,13 @@ class ScaledBasis:
 
     scaling: ScalingSequence
     mode_cutoff: int
-    grid_size: int = 0
+    grid_size: int
 
     def __post_init__(self):
+        _require_ints({"mode_cutoff": self.mode_cutoff, "grid_size": self.grid_size})
         if self.mode_cutoff < 1:
             raise ValueError("mode cutoff must be >= 1")
-        if self.grid_size == 0:
-            object.__setattr__(self, "grid_size", 4 * self.mode_cutoff)
-        if self.grid_size < 4 * self.mode_cutoff:
-            raise ValueError("grid size must be at least 4 * mode_cutoff")
-        if self.grid_size & (self.grid_size - 1):
-            raise ValueError("grid size must be a power of two")
+        _require_grid_size(self.grid_size, self.mode_cutoff)
 
     def weight(self, n):
         return self.scaling.value_at(n)

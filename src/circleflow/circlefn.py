@@ -19,6 +19,7 @@ whether it is a diffeomorphism.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -46,9 +47,37 @@ def grid_points(grid_size):
     return theta
 
 
-def _require_grid_size(m):
+# The argument rules of every public constructor, written once here, the
+# module every other one imports.
+
+
+def _require_ints(values, error=ValueError):
+    """Raise ``error`` unless each value of the ``name -> value`` dict is an
+    integer (a bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _require_reals(values, error=ValueError):
+    """Raise ``error`` unless each value of the ``name -> value`` dict is a
+    finite number (a bool is not)."""
+    for name, value in values.items():
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value)
+        ):
+            raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def _require_grid_size(m, mode_cutoff=0):
+    """Raise ValueError unless the integer ``m`` is a power of two >= 4 with
+    the 4x margin over a band of ``mode_cutoff`` modes."""
     if m < 4 or (m & (m - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 4, got {m}")
+    if m < 4 * mode_cutoff:
+        raise ValueError(f"grid size must be at least 4 * mode_cutoff, got {m}")
 
 
 class CircleFunction:

@@ -21,14 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .basis import ScaledBasis, ScalingSequence
-from .circlefn import CircleFunction, _analyze
+from .circlefn import CircleFunction, _analyze, _require_ints, _require_reals
 from .flow import (
     SolverConfig,
     _check_shared,
     _on_record_grid,
     _path_rows,
-    _require_ints,
-    _require_reals,
     diffeo_radius,
     flow_compose_check,
     integrate,
@@ -115,7 +113,8 @@ class RunConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        _require_ints(self, ("master_seed", "n_paths", "record_every", "workers"), ConfigError)
+        names = ("master_seed", "n_paths", "record_every", "workers")
+        _require_ints({name: getattr(self, name) for name in names}, ConfigError)
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must lie in [0, 2**64)")
         # The upper limits reject sizes no run can finish: the path list is

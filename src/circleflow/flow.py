@@ -30,6 +30,9 @@ from .circlefn import (
     _analyze,
     _hk_norm,
     _min_derivatives,
+    _require_grid_size,
+    _require_ints,
+    _require_reals,
     _warp_points,
     grid_points,
     sobolev_embedding_constant,
@@ -56,33 +59,10 @@ class SimulationDiverged(RuntimeError):
     """Raised when a step produces non-finite state values."""
 
 
-def _require_ints(obj, names, error=ValueError):
-    """Raise ``error`` unless each named attribute of ``obj`` is an integer."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise error(f"{name} must be an integer, got {value!r}")
-
-
-def _require_reals(values, error=ValueError):
-    """Raise ``error`` unless each value of the ``name -> value`` dict is a
-    finite number."""
-    for name, value in values.items():
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float, np.integer, np.floating))
-            or not math.isfinite(value)
-        ):
-            raise error(f"{name} must be a finite number, got {value!r}")
-
-
 def _require_record_every(record_every):
     """Raise ValueError unless ``record_every`` is an integer >= 1."""
-    if (
-        isinstance(record_every, bool)
-        or not isinstance(record_every, (int, np.integer))
-        or record_every < 1
-    ):
+    _require_ints({"record_every": record_every})
+    if record_every < 1:
         raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
 
 
@@ -106,7 +86,7 @@ class SolverConfig:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_ints(self, ("mode_cutoff", "grid_size", "k"))
+        _require_ints({"mode_cutoff": self.mode_cutoff, "grid_size": self.grid_size, "k": self.k})
         _require_reals({"dt": self.dt, "horizon": self.horizon, "radius": self.radius})
         if not self.dt > 0:
             raise ValueError("dt must be positive")
@@ -126,10 +106,7 @@ class SolverConfig:
             raise ValueError("mode cutoff must be >= 1")
         if self.k < 0:
             raise ValueError("Sobolev index must be >= 0")
-        if self.grid_size < 4 * self.mode_cutoff:
-            raise ValueError("grid size must be at least 4 * mode_cutoff")
-        if self.grid_size & (self.grid_size - 1) or self.grid_size < 4:
-            raise ValueError("grid size must be a power of two >= 4")
+        _require_grid_size(self.grid_size, self.mode_cutoff)
         if self.grid_size > 2**24:  # 128 MiB per state; larger fails in allocation
             raise ValueError("grid size must not exceed 2**24")
         if 2 * self.k * math.log2(self.grid_size // 2) >= 1024:
@@ -198,7 +175,10 @@ def _check_shared(cfgs):
 
 def _check_streams(streams, solvers):
     """Raise ValueError unless every stream draws at the largest cutoff and
-    the dt of ``solvers``, the increments their block steps on."""
+    the dt of ``solvers``, the increments their block steps on, and no
+    stream object is listed twice (each of its rows would advance it)."""
+    if len({id(stream) for stream in streams}) < len(streams):
+        raise ValueError("streams lists one stream object more than once")
     want = (
         ("mode_cutoff", max(c.mode_cutoff for c in solvers), "the largest cutoff"),
         ("dt", solvers[0].dt, "the dt"),
@@ -366,6 +346,10 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     the identity to the horizon; returns the records of the
     ``(stream, solver)`` pairs, stream-major.
 
+    The run advances each of the caller's ``streams`` by the steps it
+    drew, so passing the same objects again continues their paths; a
+    stream object may be listed once only (``_check_streams``).
+
     ``solvers`` is one solver or a sequence of them; they must agree in
     ``_SHARED`` and may differ in mode weights and radius.  A path steps one
     row per group of solvers (``_path_rows``): solvers that differ only in
@@ -465,7 +449,8 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
 
 
 def simulate_path(cfg, stream, record_every=1, stop_after_hit=False):
-    """``simulate_paths`` for one stream."""
+    """``simulate_paths`` for one stream, which the run advances: a second
+    run on the same object continues its path, it does not replay it."""
     return simulate_paths(cfg, [stream], record_every, stop_after_hit)[0]
 
 
@@ -482,7 +467,8 @@ def concatenate(first, fresh, cfg, record_every=1):
     reparameterization, and the horizon of ``cfg`` must not end before the
     hitting time.  ``first`` must be sampled at the dt of ``cfg`` and its
     state at the hitting time live on the grid of ``cfg``, and ``fresh``
-    must draw at the cutoff and dt of ``cfg``.
+    must draw at the cutoff and dt of ``cfg``.  ``fresh`` is drawn from its
+    own ``step_index`` on and left advanced by the remaining steps.
     """
     _require_record_every(record_every)
     _check_streams([fresh], [cfg])
@@ -545,7 +531,8 @@ def flow_compose_check(cfg, stream, xi, record_every=1):
     ``tau_step`` at the first step, recorded or not, at which its H^k norm
     reaches the truncation radius.  The two runs' records hold their sample
     columns and that hitting step, but no states.  ``stream`` must draw at
-    the cutoff and dt of ``cfg``.
+    the cutoff and dt of ``cfg``; the check advances it by the horizon's
+    steps, so a second check on the same object sees the next steps' noise.
     """
     _require_record_every(record_every)
     _check_streams([stream], [cfg])

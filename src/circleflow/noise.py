@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circlefn import chunked_trig_sum
+from .circlefn import _require_ints, _require_reals, chunked_trig_sum
 
 __all__ = ["NoiseStream", "next_increments", "field_values"]
 
@@ -43,6 +43,15 @@ class NoiseStream:
     rows: it draws at the largest cutoff of the solvers, once per step while
     any of the rows is live, so a row that stops early leaves it running
     for the others.
+
+    A stream is a cursor: ``next_increment``, ``next_increments`` and every
+    run that draws from it (``simulate_path``, ``simulate_paths``,
+    ``concatenate``, ``flow_compose_check``) advance the caller's object
+    in place, so passing the same stream to a second run continues its
+    path from the step where the first run stopped; to replay the path,
+    pass a fresh ``NoiseStream`` (at ``step_index=k`` to start at step k).
+    The seed, path id and step index are integers in ``[0, 2**64)`` and
+    the cutoff an integer >= 1; ``dt`` is a finite positive number.
     """
 
     master_seed: int
@@ -54,11 +63,12 @@ class NoiseStream:
     _state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master seed must fit in 64 bits")
-        # both are Philox counter words
-        if not (0 <= self.path_id < 2**64 and 0 <= self.step_index < 2**64):
-            raise ValueError("path id and step index must lie in [0, 2**64)")
+        words = ("master_seed", "path_id", "step_index")  # the Philox key and counter words
+        _require_ints({name: getattr(self, name) for name in (*words, "mode_cutoff")})
+        _require_reals({"dt": self.dt})
+        for name in words:
+            if not 0 <= getattr(self, name) < 2**64:
+                raise ValueError(f"{name} must lie in [0, 2**64), got {getattr(self, name)}")
         if self.mode_cutoff < 1:
             raise ValueError("mode cutoff must be >= 1")
         if not self.dt > 0:
@@ -72,8 +82,12 @@ class NoiseStream:
         """Stateless draw for an arbitrary step (replay, refinement, offsets).
 
         The generator's counter is set to ``(0, path_id, step, 0)`` with an
-        empty buffer, so the draw does not depend on earlier draws.
+        empty buffer, so the draw does not depend on earlier draws.  ``step``
+        is an integer in ``[0, 2**64)``, the counter's step word.
         """
+        _require_ints({"step": step})
+        if not 0 <= step < 2**64:
+            raise ValueError(f"step must lie in [0, 2**64), got {step}")
         z = np.empty(2 * self.mode_cutoff + 1)
         self._normals_at(step, z)
         d = z[_layout(self.mode_cutoff)]

@@ -32,6 +32,20 @@ class TestScalingSequence:
         with pytest.raises(ValueError):
             ScalingSequence("cauchy", 1.0)
 
+    @pytest.mark.parametrize("parameter", [True, "1.0", None, np.inf, np.nan])
+    def test_parameter_must_be_a_finite_number(self, parameter):
+        # Negative control: True passed as the parameter 1.
+        with pytest.raises(ValueError, match="^parameter must be a finite number"):
+            ScalingSequence("exponential", parameter)
+        with pytest.raises(ValueError, match="^parameter must be a finite number"):
+            ScalingSequence.from_dict({"family": "exponential", "parameter": parameter})
+
+    def test_parameter_is_stored_as_a_float(self):
+        from_config = ScalingSequence.from_dict({"family": "powerlaw", "parameter": np.int64(2)})
+        for seq in (ScalingSequence.powerlaw(2), from_config):
+            assert type(seq.parameter) is float
+            assert seq == ScalingSequence.powerlaw(2.0)
+
 
 class TestScaledBasis:
     def test_constant_mode(self, exp_basis):
@@ -54,6 +68,25 @@ class TestScaledBasis:
     def test_rejects_undersized_grid(self):
         with pytest.raises(ValueError):
             ScaledBasis(ScalingSequence.exponential(1.0), 8, 16)
+
+    @pytest.mark.parametrize(
+        "cutoff, grid, message",
+        [
+            (8, 48, "grid size must be a power of two"),
+            (8.5, 64, "mode_cutoff must be an integer"),
+            (8, 64.0, "grid_size must be an integer"),
+            (True, 64, "mode_cutoff must be an integer"),
+        ],
+    )
+    def test_rejects_a_bad_cutoff_or_grid(self, cutoff, grid, message):
+        # Negative control: a cutoff of 8.5 held 10 weights and no grid check
+        # applied to a float grid.
+        with pytest.raises(ValueError, match=message):
+            ScaledBasis(ScalingSequence.exponential(1.0), cutoff, grid)
+
+    def test_grid_size_has_no_default(self):
+        with pytest.raises(TypeError):
+            ScaledBasis(ScalingSequence.exponential(1.0), 8)
 
     def test_coefficient_space_orthonormality_exact(self, exp_basis):
         for n in range(-8, 9):

@@ -6,6 +6,7 @@ its gate (``perfbench/gate.py``), so a change in ``src/`` that moves a key
 scalar fails here, not only under the benchmark.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -19,12 +20,21 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 MASTER_SEED = 20240817
 
-# the CLI workloads of perfbench/run.py: command, paths and workers
-CLI_WORKLOADS = {
-    "simulate": ("run", 4, 1),
-    "contrast": ("contrast", 1, 1),
-    "hitting": ("hitting-times", 50, 2),
-}
+
+def _cli_workloads():
+    """The ``CLI_WORKLOADS`` table of ``perfbench/run.py`` (name -> command,
+    n_paths, workers), read from its source as a literal: importing the
+    script would run its module-level setup (it pins BLAS threads in
+    ``os.environ``)."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    for node in tree.body:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and names == ["CLI_WORKLOADS"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/run.py assigns no CLI_WORKLOADS literal")
+
+
+CLI_WORKLOADS = _cli_workloads()
 
 
 def _load_gate():
@@ -55,7 +65,8 @@ def test_workload_matches_the_reference(workload, tmp_path):
     if workload == "certify":
         rc, err = _run([str(PERFBENCH / "certify_job.py"), str(MASTER_SEED), str(out)], tmp_path)
     else:
-        command, n_paths, workers = CLI_WORKLOADS[workload]
+        spec = CLI_WORKLOADS[workload]
+        command, n_paths, workers = spec["command"], spec["n_paths"], spec["workers"]
         config = json.loads((ROOT / "docs" / "example-config.json").read_text())
         config.update(n_paths=n_paths, master_seed=MASTER_SEED)
         config_path = tmp_path / "config.json"

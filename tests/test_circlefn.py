@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,15 @@ from circleflow import (
     grid_points,
     sobolev_embedding_constant,
 )
-from circleflow.circlefn import _analyze, _hk_norm, _min_derivatives, _warp_points
+from circleflow.circlefn import (
+    _analyze,
+    _hk_norm,
+    _min_derivatives,
+    _require_grid_size,
+    _require_ints,
+    _require_reals,
+    _warp_points,
+)
 from conftest import quadrature_norms, random_band_limited
 
 
@@ -304,3 +314,38 @@ class TestEmbeddingConstant:
         f = CircleFunction.harmonic(32, 1, sin_amp=1.0)
         c2 = sobolev_embedding_constant(2, 1)
         assert f.derivative().linf_norm() <= c2 * f.hk_norm(2)
+
+
+class TestArgumentValidators:
+    """The integer, finite-real and grid-size rules every public constructor
+    checks its arguments by."""
+
+    @pytest.mark.parametrize("value", [0, -3, 2**70, np.int64(5), np.uint64(2**64 - 1)])
+    def test_integers_pass(self, value):
+        _require_ints({"n": value})
+
+    @pytest.mark.parametrize("value", [True, 2.0, np.float64(2.0), "2", None])
+    def test_non_integers_are_named(self, value):
+        with pytest.raises(KeyError, match=re.escape(f"n must be an integer, got {value!r}")):
+            _require_ints({"m": 1, "n": value}, KeyError)
+
+    @pytest.mark.parametrize("value", [0, -1.5, 1e300, np.int64(3), np.float32(0.5)])
+    def test_finite_reals_pass(self, value):
+        _require_reals({"x": value})
+
+    @pytest.mark.parametrize("value", [False, np.inf, -np.inf, np.nan, "1.0", None, 1j])
+    def test_non_finite_or_non_real_values_are_named(self, value):
+        with pytest.raises(ValueError, match="^x must be a finite number"):
+            _require_reals({"x": value})
+
+    @pytest.mark.parametrize("m, cutoff", [(4, 0), (4, 1), (64, 16), (2**24, 8)])
+    def test_powers_of_two_with_the_band_margin_pass(self, m, cutoff):
+        _require_grid_size(m, cutoff)
+
+    @pytest.mark.parametrize(
+        "m, cutoff, message",
+        [(2, 0, "power of two >= 4"), (48, 8, "power of two >= 4"), (32, 16, "4 \\* mode_cutoff")],
+    )
+    def test_bad_grid_sizes_are_rejected(self, m, cutoff, message):
+        with pytest.raises(ValueError, match=message):
+            _require_grid_size(m, cutoff)

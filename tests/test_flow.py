@@ -60,6 +60,20 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             make_config(scheme="milstein")
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"grid_size": 48}, "grid size must be a power of two >= 4, got 48"),
+            ({"grid_size": 16}, "grid size must be at least 4 \\* mode_cutoff, got 16"),
+            ({"mode_cutoff": 8.0}, "mode_cutoff must be an integer, got 8.0"),
+            ({"k": True}, "k must be an integer, got True"),
+            ({"dt": float("nan")}, "dt must be a finite number"),
+        ],
+    )
+    def test_checks_through_the_circlefn_validators(self, change, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make_config(**change)
+
     def test_zero_horizon_allowed(self):
         assert make_config(horizon=0.0).n_steps == 0
 
@@ -213,6 +227,17 @@ class TestSimulatePath:
         rec2 = simulate_path(cfg, NoiseStream(SEED, 5, 8, cfg.dt), record_every=7)
         assert columns(rec1) == columns(rec2)
         assert np.array_equal(rec1.final_state.grid_values, rec2.final_state.grid_values)
+
+    def test_a_reused_stream_continues_its_path(self):
+        # A run advances the caller's stream: a second run on the same object
+        # is the path's continuation, not a replay.
+        cfg = make_config(horizon=0.02, radius=0.3)
+        stream = NoiseStream(SEED, 5, 8, cfg.dt)
+        first = simulate_path(cfg, stream)
+        assert stream.step_index == cfg.n_steps
+        again = simulate_path(cfg, stream)
+        later = simulate_path(cfg, NoiseStream(SEED, 5, 8, cfg.dt, step_index=cfg.n_steps))
+        assert columns(again) == columns(later) != columns(first)
 
     def test_hitting_time_first_crossing(self):
         cfg = make_config(horizon=0.5, radius=0.05)
@@ -404,6 +429,21 @@ def test_stream_must_draw_at_the_solver_cutoff_and_dt(name, stream, message):
     }
     with pytest.raises(ValueError, match=message):
         calls[name]()
+
+
+def test_simulate_paths_rejects_a_stream_listed_twice():
+    # Negative control: a stream listed twice was advanced once per row and
+    # step, so neither row followed its path (step_index ended at 2 * n_steps).
+    cfg = make_config(horizon=0.003)
+    stream = NoiseStream(SEED, 0, 8, cfg.dt)
+    with pytest.raises(ValueError, match="^streams lists one stream object more than once"):
+        simulate_paths(cfg, [stream, NoiseStream(SEED, 1, 8, cfg.dt), stream])
+    assert stream.step_index == 0
+    # two equal streams are two objects: each row follows path 0
+    twins = [NoiseStream(SEED, 0, 8, cfg.dt) for _ in range(2)]
+    a, b = simulate_paths(cfg, twins)
+    assert columns(a) == columns(b) == columns(simulate_path(cfg, stream))
+    assert [s.step_index for s in twins] == [cfg.n_steps] * 2
 
 
 @pytest.mark.parametrize("size", [3, 33])

@@ -118,6 +118,35 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             NoiseStream(SEED, 0, 4, 1e-3, step_index=2**64)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((1.5, 0, 4, 1e-3), "master_seed"),
+            ((SEED, 0.5, 4, 1e-3), "path_id"),
+            ((SEED, True, 4, 1e-3), "path_id"),
+            ((SEED, 0, 4.0, 1e-3), "mode_cutoff"),
+            ((SEED, 0, 4, 1e-3, 2.0), "step_index"),
+            ((SEED, 0, 4, np.inf), "dt"),
+            ((SEED, 0, 4, "1e-3"), "dt"),
+        ],
+    )
+    def test_rejects_a_non_integer_word_or_a_non_finite_dt(self, args, name):
+        # Negative control: a float path id or step was truncated to the
+        # counter word below it (path 0.5 drew path 0's noise), and dt = inf
+        # scaled every draw to inf.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            NoiseStream(*args)
+
+    @pytest.mark.parametrize("step", [2.7, -1, 2**64, np.float64(2.0), None])
+    def test_increment_at_rejects_a_step_outside_the_counter_word(self, step):
+        # Negative control: increment_at(2.7) drew step 2's noise.
+        with pytest.raises(ValueError, match="^step must"):
+            NoiseStream(SEED, 0, 4, 1e-3).increment_at(step)
+
+    def test_increment_at_takes_numpy_integer_steps(self):
+        s = NoiseStream(SEED, 3, 4, 1e-3)
+        assert np.array_equal(s.increment_at(np.uint64(2**64 - 1)), s.increment_at(2**64 - 1))
+
 
 class TestStatistics:
     def test_single_coordinate_variance(self, draw_table):
