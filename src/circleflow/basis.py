@@ -30,7 +30,7 @@ class ScalingSequence:
     gaussian(c):    exp(-c n^2)     rapidly decreasing
     powerlaw(p):    (1+|n|)^-p      NOT rapidly decreasing (contrast only)
 
-    ``parameter`` is a finite real, stored as a float.
+    ``parameter`` is a finite real > 0, stored as a float.
     """
 
     family: str
@@ -39,10 +39,8 @@ class ScalingSequence:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown scaling family {self.family!r}")
-        _require_reals({"parameter": self.parameter})
+        _require_reals({"parameter": self.parameter}, positive=True)
         object.__setattr__(self, "parameter", float(self.parameter))
-        if not self.parameter > 0:
-            raise ValueError("scaling parameter must be positive")
 
     @classmethod
     def exponential(cls, c=1.0):
@@ -58,10 +56,12 @@ class ScalingSequence:
 
     def value_at(self, n):
         """lam(n), bitwise the entry |n| of ``values``."""
+        _require_ints({"n": n})
         return float(self.values(abs(n))[-1])
 
     def values(self, n_max):
-        """Vector [lam(0), ..., lam(n_max)]."""
+        """Vector [lam(0), ..., lam(n_max)], for an integer ``n_max >= 0``."""
+        _require_ints({"n_max": n_max}, lo=0)
         n = np.arange(n_max + 1, dtype=float)
         if self.family == "exponential":
             return np.exp(-self.parameter * n)
@@ -83,7 +83,10 @@ class ScaledBasis:
     """Weighted trig modes e_n, |n| <= mode_cutoff, sampled on a working grid.
 
     The grid keeps a 4x margin over the mode band so that compositions stay
-    below test tolerances when re-sampled.
+    below test tolerances when re-sampled.  ``scaling`` is read through its
+    ``value_at`` and ``values`` only, so any object with those two methods
+    serves as well as a ``ScalingSequence`` (a weight family modified in
+    one mode, say).
     """
 
     scaling: ScalingSequence
@@ -91,9 +94,9 @@ class ScaledBasis:
     grid_size: int
 
     def __post_init__(self):
-        _require_ints({"mode_cutoff": self.mode_cutoff, "grid_size": self.grid_size})
-        if self.mode_cutoff < 1:
-            raise ValueError("mode cutoff must be >= 1")
+        if not all(callable(getattr(self.scaling, m, None)) for m in ("value_at", "values")):
+            raise ValueError(f"scaling must be a ScalingSequence, got {self.scaling!r}")
+        _require_ints({"mode_cutoff": self.mode_cutoff}, lo=1)
         _require_grid_size(self.grid_size, self.mode_cutoff)
 
     def weight(self, n):
@@ -104,8 +107,7 @@ class ScaledBasis:
 
     def basis_function(self, n):
         """lam(n) cos(n theta) for n >= 0, lam(n) sin(n theta) for n < 0."""
-        if abs(n) > self.mode_cutoff:
-            raise ValueError(f"mode {n} outside cutoff {self.mode_cutoff}")
+        _require_ints({"n": n}, lo=-self.mode_cutoff, hi=self.mode_cutoff + 1)
         w = self.weight(n)
         if n >= 0:
             return CircleFunction.harmonic(self.grid_size, n, cos_amp=w)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circlefn import _warp_points, hk_norms, sobolev_embedding_constant
+from .circlefn import _require_ints, _warp_points, hk_norms, sobolev_embedding_constant
 
 __all__ = [
     "bell_polynomial",
@@ -36,10 +36,11 @@ def _monomials(n, k):
 
     Tuples ``(coefficient, exponents)`` where ``exponents`` ranges over the
     variables x_1..x_{n-k+1}; every monomial satisfies sum(j_i) = k and
-    sum(i*j_i) = n.
+    sum(i*j_i) = n.  The cache answers ``(3, 1.0)`` from the entry of
+    ``(3, 1)``, equal keys, so the public callers check their orders too.
     """
-    if not 0 <= k <= n <= MAX_ORDER:
-        raise ValueError(f"need 0 <= k <= n <= {MAX_ORDER}")
+    _require_ints({"n": n}, lo=0, hi=MAX_ORDER + 1)
+    _require_ints({"k": k}, lo=0, hi=n + 1)
     return tuple(_enumerate_monomials(n, k))
 
 
@@ -72,8 +73,8 @@ def _enumerate_monomials(n, k):
 
 def bell_polynomial(n, k, xs):
     """Exact evaluation of the partial Bell polynomial B_{n,k}(x_1, ...)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_ints({"n": n}, lo=1, hi=MAX_ORDER + 1)
+    _require_ints({"k": k}, lo=0, hi=n + 1)
     monomials = _monomials(n, k)
     xs = np.asarray(xs, dtype=float)
     if k >= 1 and xs.size < n - k + 1:
@@ -96,8 +97,7 @@ def compose_derivative(f_jet, g_jet, n):
     """
     f_jet = np.asarray(f_jet, dtype=float)
     g_jet = np.asarray(g_jet, dtype=float)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_ints({"n": n}, lo=1, hi=MAX_ORDER + 1)
     if f_jet.size < n + 1 or g_jet.size < n + 1:
         raise ValueError("jets must carry at least n + 1 derivatives")
     total = 0.0
@@ -122,8 +122,7 @@ def warp_expansion_terms(k):
     Returns tuples ``(coefficient, j, powers)`` with ``powers`` a dict mapping
     derivative order i >= 1 to its exponent.
     """
-    if k < 1:
-        raise ValueError("order must be >= 1")
+    _require_ints({"k": k}, lo=1, hi=MAX_ORDER + 1)
     terms = []
     for j in range(1, k + 1):
         for coef, exps in _monomials(k, j):
@@ -213,8 +212,7 @@ def hs_bound_certificate(f, k, basis):
     ``||f||_{H^k}`` itself).  Every step of that chain is an inequality, so
     ``actual <= bound`` must hold whenever the aliasing margin is respected.
     """
-    if k < 1:
-        raise ValueError("Sobolev index must be >= 1")
+    _require_ints({"k": k}, lo=1, hi=MAX_ORDER + 1)
     actual = np.sum(hk_norms(_warped_basis(basis, f), k) ** 2)
 
     f_hk = f.hk_norm(k)
@@ -246,8 +244,7 @@ def lipschitz_certificate(f, g, k, radius, basis):
     with K the expanded term count at order k.  Both inputs must lie in the
     H^k ball of the given radius.
     """
-    if k < 1:
-        raise ValueError("Sobolev index must be >= 1")
+    _require_ints({"k": k}, lo=1, hi=MAX_ORDER + 1)
     f_hk = f.hk_norm(k)
     g_hk = g.hk_norm(k)
     if f_hk > radius or g_hk > radius:

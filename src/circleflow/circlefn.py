@@ -47,21 +47,25 @@ def grid_points(grid_size):
     return theta
 
 
-# The argument rules of every public constructor, written once here, the
-# module every other one imports.
+# The argument rules of every public function and constructor, written once
+# here, the module every other one imports.
 
 
-def _require_ints(values, error=ValueError):
+def _require_ints(values, error=ValueError, lo=None, hi=None):
     """Raise ``error`` unless each value of the ``name -> value`` dict is an
-    integer (a bool is not)."""
+    integer (a bool is not) in ``[lo, hi)``; a bound of None is open, and
+    ``hi`` comes with ``lo``."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise error(f"{name} must be an integer, got {value!r}")
+        if (lo is not None and value < lo) or (hi is not None and value >= hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi - 1}]"
+            raise error(f"{name} must be an integer {bound}, got {value!r}")
 
 
-def _require_reals(values, error=ValueError):
+def _require_reals(values, error=ValueError, positive=False):
     """Raise ``error`` unless each value of the ``name -> value`` dict is a
-    finite number (a bool is not)."""
+    finite number (a bool is not), and > 0 if ``positive``."""
     for name, value in values.items():
         if (
             isinstance(value, bool)
@@ -69,11 +73,14 @@ def _require_reals(values, error=ValueError):
             or not math.isfinite(value)
         ):
             raise error(f"{name} must be a finite number, got {value!r}")
+        if positive and not value > 0:
+            raise error(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def _require_grid_size(m, mode_cutoff=0):
-    """Raise ValueError unless the integer ``m`` is a power of two >= 4 with
+    """Raise ValueError unless ``m`` is an integer power of two >= 4 with
     the 4x margin over a band of ``mode_cutoff`` modes."""
+    _require_ints({"grid_size": m})
     if m < 4 or (m & (m - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 4, got {m}")
     if m < 4 * mode_cutoff:
@@ -126,12 +133,14 @@ class CircleFunction:
 
     @classmethod
     def zero(cls, grid_size):
+        _require_grid_size(grid_size)
         return cls.from_coefficients(
             np.zeros(grid_size // 2 + 1), np.zeros(grid_size // 2 + 1)
         )
 
     @classmethod
     def constant(cls, value, grid_size):
+        _require_grid_size(grid_size)
         a = np.zeros(grid_size // 2 + 1)
         a[0] = value
         return cls.from_coefficients(a, np.zeros_like(a))
@@ -139,8 +148,8 @@ class CircleFunction:
     @classmethod
     def harmonic(cls, grid_size, n, cos_amp=0.0, sin_amp=0.0):
         """The single mode cos_amp*cos(n theta) + sin_amp*sin(n theta)."""
-        if not 0 <= n <= grid_size // 2:
-            raise ValueError("mode outside the representable band")
+        _require_grid_size(grid_size)
+        _require_ints({"n": n}, lo=0, hi=grid_size // 2 + 1)
         a = np.zeros(grid_size // 2 + 1)
         b = np.zeros(grid_size // 2 + 1)
         a[n] = cos_amp
@@ -165,8 +174,7 @@ class CircleFunction:
 
     def derivative(self, m=1):
         """Spectral m-th derivative (exact for the band-limited interpolant)."""
-        if m < 0:
-            raise ValueError("derivative order must be >= 0")
+        _require_ints({"m": m}, lo=0)
         if m == 0:
             return self
         return CircleFunction.from_coefficients(*_derivative_tables(*self.coefficients, m))
@@ -185,6 +193,7 @@ class CircleFunction:
 
     def hk_norm(self, k):
         """Two-term Sobolev norm sqrt(||f||_L2^2 + ||f^(k)||_L2^2)."""
+        _require_ints({"k": k}, lo=0)
         return float(_hk_norm(*self.coefficients, k))
 
     def linf_norm(self, oversample=4):
@@ -193,8 +202,7 @@ class CircleFunction:
 
     def dense_values(self, oversample=4):
         """Samples of the band-limited interpolant on an oversampled grid."""
-        if oversample < 1:
-            raise ValueError("oversample must be >= 1")
+        _require_ints({"oversample": oversample}, lo=1)
         a, b = self.coefficients
         return _synthesize(a, b, oversample * self.grid_size)
 
@@ -321,28 +329,33 @@ def hk_norms(values, k):
     One ``rfft`` over all rows and the formula of ``CircleFunction.hk_norm``
     (``_hk_norm``), so a row's norm is bitwise ``CircleFunction(row).hk_norm(k)``.
     """
+    _require_ints({"k": k}, lo=0)
     return _hk_norm(*_analyze(values), k)
 
 
 def _hk_norm(a, b, k):
-    """Two-term H^k norms from coefficient tables with modes on the last axis."""
-    if k < 0:
-        raise ValueError("Sobolev index must be >= 0")
+    """Two-term H^k norms from coefficient tables with modes on the last axis,
+    for an integer ``k >= 0`` (its callers check it).
+
+    ``||f^(k)||^2`` weighs mode n by ``n ** 2k``, the constant mode by
+    ``0 ** 2k``: 0 for ``k >= 1``, and 1 for ``k = 0``, where it is the L2
+    term summed the same way, so the norm is exactly ``sqrt(2)`` times the L2
+    norm."""
+    a0sq = a[..., 0] ** 2
     sq = a[..., 1:] ** 2 + b[..., 1:] ** 2
-    l2sq = a[..., 0] ** 2 + 0.5 * sq.sum(axis=-1)
-    if k == 0:
-        return np.sqrt(2.0 * l2sq)
-    dsq = 0.5 * (_mode_powers(a.shape[-1], 2 * k) * sq).sum(axis=-1)
+    w0, w = _mode_powers(a.shape[-1], 2 * k)
+    l2sq = a0sq + 0.5 * sq.sum(axis=-1)
+    dsq = w0 * a0sq + 0.5 * (w * sq).sum(axis=-1)
     return np.sqrt(l2sq + dsq)
 
 
 @functools.lru_cache(maxsize=32)
 def _mode_powers(size, p):
-    """``n ** p`` for the modes n = 1..size-1, one read-only array per
-    ``(size, p)``."""
+    """``0 ** p`` (1 for p = 0) and ``n ** p`` for the modes n = 1..size-1,
+    a float and one read-only array per ``(size, p)``."""
     w = np.arange(1, size, dtype=float) ** p
     w.flags.writeable = False
-    return w
+    return 0.0**p, w
 
 
 def _derivative_tables(a, b, m):
@@ -418,6 +431,8 @@ def compose(g, f):
     functions are not band-limited, so callers keep aliasing in check by the
     usual margin (grid at least 4x the active mode band).
     """
+    if not isinstance(g, CircleFunction):
+        raise TypeError("g must be a CircleFunction")
     if not isinstance(f, CircleFunction):
         raise TypeError("f must be a CircleFunction, the vector part of the map id + f")
     if not np.any(f.grid_values) and g.grid_size >= f.grid_size:
@@ -445,8 +460,8 @@ def sobolev_embedding_constant(k, m):
     added inside the square root, so the returned value is an upper bound of
     the full series and the inequality holds for every band-limited sample.
     """
-    if m < 0 or k <= m:
-        raise ValueError("need 0 <= m < k")
+    _require_ints({"k": k}, lo=1)
+    _require_ints({"m": m}, lo=0, hi=k)
     n = np.arange(1, EMBEDDING_MODES + 1, dtype=float)
     body = 2.0 * np.sum(n ** (2 * m) / np.maximum(1.0, (1.0 + n ** (2 * k)) / 2.0))
     if m == 0:

@@ -111,29 +111,24 @@ class RunConfig:
     xi_amplitude: float = 0.1
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        names = ("master_seed", "n_paths", "record_every", "workers")
-        _require_ints({name: getattr(self, name) for name in names}, ConfigError)
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("master_seed must lie in [0, 2**64)")
+        # the type first: a list is unhashable, so no registry key
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
+            names = ", ".join(EXPERIMENTS)
+            raise ConfigError(f"experiment must be one of {names}, got {self.experiment!r}")
+        _require_ints({"master_seed": self.master_seed}, ConfigError, 0, 2**64)
         # The upper limits reject sizes no run can finish: the path list is
         # built up front, and each worker is an operating-system process.
-        if not 1 <= self.n_paths <= 2**32:
-            raise ConfigError("n_paths must lie in [1, 2**32]")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be >= 1")
-        if not 1 <= self.workers <= 256:
-            raise ConfigError("workers must lie in [1, 256]")
+        _require_ints({"n_paths": self.n_paths}, ConfigError, 1, 2**32 + 1)
+        _require_ints({"record_every": self.record_every}, ConfigError, 1)
+        _require_ints({"workers": self.workers}, ConfigError, 1, 257)
         if self.output_dir in (None, ""):
             object.__setattr__(self, "output_dir", os.environ.get("CIRCLEFLOW_OUTDIR") or "out")
         elif not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not self.radii:
             raise ConfigError("radii must hold at least one value")
-        _require_reals({f"radii[{i}]": r for i, r in enumerate(self.radii)}, ConfigError)
-        if min(self.radii) <= 0:
-            raise ConfigError("radii must be positive")
+        radii = {f"radii[{i}]": r for i, r in enumerate(self.radii)}
+        _require_reals(radii, ConfigError, positive=True)
         if self.xi_kind not in ("identity", "rotation", "sine"):
             raise ConfigError("xi_kind must be identity, rotation, or sine")
         _require_reals({"xi_amplitude": self.xi_amplitude}, ConfigError)
@@ -330,8 +325,8 @@ def run_experiment(cfg):
     out = Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
+        raise ConfigError(f"cannot create output_dir: {exc}") from exc
     summary, runs, report = EXPERIMENTS[cfg.experiment](cfg)
     artifacts = []
     try:

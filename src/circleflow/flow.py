@@ -19,7 +19,6 @@ The solvers of a block share the time grid, the grid size, the Sobolev
 index and the scheme (``_SHARED``).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,13 +58,6 @@ class SimulationDiverged(RuntimeError):
     """Raised when a step produces non-finite state values."""
 
 
-def _require_record_every(record_every):
-    """Raise ValueError unless ``record_every`` is an integer >= 1."""
-    _require_ints({"record_every": record_every})
-    if record_every < 1:
-        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization and truncation parameters for one flow simulation.
@@ -86,31 +78,26 @@ class SolverConfig:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_ints({"mode_cutoff": self.mode_cutoff, "grid_size": self.grid_size, "k": self.k})
-        _require_reals({"dt": self.dt, "horizon": self.horizon, "radius": self.radius})
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        if self.horizon > 0 and self.dt > self.horizon:
-            raise ValueError("dt must not exceed the horizon")
+        if not isinstance(self.alpha, ScalingSequence):
+            raise ValueError(f"alpha must be a ScalingSequence, got {self.alpha!r}")
+        _require_reals({"dt": self.dt, "radius": self.radius}, positive=True)
+        _require_reals({"horizon": self.horizon})
+        if self.horizon != 0 and self.dt > self.horizon:
+            raise ValueError(f"horizon must be 0 or at least dt, got {self.horizon!r}")
         n = int(round(self.horizon / self.dt))
         if abs(n * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ValueError("horizon must be an integer number of steps")
-        if n >= 2**64:
-            raise ValueError("the step index must fit the 64-bit noise counter")
+        # the last step index must fit the 64-bit noise counter
+        _require_ints({"horizon / dt": n}, lo=0, hi=2**64)
         object.__setattr__(self, "n_steps", n)
-        if not self.radius > 0:
-            raise ValueError("truncation radius must be positive")
-        if self.mode_cutoff < 1:
-            raise ValueError("mode cutoff must be >= 1")
-        if self.k < 0:
-            raise ValueError("Sobolev index must be >= 0")
+        _require_ints({"mode_cutoff": self.mode_cutoff}, lo=1)
         _require_grid_size(self.grid_size, self.mode_cutoff)
-        if self.grid_size > 2**24:  # 128 MiB per state; larger fails in allocation
-            raise ValueError("grid size must not exceed 2**24")
-        if 2 * self.k * math.log2(self.grid_size // 2) >= 1024:
-            raise ValueError("the H^k weight n^(2k) overflows at the top grid mode")
+        # 128 MiB per state at 2**24 points; larger fails in allocation
+        _require_ints({"grid_size": self.grid_size}, lo=4, hi=2**24 + 1)
+        # the H^k weight n^(2k) at the top grid mode 2**e stays finite
+        # while 2ke < 1024, that is while k < 512 / e
+        e = int(self.grid_size).bit_length() - 2
+        _require_ints({"k": self.k}, lo=0, hi=-(-512 // e))
         if self.scheme not in ("euler", "heun"):
             raise ValueError("scheme must be 'euler' or 'heun'")
         weights = self.alpha.values(self.mode_cutoff)
@@ -378,7 +365,7 @@ def simulate_paths(solvers, streams, record_every=1, stop_after_hit=False):
     ``stop_after_hit``) and the crossing sample.  Rows never mix, so a
     record does not depend on the other rows of the block.
     """
-    _require_record_every(record_every)
+    _require_ints({"record_every": record_every}, lo=1)
     solvers = [solvers] if isinstance(solvers, SolverConfig) else list(solvers)
     _check_shared(solvers)
     _check_streams(streams, solvers)
@@ -470,7 +457,7 @@ def concatenate(first, fresh, cfg, record_every=1):
     must draw at the cutoff and dt of ``cfg``.  ``fresh`` is drawn from its
     own ``step_index`` on and left advanced by the remaining steps.
     """
-    _require_record_every(record_every)
+    _require_ints({"record_every": record_every}, lo=1)
     _check_streams([fresh], [cfg])
     if first.dt != cfg.dt:
         raise ValueError(f"first record was not sampled at the solver's dt {cfg.dt!r}")
@@ -534,7 +521,7 @@ def flow_compose_check(cfg, stream, xi, record_every=1):
     the cutoff and dt of ``cfg``; the check advances it by the horizon's
     steps, so a second check on the same object sees the next steps' noise.
     """
-    _require_record_every(record_every)
+    _require_ints({"record_every": record_every}, lo=1)
     _check_streams([stream], [cfg])
     if xi.grid_size != cfg.grid_size:
         raise ValueError("initial map must live on the solver grid")
@@ -577,8 +564,7 @@ def diffeo_radius(k):
     One-sided: states inside the ball have sup |x'| < 1, hence positive warp
     derivative; nothing is claimed outside.
     """
-    if k < 2:
-        raise ValueError("certificate needs k >= 2 (first derivative control)")
+    _require_ints({"k": k}, lo=2)  # the certificate controls the first derivative
     return 1.0 / sobolev_embedding_constant(k, 1)
 
 

@@ -64,15 +64,9 @@ class NoiseStream:
 
     def __post_init__(self):
         words = ("master_seed", "path_id", "step_index")  # the Philox key and counter words
-        _require_ints({name: getattr(self, name) for name in (*words, "mode_cutoff")})
-        _require_reals({"dt": self.dt})
-        for name in words:
-            if not 0 <= getattr(self, name) < 2**64:
-                raise ValueError(f"{name} must lie in [0, 2**64), got {getattr(self, name)}")
-        if self.mode_cutoff < 1:
-            raise ValueError("mode cutoff must be >= 1")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        _require_ints({name: getattr(self, name) for name in words}, lo=0, hi=2**64)
+        _require_ints({"mode_cutoff": self.mode_cutoff}, lo=1)
+        _require_reals({"dt": self.dt}, positive=True)
         from numpy.random import Generator, Philox
 
         self._gen = Generator(Philox(key=self.master_seed))
@@ -85,9 +79,7 @@ class NoiseStream:
         empty buffer, so the draw does not depend on earlier draws.  ``step``
         is an integer in ``[0, 2**64)``, the counter's step word.
         """
-        _require_ints({"step": step})
-        if not 0 <= step < 2**64:
-            raise ValueError(f"step must lie in [0, 2**64), got {step}")
+        _require_ints({"step": step}, lo=0, hi=2**64)
         z = np.empty(2 * self.mode_cutoff + 1)
         self._normals_at(step, z)
         d = z[_layout(self.mode_cutoff)]

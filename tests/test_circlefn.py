@@ -5,7 +5,13 @@ import pytest
 
 from circleflow import (
     CircleFunction,
+    NoiseStream,
+    ScaledBasis,
+    ScalingSequence,
+    SolverConfig,
+    bell,
     compose,
+    diffeo_radius,
     grid_points,
     sobolev_embedding_constant,
 )
@@ -235,6 +241,11 @@ class TestCompose:
         with pytest.raises(TypeError):
             compose(g, np.zeros(64))
 
+    def test_rejects_a_composed_function_that_is_not_a_circle_function(self):
+        # Negative control: compose(3, f) raised AttributeError on g.grid_size.
+        with pytest.raises(TypeError, match="^g must be a CircleFunction"):
+            compose(3, CircleFunction.harmonic(64, 1, sin_amp=0.1))
+
 
 class TestCircleMap:
     """The map ``id + f``, passed as its vector part ``f``."""
@@ -349,3 +360,128 @@ class TestArgumentValidators:
     def test_bad_grid_sizes_are_rejected(self, m, cutoff, message):
         with pytest.raises(ValueError, match=message):
             _require_grid_size(m, cutoff)
+
+
+_ALPHA = ScalingSequence.exponential(1.0)
+_F = CircleFunction.harmonic(64, 1, sin_amp=0.1)
+_XS = [1.0, 1.0, 1.0]
+
+
+def _bell_after_its_integer_twin():
+    bell.bell_polynomial(3, 1, _XS)  # fills the cache entry that (3, 1.0) equals
+    return bell.bell_polynomial(3, 1.0, _XS)
+
+
+def _row(name, call, message):
+    return pytest.param(call, message, id=name)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a non-integer index returned a number at the parent
+        _row("hk_norm-2.5", lambda: _F.hk_norm(2.5), "k must be an integer, got 2.5"),
+        _row(
+            "embedding-2.5",
+            lambda: sobolev_embedding_constant(2.5, 1),
+            "k must be an integer, got 2.5",
+        ),
+        _row("diffeo_radius-2.5", lambda: diffeo_radius(2.5), "k must be an integer, got 2.5"),
+        _row("value_at-1.5", lambda: _ALPHA.value_at(1.5), "n must be an integer, got 1.5"),
+        _row("values-2.5", lambda: _ALPHA.values(2.5), "n_max must be an integer, got 2.5"),
+        _row("values--1", lambda: _ALPHA.values(-1), "n_max must be an integer >= 0, got -1"),
+        _row("derivative-1.5", lambda: _F.derivative(1.5), "m must be an integer, got 1.5"),
+        _row("derivative-True", lambda: _F.derivative(True), "m must be an integer, got True"),
+        _row("bell-cached", _bell_after_its_integer_twin, "k must be an integer, got 1.0"),
+        # numpy's IndexError or TypeError at the parent, naming no argument
+        _row(
+            "harmonic-2.5",
+            lambda: CircleFunction.harmonic(64, 2.5),
+            "n must be an integer, got 2.5",
+        ),
+        _row(
+            "zero-64.0",
+            lambda: CircleFunction.zero(64.0),
+            "grid_size must be an integer, got 64.0",
+        ),
+        _row(
+            "constant-64.0",
+            lambda: CircleFunction.constant(1.0, 64.0),
+            "grid_size must be an integer, got 64.0",
+        ),
+        _row(
+            "basis_function-2.5",
+            lambda: ScaledBasis(_ALPHA, 8, 64).basis_function(2.5),
+            "n must be an integer, got 2.5",
+        ),
+        _row(
+            "dense_values-1.5",
+            lambda: _F.dense_values(1.5),
+            "oversample must be an integer, got 1.5",
+        ),
+        _row(
+            "bell-1.0",
+            lambda: bell.bell_polynomial(3, 1.0, _XS),
+            "k must be an integer, got 1.0",
+        ),
+        _row(
+            "hs_certificate-2.5",
+            lambda: bell.hs_bound_certificate(_F, 2.5, ScaledBasis(_ALPHA, 8, 64)),
+            "k must be an integer, got 2.5",
+        ),
+        _row(
+            "lipschitz_certificate-2.5",
+            lambda: bell.lipschitz_certificate(_F, _F, 2.5, 0.5, ScaledBasis(_ALPHA, 8, 64)),
+            "k must be an integer, got 2.5",
+        ),
+        # ranges: another message, or none, at the parent
+        _row(
+            "path_id--1",
+            lambda: NoiseStream(1, -1, 8, 1e-3),
+            f"path_id must be an integer in [0, {2**64 - 1}], got -1",
+        ),
+        _row(
+            "dt--1e-3",
+            lambda: SolverConfig(-1e-3, 0.1, 8, 64, _ALPHA),
+            "dt must be a finite number > 0, got -0.001",
+        ),
+        _row(
+            "harmonic-33",
+            lambda: CircleFunction.harmonic(64, 33),
+            "n must be an integer in [0, 32], got 33",
+        ),
+        _row(
+            "basis_function--9",
+            lambda: ScaledBasis(_ALPHA, 8, 64).basis_function(-9),
+            "n must be an integer in [-8, 8], got -9",
+        ),
+        _row("hk_norm--1", lambda: _F.hk_norm(-1), "k must be an integer >= 0, got -1"),
+        _row(
+            "embedding-m-2",
+            lambda: sobolev_embedding_constant(2, 2),
+            "m must be an integer in [0, 1], got 2",
+        ),
+        _row(
+            "solver-k-86",
+            lambda: SolverConfig(1e-3, 0.1, 8, 128, _ALPHA, k=86),
+            "k must be an integer in [0, 85], got 86",
+        ),
+        # an object that is no weight family failed late, or with AttributeError
+        _row(
+            "solver-alpha-None",
+            lambda: SolverConfig(1e-3, 0.1, 8, 64, None),
+            "alpha must be a ScalingSequence, got None",
+        ),
+        _row(
+            "basis-scaling-None",
+            lambda: ScaledBasis(None, 8, 64),
+            "scaling must be a ScalingSequence, got None",
+        ),
+    ],
+)
+def test_public_calls_name_a_bad_argument(call, message):
+    # Each message starts with the argument's name and gives its type or
+    # admissible range and the value it got.
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

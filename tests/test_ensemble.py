@@ -988,6 +988,10 @@ class TestCli:
             pytest.param("run", {"mode_cutoff": 0}, {}, id="mode_cutoff-zero"),
             pytest.param("run", {"k": 2**64}, {}, id="k-2**64"),
             pytest.param("run", {}, {"output_dir": True}, id="output_dir-bool"),
+            # Path.mkdir raises ValueError on a null byte, not OSError
+            pytest.param("run", {}, {"output_dir": "a\u0000b"}, id="output_dir-null-byte"),
+            # a list is unhashable, so no registry key
+            pytest.param("run", {}, {"experiment": ["simulate"]}, id="experiment-list"),
             # valid at grid 64, but n^(2k) overflows on contrast's grid 256
             pytest.param("contrast", {"k": 80}, {}, id="contrast-k-80"),
         ],
@@ -1001,6 +1005,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"output_dir": "a\u0000b"}, "cannot create output_dir: embedded null byte"),
+            (
+                {"experiment": ["simulate"]},
+                "experiment must be one of simulate, validate, hitting_times, flow_check, "
+                "contrast_h32, got ['simulate']",
+            ),
+        ],
+        ids=["output_dir-null-byte", "experiment-list"],
+    )
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, monkeypatch, overrides, message):
+        # Negative control: the null byte escaped Path.mkdir as a ValueError
+        # traceback, and the list failed the registry lookup as
+        # "unhashable type: 'list'", naming no key.  Both stop before any
+        # path is stepped.
+        path, _ = write_config(tmp_path, **overrides)
+        monkeypatch.setattr(ensemble, "run_ensemble", mock.Mock(side_effect=AssertionError))
+        assert cli_main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize(
         "scheme, most", [pytest.param("euler", 2, id="euler"), pytest.param("heun", 100, id="heun")]

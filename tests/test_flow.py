@@ -22,6 +22,7 @@ from circleflow import (
     sobolev_embedding_constant,
     stratonovich_correction,
 )
+from circleflow import circlefn, flow, noise
 from circleflow.flow import _Block, _warped_points, simulate_paths, stratonovich_rounding_bound
 from conftest import columns, random_band_limited
 
@@ -429,6 +430,35 @@ def test_stream_must_draw_at_the_solver_cutoff_and_dt(name, stream, message):
     }
     with pytest.raises(ValueError, match=message):
         calls[name]()
+
+
+def test_no_validator_runs_per_step(monkeypatch):
+    # The argument rules run when a public function or constructor is
+    # called, never in the step (_advance, next_increments, the field sum):
+    # a run of 100 steps calls the validators as often as one of 10.
+    calls = []  # the name of each validator called
+
+    def counted(validator):
+        def wrapper(*args, **kwargs):
+            calls.append(validator.__name__)
+            return validator(*args, **kwargs)
+
+        return wrapper
+
+    for module in (flow, noise, circlefn):
+        for name in ("_require_ints", "_require_reals", "_require_grid_size"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+
+    def validator_calls(n_steps):
+        cfg = make_config(horizon=n_steps * 1e-3, radius=1e3)  # no path reaches it
+        stream = NoiseStream(SEED, 0, 8, cfg.dt)
+        calls.clear()
+        [record] = simulate_paths(cfg, [stream])
+        assert record.tau_step is None and record.step[-1] == n_steps
+        return len(calls)
+
+    assert validator_calls(10) == validator_calls(100) > 0
 
 
 def test_simulate_paths_rejects_a_stream_listed_twice():
