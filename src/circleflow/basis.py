@@ -100,6 +100,8 @@ class ScaledBasis:
         _require_grid_size(self.grid_size, self.mode_cutoff)
 
     def weight(self, n):
+        """lam(n), for an integer ``n`` in ``[-N, N]``."""
+        _require_ints({"n": n}, lo=-self.mode_cutoff, hi=self.mode_cutoff + 1)
         return self.scaling.value_at(n)
 
     def weights(self):
@@ -107,7 +109,6 @@ class ScaledBasis:
 
     def basis_function(self, n):
         """lam(n) cos(n theta) for n >= 0, lam(n) sin(n theta) for n < 0."""
-        _require_ints({"n": n}, lo=-self.mode_cutoff, hi=self.mode_cutoff + 1)
         w = self.weight(n)
         if n >= 0:
             return CircleFunction.harmonic(self.grid_size, n, cos_amp=w)

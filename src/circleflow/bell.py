@@ -14,7 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circlefn import _require_ints, _warp_points, hk_norms, sobolev_embedding_constant
+from .circlefn import (
+    _require_ints, _require_reals, _warp_points, hk_norms, sobolev_embedding_constant
+)
 
 __all__ = [
     "bell_polynomial",
@@ -39,18 +41,13 @@ def _monomials(n, k):
     sum(i*j_i) = n.  The cache answers ``(3, 1.0)`` from the entry of
     ``(3, 1)``, equal keys, so the public callers check their orders too.
     """
-    _require_ints({"n": n}, lo=0, hi=MAX_ORDER + 1)
+    _require_ints({"n": n}, lo=1, hi=MAX_ORDER + 1)
     _require_ints({"k": k}, lo=0, hi=n + 1)
     return tuple(_enumerate_monomials(n, k))
 
 
 def _enumerate_monomials(n, k):
     """All (coef, exponents) with sum j = k, sum i*j_i = n over x_1..x_{n-k+1}."""
-    if n == 0 and k == 0:
-        yield (1, ())
-        return
-    if k == 0 or k > n:
-        return
     width = n - k + 1
     seq = [0] * width
 
@@ -126,7 +123,7 @@ def warp_expansion_terms(k):
     terms = []
     for j in range(1, k + 1):
         for coef, exps in _monomials(k, j):
-            j1 = exps[0] if exps else 0
+            j1 = exps[0]
             base = {i + 1: e for i, e in enumerate(exps) if i >= 1 and e}
             for t in range(j1 + 1):
                 powers = dict(base)
@@ -245,6 +242,7 @@ def lipschitz_certificate(f, g, k, radius, basis):
     H^k ball of the given radius.
     """
     _require_ints({"k": k}, lo=1, hi=MAX_ORDER + 1)
+    _require_reals({"radius": radius}, positive=True)
     f_hk = f.hk_norm(k)
     g_hk = g.hk_norm(k)
     if f_hk > radius or g_hk > radius:

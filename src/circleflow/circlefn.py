@@ -38,10 +38,16 @@ EMBEDDING_MODES = 4096  # modes ``sobolev_embedding_constant`` sums before its t
 CHUNK = 8  # modes per chunk sum of ``chunked_trig_sum``
 
 
-@functools.lru_cache(maxsize=32)
 def grid_points(grid_size):
-    """Uniform angles theta_j = 2*pi*j/M, j = 0..M-1, as one read-only
-    array per M (every step reads them)."""
+    """Uniform angles theta_j = 2*pi*j/M, j = 0..M-1, for a grid size M (a
+    power of two >= 4), as one read-only array per M."""
+    _require_grid_size(grid_size)
+    return _grid_points(grid_size)
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_points(grid_size):
+    """``grid_points`` unchecked, for the callers that run at every step."""
     theta = TWO_PI * np.arange(grid_size) / grid_size
     theta.flags.writeable = False
     return theta
@@ -444,7 +450,7 @@ def _warp_points(f, m):
     """The points ``theta_j + f(theta_j)`` of the m-point grid, m at least
     the grid of ``f``: exact from the stored samples when m is that grid,
     else ``f`` evaluated at ``grid_points(m)``."""
-    theta = grid_points(m)
+    theta = _grid_points(m)
     if m == f.grid_size:
         return theta + f.grid_values
     return theta + f.evaluate(theta)

@@ -12,7 +12,8 @@ created or an artifact cannot be written, 3 the integration produced
 non-finite values.  ``--seed``, ``--out`` and ``--workers`` override the
 config file.  CIRCLEFLOW_OUTDIR is the output directory of a config with no
 ``output_dir``, or a null or empty one; ``--out`` beats both.  A malformed
-config exits 2 with one line naming the dotted key, e.g. ``solver.dt``.
+config exits 2 with one line naming the dotted key or section, e.g.
+``config error: solver: dt must be a finite number, got nan``.
 """
 
 import argparse

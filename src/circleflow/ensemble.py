@@ -76,23 +76,31 @@ class ConfigError(ValueError):
     """Configuration file failed to parse or validate."""
 
 
-def _check_keys(d, cls, prefix=""):
-    """ConfigError naming, dotted, the first section of the config object
-    ``d`` that is no object, key that is no constructor field of the
-    dataclass ``cls``, or field without a default that is missing."""
+def _build(cls, d, section=""):
+    """The dataclass ``cls`` built from the config object ``d``, each field
+    whose type is a dataclass from its own object.  ConfigError names,
+    dotted, the first section that is no object, key that is no constructor
+    field, or field without a default that is missing; a constructor's
+    error is prefixed with its dotted section (none at the top level)."""
     if not isinstance(d, dict):
-        if prefix:
-            raise ConfigError(f"config key '{prefix[:-1]}' must be an object")
+        if section:
+            raise ConfigError(f"config key '{section}' must be an object")
         raise ConfigError("config must be a JSON object")
+    prefix = f"{section}." if section else ""
     known = {f.name: f for f in fields(cls) if f.init}
+    kwargs = {}
     for key, value in d.items():
         if key not in known:
             raise ConfigError(f"unknown config key '{prefix}{key}'")
-        if is_dataclass(known[key].type):
-            _check_keys(value, known[key].type, f"{prefix}{key}.")
+        sub = known[key].type
+        kwargs[key] = _build(sub, value, prefix + key) if is_dataclass(sub) else value
     for key, f in known.items():
         if key not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing config key '{prefix}{key}'")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:  # ConfigError too
+        raise ConfigError(f"{section}: {exc}" if section else str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,9 @@ class RunConfig:
             object.__setattr__(self, "output_dir", os.environ.get("CIRCLEFLOW_OUTDIR") or "out")
         elif not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not isinstance(self.radii, (list, tuple)):
+            raise ConfigError("radii must be a list of numbers")
+        object.__setattr__(self, "radii", tuple(self.radii))
         if not self.radii:
             raise ConfigError("radii must hold at least one value")
         radii = {f"radii[{i}]": r for i, r in enumerate(self.radii)}
@@ -140,17 +151,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        _check_keys(d, cls)
-        d = dict(d)
-        solver = dict(d.pop("solver"))
-        radii = d.pop("radii", DEFAULT_RADII)
-        if not isinstance(radii, (list, tuple)):
-            raise ConfigError("radii must be a list of numbers")
-        try:
-            solver["alpha"] = ScalingSequence.from_dict(solver["alpha"])
-            return cls(solver=SolverConfig(**solver), radii=tuple(radii), **d)
-        except (TypeError, ValueError, OverflowError) as exc:  # ConfigError too
-            raise ConfigError(str(exc)) from exc
+        return _build(cls, d)
 
     @classmethod
     def from_file(cls, path):
@@ -251,21 +252,16 @@ def summarize(records, cfg):
     """
     every, n_steps = cfg.record_every, cfg.solver.n_steps
     grid = [_on_record_grid(r.step, every, n_steps) for r in records]
-    n = min((np.count_nonzero(g) for g in grid), default=0)
-    times = records[0].t[grid[0]][:n].tolist() if n else []
-    hk_q, md_q = {}, {}
-    if times:
-        hk = np.sort([r.hk[g][:n] for r, g in zip(records, grid)], axis=0)
-        md = np.sort([r.min_deriv[g][:n] for r, g in zip(records, grid)], axis=0)
-        qs = (5, 50, 95)
-        hk_q = {f"p{q:02d}": _percentile(hk, q).tolist() for q in qs}
-        md_q = {f"p{q:02d}": _percentile(md, q).tolist() for q in qs}
+    n = min(np.count_nonzero(g) for g in grid)
+    hk = np.sort([r.hk[g][:n] for r, g in zip(records, grid)], axis=0)
+    md = np.sort([r.min_deriv[g][:n] for r, g in zip(records, grid)], axis=0)
+    qs = (5, 50, 95)
     return _summary(
         len(records),
         tau_r=[r.tau_r for r in records],
-        times=times,
-        hk_quantiles=hk_q,
-        min_deriv_quantiles=md_q,
+        times=records[0].t[grid[0]][:n].tolist(),
+        hk_quantiles={f"p{q:02d}": _percentile(hk, q).tolist() for q in qs},
+        min_deriv_quantiles={f"p{q:02d}": _percentile(md, q).tolist() for q in qs},
         decay_fit_exponent=_decay_fit([r.final_state for r in records]),
     )
 
@@ -314,11 +310,10 @@ def run_experiment(cfg):
     """Run the configured experiment and write its artifacts; returns
     ``(exit_code, artifacts)``.
 
-    The one artifact tail.  Each runner returns ``(summary, runs, report)``:
-    ``summary`` is the ``summary.json`` object (``_summary``), ``runs`` the
-    records whose columns ``paths.csv`` holds, one path each (None: no CSV),
-    and ``report`` the fields ``report.json`` holds beside the checks (None:
-    no report).  An output directory that cannot be created is a ConfigError,
+    The one artifact tail.  Each runner returns ``(summary, runs)``:
+    ``summary`` is the ``summary.json`` object (``_summary``) and ``runs``
+    the records whose columns ``paths.csv`` holds, one path each (None: no
+    CSV).  An output directory that cannot be created is a ConfigError,
     raised before any path is stepped; so is an artifact that cannot be
     written, after the artifacts already written are removed again.
     """
@@ -327,7 +322,7 @@ def run_experiment(cfg):
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
         raise ConfigError(f"cannot create output_dir: {exc}") from exc
-    summary, runs, report = EXPERIMENTS[cfg.experiment](cfg)
+    summary, runs = EXPERIMENTS[cfg.experiment](cfg)
     artifacts = []
     try:
         if runs is not None:
@@ -335,10 +330,6 @@ def run_experiment(cfg):
             _write_sample_csv(artifacts[-1], runs)
         artifacts.append(out / "summary.json")
         _write_json(artifacts[-1], summary)
-        if report is not None:
-            artifacts.append(out / "report.json")
-            report = {"schema": SUMMARY_SCHEMA_VERSION, "checks": summary["checks"], **report}
-            _write_json(artifacts[-1], report)
     except OSError as exc:
         for path in artifacts[:-1]:  # written; the last one failed
             path.unlink(missing_ok=True)
@@ -347,13 +338,13 @@ def run_experiment(cfg):
 
 
 def _check(name, value, bound, passed):
-    """One check entry of ``summary.json`` (and ``report.json``)."""
+    """One check entry of ``summary.json``."""
     return {"name": name, "value": value, "bound": bound, "passed": bool(passed)}
 
 
 def _run_simulate(cfg):
     [records] = run_ensemble(cfg, [cfg.solver])
-    return summarize(records, cfg), records, None
+    return summarize(records, cfg), records
 
 
 def _run_hitting(cfg):
@@ -373,7 +364,7 @@ def _run_hitting(cfg):
     ordered = any_hit and all(a <= b for a, b in zip(means, means[1:]))
     check = _check("mean_tau_nondecreasing_in_radius", means, "nondecreasing", ordered)
     summary["checks"].append(check)
-    return summary, records, None
+    return summary, records
 
 
 def hitting_row(radius, records, solver):
@@ -413,16 +404,16 @@ def _run_flow_check(cfg):
     # a check over the t = 0 sample alone compares nothing
     passed = report.sup_error <= tol and report.n_checked > 1
     check = _check(f"flow_compose_sup_error_{cfg.xi_kind}", report.sup_error, tol, passed)
-    compared = {"n_checked": report.n_checked, "window": report.window}
     extra = {
         "flow_check": {
             "xi_kind": cfg.xi_kind,
             "xi_amplitude": cfg.xi_amplitude,
             "sup_error": report.sup_error,
-            **compared,
+            "n_checked": report.n_checked,
+            "window": report.window,
         }
     }
-    return _summary(1, [check], extra), report.runs, compared
+    return _summary(1, [check], extra), report.runs
 
 
 _CONTRAST_FAMILIES = (
@@ -486,7 +477,7 @@ def _run_contrast(cfg):
         _check("exponential_cutoff_doubling_stable", stable, 1.05, stable < 1.05),
         _check("powerlaw_cutoff_doubling_unstable", unstable, 1.20, unstable > 1.20),
     ]
-    return _summary(cfg.n_paths, checks, {"contrast": results}), None, None
+    return _summary(cfg.n_paths, checks, {"contrast": results}), None
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +553,7 @@ def validation_checks(cfg):
 
 
 def _run_validate(cfg):
-    # no paths: paths.csv is the header alone
-    return _summary(0, validation_checks(cfg)), (), {}
+    return _summary(0, validation_checks(cfg)), None
 
 
 # The one experiment registry: RunConfig validates names against it and

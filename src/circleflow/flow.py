@@ -27,13 +27,13 @@ from .basis import ScalingSequence
 from .circlefn import (
     CircleFunction,
     _analyze,
+    _grid_points,
     _hk_norm,
     _min_derivatives,
     _require_grid_size,
     _require_ints,
     _require_reals,
     _warp_points,
-    grid_points,
     sobolev_embedding_constant,
 )
 from .noise import field_values, next_increments
@@ -233,7 +233,7 @@ def _warped_points(block, cfg):
     """``theta + s x`` row by row, ``s`` the radial truncation scale at the
     row's own radius: 1 inside the ball, ``R / ||x||`` outside (boundary in)."""
     scale = block.radius / np.maximum(block.hk, block.radius)  # R / R is exactly 1
-    return grid_points(cfg.grid_size) + scale[:, None] * block.x
+    return _grid_points(cfg.grid_size) + scale[:, None] * block.x
 
 
 def _euler(block, db, cfg):

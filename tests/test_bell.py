@@ -117,6 +117,10 @@ class TestBellPolynomial:
         # the largest order is still served
         assert bell_polynomial(MAX_ORDER, MAX_ORDER, [1.0]) == 1.0
 
+    def test_too_few_variables_are_rejected(self):
+        with pytest.raises(ValueError, match="need n - k \\+ 1 variables"):
+            bell_polynomial(4, 2, [1.0])
+
 
 class TestComposeDerivative:
     def test_first_order_chain_rule(self, rng):

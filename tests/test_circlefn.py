@@ -80,6 +80,19 @@ class TestFromGrid:
         with pytest.raises(ValueError):
             CircleFunction(np.zeros(m))
 
+    def test_rejects_malformed_samples_and_tables(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            CircleFunction(np.zeros((2, 8)))
+        with pytest.raises(ValueError, match="equal length"):
+            CircleFunction.from_coefficients(np.zeros(5), np.zeros(4))
+
+    def test_arithmetic_needs_a_function_on_the_same_grid(self):
+        f = CircleFunction.harmonic(16, 1, cos_amp=1.0)
+        with pytest.raises(TypeError):
+            f - 3
+        with pytest.raises(ValueError, match="grid sizes differ"):
+            f - CircleFunction.zero(32)
+
     def test_round_trip_grid_coefficients_grid(self, rng):
         for _ in range(50):
             f = random_band_limited(rng, 64, 31)
@@ -429,6 +442,7 @@ def _row(name, call, message):
             lambda: bell.hs_bound_certificate(_F, 2.5, ScaledBasis(_ALPHA, 8, 64)),
             "k must be an integer, got 2.5",
         ),
+        _row("grid_points-2.5", lambda: grid_points(2.5), "grid_size must be an integer, got 2.5"),
         _row(
             "lipschitz_certificate-2.5",
             lambda: bell.lipschitz_certificate(_F, _F, 2.5, 0.5, ScaledBasis(_ALPHA, 8, 64)),
@@ -454,6 +468,16 @@ def _row(name, call, message):
             "basis_function--9",
             lambda: ScaledBasis(_ALPHA, 8, 64).basis_function(-9),
             "n must be an integer in [-8, 8], got -9",
+        ),
+        _row(
+            "weight-20",
+            lambda: ScaledBasis(_ALPHA, 8, 64).weight(20),
+            "n must be an integer in [-8, 8], got 20",
+        ),
+        _row(
+            "lipschitz_certificate-radius-nan",
+            lambda: bell.lipschitz_certificate(_F, _F, 2, np.nan, ScaledBasis(_ALPHA, 8, 64)),
+            "radius must be a finite number, got nan",
         ),
         _row("hk_norm--1", lambda: _F.hk_norm(-1), "k must be an integer >= 0, got -1"),
         _row(

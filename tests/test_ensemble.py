@@ -346,7 +346,7 @@ class TestPathsCsv:
     def test_rows_parse_back_to_the_read_only_record_columns(self, tmp_path, experiment):
         path, raw = write_config(tmp_path, experiment=experiment, n_paths=3, record_every=3)
         cfg = RunConfig.from_file(path)
-        _, runs, _ = ensemble.EXPERIMENTS[experiment](cfg)
+        _, runs = ensemble.EXPERIMENTS[experiment](cfg)
         run_experiment(cfg)
         with open(Path(raw["output_dir"]) / "paths.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
@@ -596,9 +596,10 @@ class TestRunEnsemble:
             blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert blobs[0] == blobs[1]
         if command in ("validate", "flow-check"):
-            report = json.loads(blobs[0]["report.json"])
-            summary = json.loads(blobs[0]["summary.json"])
-            assert report["checks"] == summary["checks"] != []
+            # the checks live in summary.json alone; validate steps no path
+            written = {"summary.json"} if command == "validate" else {"paths.csv", "summary.json"}
+            assert set(blobs[0]) == written
+            assert json.loads(blobs[0]["summary.json"])["checks"] != []
 
 
 class TestHittingExperiment:
@@ -756,9 +757,9 @@ POWERLAW = {"family": "powerlaw", "parameter": 1.5}
 
 def validate_failures(path, out):
     """Exit code of `circleflow validate` on ``path`` and the names of the
-    checks its report marks failed."""
+    checks its summary marks failed."""
     code = cli_main(["validate", str(path), "--out", str(out)])
-    checks = json.loads((out / "report.json").read_text())["checks"]
+    checks = json.loads((out / "summary.json").read_text())["checks"]
     assert [c["name"] for c in checks] == VALIDATE_CHECKS
     return code, {c["name"] for c in checks if not c["passed"]}
 
@@ -774,8 +775,9 @@ class TestValidationChecks:
     def test_writes_report_with_values_and_bounds(self, tmp_path):
         path, _ = write_diffeo_config(tmp_path)
         assert validate_failures(path, tmp_path / "v") == (0, set())
-        report = json.loads((tmp_path / "v" / "report.json").read_text())
-        for check in report["checks"]:
+        assert [p.name for p in (tmp_path / "v").iterdir()] == ["summary.json"]
+        summary = json.loads((tmp_path / "v" / "summary.json").read_text())
+        for check in summary["checks"]:
             assert {"name", "value", "bound", "passed"} == set(check)
 
     @pytest.mark.parametrize(
@@ -826,27 +828,48 @@ class TestFlowCheckExperiment:
         path.write_text(json.dumps(data))
         code, _ = run_experiment(RunConfig.from_file(path))
         assert code == 0
-        report = json.loads((Path(raw["output_dir"]) / "report.json").read_text())
-        check = report["checks"][0]
+        summary = json.loads((Path(raw["output_dir"]) / "summary.json").read_text())
+        check = summary["checks"][0]
         assert check["passed"]
         assert check["value"] <= 1e-4
-        assert report["n_checked"] == 11  # t = 0 and every 5th of 50 steps
-        assert report["window"] == pytest.approx(0.05)
+        compared = summary["extra"]["flow_check"]
+        assert compared["n_checked"] == 11  # t = 0 and every 5th of 50 steps
+        assert compared["window"] == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("xi_kind", ["identity", "rotation"])
+    def test_exact_initial_maps_meet_the_tight_bound(self, tmp_path, xi_kind):
+        path, raw = write_config(tmp_path, experiment="flow_check", xi_kind=xi_kind)
+        assert cli_main(["flow-check", str(path)]) == 0
+        summary = json.loads((Path(raw["output_dir"]) / "summary.json").read_text())
+        [check] = summary["checks"]
+        assert check["name"] == f"flow_compose_sup_error_{xi_kind}"
+        assert check["passed"] and check["value"] <= check["bound"] == 1e-10
+
+    def test_numpy_scalar_amplitude_is_written_as_a_number(self, tmp_path):
+        # the amplitude lands in summary.json as given: a float32 goes through
+        # the writer's NumPy fallback
+        path, raw = write_config(tmp_path, experiment="flow_check")
+        cfg = dataclasses.replace(RunConfig.from_file(path), xi_amplitude=np.float32(0.1))
+        assert run_experiment(cfg)[0] == 0
+        summary = json.loads((Path(raw["output_dir"]) / "summary.json").read_text())
+        assert summary["extra"]["flow_check"]["xi_amplitude"] == float(np.float32(0.1))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            ensemble._json_default(object())
 
     def test_documented_config_passes(self, tmp_path):
         out = tmp_path / "out"
         assert cli_main(["flow-check", str(DOCS / "example-config.json"), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["n_checked"] > 1
-        assert report["window"] < 1.0  # both runs stop before the horizon
+        compared = json.loads((out / "summary.json").read_text())["extra"]["flow_check"]
+        assert compared["n_checked"] > 1
+        assert compared["window"] < 1.0  # both runs stop before the horizon
 
     def test_xi_at_the_radius_fails(self, tmp_path):
         # ||0.5 sin||_{H^2} = 0.5 = radius: the run from xi starts stopped
         path, raw = write_config(tmp_path, experiment="flow_check", xi_amplitude=0.5)
         assert cli_main(["flow-check", str(path)]) == 1
-        report = json.loads((Path(raw["output_dir"]) / "report.json").read_text())
-        assert not report["checks"][0]["passed"]
-        assert report["n_checked"] == 0
+        summary = json.loads((Path(raw["output_dir"]) / "summary.json").read_text())
+        assert not summary["checks"][0]["passed"]
+        assert summary["extra"]["flow_check"]["n_checked"] == 0
 
     def test_comparison_at_the_wrong_points_fails(self, tmp_path, monkeypatch):
         # read x at theta instead of at theta + xi(theta): the error bound itself fails
@@ -855,16 +878,17 @@ class TestFlowCheckExperiment:
         data["solver"]["grid_size"] = 256
         data["solver"]["horizon"] = 0.05
         path.write_text(json.dumps(data))
-        report_path = Path(raw["output_dir"]) / "report.json"
+        summary_path = Path(raw["output_dir"]) / "summary.json"
         assert cli_main(["flow-check", str(path)]) == 0
-        assert json.loads(report_path.read_text())["checks"][0]["value"] < 1e-15
+        assert json.loads(summary_path.read_text())["checks"][0]["value"] < 1e-15
         monkeypatch.setattr(flow, "_warp_points", lambda f, m: grid_points(m))
         assert cli_main(["flow-check", str(path)]) == 1
-        report = json.loads(report_path.read_text())
-        check = report["checks"][0]
+        summary = json.loads(summary_path.read_text())
+        check = summary["checks"][0]
         assert check["name"] == "flow_compose_sup_error_sine" and not check["passed"]
         assert check["value"] == pytest.approx(0.0131, abs=1e-4)
-        assert report["n_checked"] == 6  # t = 0 and every 10th of 50 steps
+        # t = 0 and every 10th of 50 steps
+        assert summary["extra"]["flow_check"]["n_checked"] == 6
 
 
 class TestCli:
@@ -1117,10 +1141,18 @@ class TestCli:
             (("solver", "alpha"), "x", "config key 'solver.alpha' must be an object"),
             (("radii",), 5, "radii must be a list of numbers"),
             ((), [1, 2], "config must be a JSON object"),
+            # a constructor's message is prefixed with its section
+            (("solver", "dt"), math.nan, "solver: dt must be a finite number, got nan"),
+            (
+                ("solver", "alpha", "parameter"),
+                math.inf,
+                "solver.alpha: parameter must be a finite number, got inf",
+            ),
         ],
         ids=[
             "no-dt", "no-alpha", "no-solver", "no-family",
             "solver-int", "alpha-string", "radii-int", "top-level-list",
+            "dt-nan", "alpha-parameter-inf",
         ],
     )
     def test_malformed_shape_is_named(self, tmp_path, capsys, field, value, message):
@@ -1154,7 +1186,7 @@ class TestCli:
         assert blocker.read_text() == ""
 
     @pytest.mark.parametrize(
-        "command, artifact", [("validate", "paths.csv"), ("flow-check", "summary.json")]
+        "command, artifact", [("validate", "summary.json"), ("flow-check", "summary.json")]
     )
     def test_unwritable_artifact_exits_2(self, tmp_path, capsys, command, artifact):
         path, _ = write_config(tmp_path)
@@ -1208,8 +1240,7 @@ class TestCli:
 
     def test_subcommand_forces_experiment(self, tmp_path):
         path, raw = write_diffeo_config(tmp_path)  # experiment says simulate
-        assert cli_main(["validate", str(path), "--out", str(tmp_path / "v")]) == 0
-        assert (tmp_path / "v" / "report.json").exists()
+        assert validate_failures(path, tmp_path / "v") == (0, set())
 
     def test_validate_outside_the_diffeo_ball_exits_1(self, tmp_path):
         path, raw = write_config(tmp_path)  # R = 0.5 > diffeo_radius(2)

@@ -8,12 +8,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# What each command writes under ``OUT/COMMAND-wN/out``: contrast keeps its
-# per-path norms in summary.json and writes no paths.csv.
+# What each command writes under ``OUT/COMMAND-wN/out``: validate steps no
+# path and contrast keeps its per-path norms in summary.json, so neither
+# writes paths.csv.
 ARTIFACTS = {
     "run": {"paths.csv", "summary.json"},
-    "validate": {"paths.csv", "summary.json", "report.json"},
-    "flow-check": {"paths.csv", "summary.json", "report.json"},
+    "validate": {"summary.json"},
+    "flow-check": {"paths.csv", "summary.json"},
     "hitting-times": {"paths.csv", "summary.json"},
     "contrast": {"summary.json"},
 }
