@@ -230,9 +230,6 @@ class CircleFunction:
             raise ValueError("grid sizes differ")
         return CircleFunction(op(self.grid_values, other.grid_values))
 
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
@@ -240,9 +237,6 @@ class CircleFunction:
         return CircleFunction(self.grid_values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return CircleFunction(-self.grid_values)
 
     def __repr__(self):
         return f"CircleFunction(M={self.grid_size})"
@@ -341,7 +335,8 @@ def hk_norms(values, k):
 
 def _hk_norm(a, b, k):
     """Two-term H^k norms from coefficient tables with modes on the last axis,
-    for an integer ``k >= 0`` (its callers check it).
+    for an integer ``k >= 0`` (its callers check its type, ``_mode_powers``
+    its limit).
 
     ``||f^(k)||^2`` weighs mode n by ``n ** 2k``, the constant mode by
     ``0 ** 2k``: 0 for ``k >= 1``, and 1 for ``k = 0``, where it is the L2
@@ -358,7 +353,14 @@ def _hk_norm(a, b, k):
 @functools.lru_cache(maxsize=32)
 def _mode_powers(size, p):
     """``0 ** p`` (1 for p = 0) and ``n ** p`` for the modes n = 1..size-1,
-    a float and one read-only array per ``(size, p)``."""
+    a float and one read-only array per ``(size, p)``: the one source of the
+    Sobolev weights ``n ** 2k``, for an even ``p = 2k``.
+
+    Raises ValueError naming ``k`` unless the top weight is finite, that is
+    unless ``2k log2(size - 1) < 1024``; an error is not cached, so every
+    call past the limit raises."""
+    if size > 2:
+        _require_ints({"k": p // 2}, lo=0, hi=math.ceil(512 / math.log2(size - 1)))
     w = np.arange(1, size, dtype=float) ** p
     w.flags.writeable = False
     return 0.0**p, w
@@ -468,8 +470,11 @@ def sobolev_embedding_constant(k, m):
     """
     _require_ints({"k": k}, lo=1)
     _require_ints({"m": m}, lo=0, hi=k)
-    n = np.arange(1, EMBEDDING_MODES + 1, dtype=float)
-    body = 2.0 * np.sum(n ** (2 * m) / np.maximum(1.0, (1.0 + n ** (2 * k)) / 2.0))
+    # built per call, not held in the cache of grid tables; k's table first,
+    # so an order whose weights overflow is named by k
+    _, nk = _mode_powers.__wrapped__(EMBEDDING_MODES + 1, 2 * k)
+    _, nm = _mode_powers.__wrapped__(EMBEDDING_MODES + 1, 2 * m)
+    body = 2.0 * np.sum(nm / np.maximum(1.0, (1.0 + nk) / 2.0))
     if m == 0:
         body += 1.0  # n = 0 term, weight max(1, 1/2) = 1
     p = 2 * (k - m) - 1

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import ScaledBasis, ScalingSequence
-from .circlefn import CircleFunction, _analyze, _require_ints, _require_reals
+from .circlefn import CircleFunction, _analyze, _mode_powers, _require_ints, _require_reals
 from .flow import (
     SolverConfig,
     _check_shared,
@@ -522,7 +522,10 @@ def validation_checks(cfg):
 
     solver, k = cfg.solver, cfg.solver.k
     alpha, radius = solver.alpha, solver.radius
-    r_max = diffeo_radius(k) if k >= 2 else None
+    try:  # no certified radius below k = 2, nor where its weights overflow
+        r_max = diffeo_radius(k)
+    except ValueError:
+        r_max = None
     checks = [
         _check("alpha_rapidly_decreasing", alpha.family, "rapidly decreasing",
                alpha.is_rapidly_decreasing),
@@ -532,8 +535,8 @@ def validation_checks(cfg):
         return checks + [_check(name, None, None, False) for name in _CERTIFIED]
     basis = ScaledBasis(alpha, solver.mode_cutoff, solver.grid_size)
     # the warped basis at zero is the basis: n and -n add w_n^2 (1 + n^2k)
-    w, n = solver.weights, np.arange(1, solver.mode_cutoff + 1, dtype=float)
-    closed = w[0] ** 2 + np.sum(w[1:] ** 2 * (1 + n ** (2 * k)))
+    w, nk = solver.weights, _mode_powers(solver.mode_cutoff + 1, 2 * k)[1]
+    closed = w[0] ** 2 + np.sum(w[1:] ** 2 * (1 + nk))
     at_zero = bell.hs_bound_certificate(CircleFunction.zero(solver.grid_size), k, basis)
     rel = float(abs(at_zero.actual - closed) / closed)
     pilot = _pilot(cfg)

@@ -30,6 +30,7 @@ from .circlefn import (
     _grid_points,
     _hk_norm,
     _min_derivatives,
+    _mode_powers,
     _require_grid_size,
     _require_ints,
     _require_reals,
@@ -94,10 +95,10 @@ class SolverConfig:
         _require_grid_size(self.grid_size, self.mode_cutoff)
         # 128 MiB per state at 2**24 points; larger fails in allocation
         _require_ints({"grid_size": self.grid_size}, lo=4, hi=2**24 + 1)
-        # the H^k weight n^(2k) at the top grid mode 2**e stays finite
-        # while 2ke < 1024, that is while k < 512 / e
-        e = int(self.grid_size).bit_length() - 2
-        _require_ints({"k": self.k}, lo=0, hi=-(-512 // e))
+        # the H^k weights of the grid modes must be finite; building them
+        # checks k and caches the table every step reads
+        _require_ints({"k": self.k})
+        _mode_powers(self.grid_size // 2 + 1, 2 * self.k)
         if self.scheme not in ("euler", "heun"):
             raise ValueError("scheme must be 'euler' or 'heun'")
         weights = self.alpha.values(self.mode_cutoff)
@@ -150,7 +151,10 @@ _SHARED = ("dt", "horizon", "grid_size", "k", "scheme")
 
 
 def _check_shared(cfgs):
-    """Raise ValueError unless the solvers ``cfgs`` agree in ``_SHARED``."""
+    """Raise ValueError unless ``cfgs`` holds at least one solver and the
+    solvers agree in ``_SHARED``."""
+    if not cfgs:
+        raise ValueError("solvers must hold at least one solver")
     for cfg in cfgs[1:]:
         for name in _SHARED:
             if getattr(cfg, name) != getattr(cfgs[0], name):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,16 +7,20 @@ import pytest
 from circleflow import (
     CircleFunction,
     NoiseStream,
+    RunConfig,
     ScaledBasis,
     ScalingSequence,
     SolverConfig,
     bell,
     compose,
     diffeo_radius,
+    flow,
     grid_points,
+    run_ensemble,
     sobolev_embedding_constant,
 )
 from circleflow.circlefn import (
+    EMBEDDING_MODES,
     _analyze,
     _hk_norm,
     _min_derivatives,
@@ -23,6 +28,7 @@ from circleflow.circlefn import (
     _require_ints,
     _require_reals,
     _warp_points,
+    hk_norms,
 )
 from conftest import quadrature_norms, random_band_limited
 
@@ -339,6 +345,27 @@ class TestEmbeddingConstant:
         c2 = sobolev_embedding_constant(2, 1)
         assert f.derivative().linf_norm() <= c2 * f.hk_norm(2)
 
+    @pytest.mark.parametrize(
+        "k, m", [(1, 0), (2, 0), (2, 1), (3, 2), (12, 1), (12, 11), (42, 1), (42, 41)]
+    )
+    def test_matches_the_series_in_exact_arithmetic(self, k, m):
+        # The docstring's sum, each term n^2m / max(1, (1 + n^2k) / 2) an int
+        # quotient (correctly rounded by Python's true division) and the terms
+        # summed by fsum, plus the docstring's tail: the promised upper bound.
+        n_max = EMBEDDING_MODES
+        terms = (2 * n ** (2 * m) / (1 + n ** (2 * k)) for n in range(1, n_max + 1))
+        body = 2 * math.fsum(terms) + (1 if m == 0 else 0)
+        p = 2 * (k - m) - 1
+        reference = math.sqrt(body + 4 * n_max ** -p / p)
+        assert sobolev_embedding_constant(k, m) == pytest.approx(reference, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [43, 44])
+    def test_refuses_orders_whose_weights_overflow(self, k):
+        # 4096^2k overflows from k = 43: the sum read 7.1e-6 below the exact
+        # series at (43, 42), and NaN at (44, 43)
+        with pytest.raises(ValueError, match=rf"^k must be an integer in \[0, 42\], got {k}$"):
+            sobolev_embedding_constant(k, k - 1)
+
 
 class TestArgumentValidators:
     """The integer, finite-real and grid-size rules every public constructor
@@ -489,6 +516,34 @@ def _row(name, call, message):
             "solver-k-86",
             lambda: SolverConfig(1e-3, 0.1, 8, 128, _ALPHA, k=86),
             "k must be an integer in [0, 85], got 86",
+        ),
+        # the weights n^2k overflow past the limit SolverConfig gives: inf
+        # with a RuntimeWarning, a wrong bound or NaN at the parent
+        _row(
+            "hk_norm-86",
+            lambda: CircleFunction.harmonic(128, 1, sin_amp=0.1).hk_norm(86),
+            "k must be an integer in [0, 85], got 86",
+        ),
+        _row(
+            "hk_norms-86",
+            lambda: hk_norms(np.zeros((2, 128)), 86),
+            "k must be an integer in [0, 85], got 86",
+        ),
+        _row(
+            "diffeo_radius-43",
+            lambda: diffeo_radius(43),
+            "k must be an integer in [0, 42], got 43",
+        ),
+        # an empty solver list: ZeroDivisionError or max() of nothing at the parent
+        _row(
+            "simulate_paths-no-solver",
+            lambda: flow.simulate_paths([], []),
+            "solvers must hold at least one solver",
+        ),
+        _row(
+            "run_ensemble-no-solver",
+            lambda: run_ensemble(RunConfig(SolverConfig(1e-3, 0.1, 8, 64, _ALPHA)), []),
+            "solvers must hold at least one solver",
         ),
         # an object that is no weight family failed late, or with AttributeError
         _row(

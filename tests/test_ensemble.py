@@ -804,6 +804,25 @@ class TestValidationChecks:
         assert validate_failures(path, tmp_path / "v") == (1, failed)
         assert capsys.readouterr().err == ""
 
+    def test_no_certified_radius_where_the_weights_overflow(self, tmp_path):
+        # At k = 60 the embedding weights 4096^2k overflow: no radius is
+        # certified, so the check fails with no bound, and nothing warns (at
+        # the parent the bound read 0.7071 after overflow warnings).
+        doc = json.loads((DOCS / "example-config.json").read_text())
+        doc["solver"]["k"] = 60
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "circleflow.cli",
+             "validate", str(path), "--out", "v"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (1, "")
+        checks = json.loads((tmp_path / "v" / "summary.json").read_text())["checks"]
+        radius = next(c for c in checks if c["name"] == "radius_within_diffeo_ball")
+        assert (radius["bound"], radius["passed"]) == (None, False)
+
     def test_tiny_radius_keeps_one_pilot_state(self, tmp_path):
         path, _ = write_diffeo_config(tmp_path, radius=1e-9)
         assert len(ensemble._pilot(RunConfig.from_file(path))) == 1
