@@ -5,7 +5,10 @@ by backtracking over the two Diophantine constraints and coefficients are
 integer arithmetic throughout, so there is no floating point doubt in the
 term bookkeeping.  The certificates at the bottom turn the Hilbert-Schmidt
 and local-Lipschitz estimates for the left-translation operator
-``f -> (g -> g o (id+f))`` into checkable numerical reports.
+``f -> (g -> g o (id+f))`` into checkable numerical reports: the HS bound is
+Faà di Bruno's formula, ``bell_polynomial``, at a majorant jet of ``f``, and
+the Lipschitz constant counts that formula's expanded terms, the Bell number
+B_{k+1}.
 """
 
 import math
@@ -21,7 +24,6 @@ from .circlefn import (
 __all__ = [
     "bell_polynomial",
     "compose_derivative",
-    "warp_expansion_terms",
     "expansion_term_count",
     "HSBoundReport",
     "LipschitzReport",
@@ -103,39 +105,16 @@ def compose_derivative(f_jet, g_jet, n):
     return float(total)
 
 
-# ---------------------------------------------------------------------------
-# Expansion of d^k/dtheta^k [ e(theta + f(theta)) ] into monomial terms.
-# ---------------------------------------------------------------------------
+def expansion_term_count(k):
+    """Terms of the k-th derivative of e o (id + f), counted with multiplicity.
 
-
-def warp_expansion_terms(k):
-    """Fully expanded monomial terms of the k-th derivative of e o (id + f).
-
-    With g = id + f one has g' = 1 + f' and g^(i) = f^(i) for i >= 2; the
-    binomial powers of (1 + f') are expanded so that every returned term is
-
-        coefficient * e^(j)(id + f) * prod_i (f^(i))^(p_i).
-
-    Returns tuples ``(coefficient, j, powers)`` with ``powers`` a dict mapping
-    derivative order i >= 1 to its exponent.
+    Faà di Bruno's formula with g = id + f, g' = 1 + f' and the binomial
+    powers of 1 + f' expanded: monomial ``coef * x_1^e_1 ...`` of B_{k,j}
+    stands for ``coef * 2^e_1`` terms.  The total is the Bell number
+    B_{k+1} (2, 5, 15, 52, ...).
     """
     _require_ints({"k": k}, lo=1, hi=MAX_ORDER + 1)
-    terms = []
-    for j in range(1, k + 1):
-        for coef, exps in _monomials(k, j):
-            j1 = exps[0]
-            base = {i + 1: e for i, e in enumerate(exps) if i >= 1 and e}
-            for t in range(j1 + 1):
-                powers = dict(base)
-                if t:
-                    powers[1] = powers.get(1, 0) + t
-                terms.append((coef * math.comb(j1, t), j, powers))
-    return terms
-
-
-def expansion_term_count(k):
-    """Number of expanded terms at order k, counted with multiplicity."""
-    return sum(coef for coef, _, _ in warp_expansion_terms(k))
+    return sum(coef << exps[0] for j in range(1, k + 1) for coef, exps in _monomials(k, j))
 
 
 @dataclass(frozen=True)
@@ -201,13 +180,17 @@ def hs_bound_certificate(f, k, basis):
 
     ``actual`` is the direct sum of squared H^k norms of the warped basis
     functions over |n| <= cutoff.  ``bound`` adds up, per mode, the L2 part
-    ``lam(n)^2`` plus the square of the expanded term-by-term estimate
+    ``lam(n)^2`` plus the square of Faà di Bruno's formula for the k-th
+    derivative of ``e_n o (id + f)`` at the majorant jet
 
-        coefficient * lam(n) |n|^j * (c_k ||f||_{H^k})^(deg)
+        lam(n) sum_{j=1..k} |n|^j B_{k,j}(1 + X, X, ..., X, ||f||_{H^k}),
 
-    with the single top-derivative term measured in L2 (so one factor is
-    ``||f||_{H^k}`` itself).  Every step of that chain is an inequality, so
-    ``actual <= bound`` must hold whenever the aliasing margin is respected.
+    where ``X = c_k ||f||_{H^k}`` bounds f', ..., f^(k-1) in sup and the top
+    derivative f^(k) is measured in L2 (for k = 1 the jet is
+    ``1 + ||f||_{H^1}``).  B_{k,j} has positive coefficients, so this is the
+    binomially expanded estimate bounded term by term.  Every step of that
+    chain is an inequality, so ``actual <= bound`` must hold whenever the
+    aliasing margin is respected.  A bound past the float range reads inf.
     """
     _require_ints({"k": k}, lo=1, hi=MAX_ORDER + 1)
     actual = np.sum(hk_norms(_warped_basis(basis, f), k) ** 2)
@@ -215,18 +198,18 @@ def hs_bound_certificate(f, k, basis):
     f_hk = f.hk_norm(k)
     c_k = _embedding_for_order(k)
     n, lam = _modes(basis)
-    terms = warp_expansion_terms(k)
-    deriv_sum = 0.0
-    for coef, j, powers in terms:
-        deg = sum(powers.values())
-        if powers.get(k, 0) >= 1:
-            amp = f_hk * (c_k * f_hk) ** (deg - 1)
+    with np.errstate(over="ignore"):
+        jet = [c_k * f_hk] * (k - 1) + [f_hk]
+        jet[0] += 1.0  # g' = 1 + f'
+        b = [bell_polynomial(k, j, jet) for j in range(1, k + 1)]
+        if np.isinf(b).any():  # inf, not the nan of 0^j * inf at n = 0
+            bound = math.inf
         else:
-            amp = (c_k * f_hk) ** deg
-        deriv_sum = deriv_sum + coef * lam * np.abs(n) ** j * amp
-    bound = np.sum(lam**2 + deriv_sum**2)
-    k_count = sum(coef for coef, _, _ in terms)
-    return HSBoundReport(float(actual), float(bound), k_count, c_k, basis.mode_cutoff)
+            deriv = sum(lam * np.abs(n) ** j * b_j for j, b_j in enumerate(b, start=1))
+            bound = np.sum(lam**2 + deriv**2)
+    return HSBoundReport(
+        float(actual), float(bound), expansion_term_count(k), c_k, basis.mode_cutoff
+    )
 
 
 def lipschitz_certificate(f, g, k, radius, basis):
@@ -238,7 +221,8 @@ def lipschitz_certificate(f, g, k, radius, basis):
         ( sum_n lam(n)^2 |n|^2
               + K^2 lam(n)^2 |n|^(2k+2) c_k^(2k) R^(2k) )^(1/2)
 
-    with K the expanded term count at order k.  Both inputs must lie in the
+    with K = ``expansion_term_count(k)``, the Bell number B_{k+1}.  A
+    constant past the float range reads inf.  Both inputs must lie in the
     H^k ball of the given radius.
     """
     _require_ints({"k": k}, lo=1, hi=MAX_ORDER + 1)
@@ -255,8 +239,10 @@ def lipschitz_certificate(f, g, k, radius, basis):
     c_k = _embedding_for_order(k)
     k_count = expansion_term_count(k)
     n, lam = _modes(basis)
-    c_r_sq = np.sum(
-        lam**2 * n**2
-        + k_count**2 * lam**2 * np.abs(n) ** (2 * k + 2) * c_k ** (2 * k) * radius ** (2 * k)
-    )
+    with np.errstate(over="ignore"):
+        r_2k = np.float64(radius) ** (2 * k)
+        c_r_sq = math.inf if np.isinf(r_2k) else np.sum(  # not the nan of 0 * inf at n = 0
+            lam**2 * n**2
+            + k_count**2 * lam**2 * np.abs(n) ** (2 * k + 2) * c_k ** (2 * k) * r_2k
+        )
     return LipschitzReport(ratio, float(np.sqrt(c_r_sq)), radius, k_count, c_k)

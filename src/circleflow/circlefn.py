@@ -339,14 +339,17 @@ def _hk_norm(a, b, k):
     its limit).
 
     ``||f^(k)||^2`` weighs mode n by ``n ** 2k``, the constant mode by
-    ``0 ** 2k``: 0 for ``k >= 1``, and 1 for ``k = 0``, where it is the L2
-    term summed the same way, so the norm is exactly ``sqrt(2)`` times the L2
-    norm."""
+    ``0 ** 2k``: 0 for ``k >= 1``, where the term is left out (``0 * inf``
+    would be nan for a mean whose square overflows), and 1 for ``k = 0``,
+    where it is the L2 term summed the same way, so the norm is exactly
+    ``sqrt(2)`` times the L2 norm."""
     a0sq = a[..., 0] ** 2
     sq = a[..., 1:] ** 2 + b[..., 1:] ** 2
     w0, w = _mode_powers(a.shape[-1], 2 * k)
     l2sq = a0sq + 0.5 * sq.sum(axis=-1)
-    dsq = w0 * a0sq + 0.5 * (w * sq).sum(axis=-1)
+    dsq = 0.5 * (w * sq).sum(axis=-1)
+    if w0:
+        dsq = w0 * a0sq + dsq
     return np.sqrt(l2sq + dsq)
 
 

@@ -16,14 +16,18 @@ from circleflow import (
 )
 from circleflow.bell import (
     MAX_ORDER,
+    _embedding_for_order,
+    _modes,
     _monomials,
     _warped_basis,
     expansion_term_count,
-    warp_expansion_terms,
 )
 from conftest import random_band_limited
 
-BELL_NUMBERS = (1, 2, 5, 15, 52, 203, 877, 4140)
+# B_1, ..., B_13
+BELL_NUMBERS = (
+    1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597, 27644437
+)
 
 
 def set_partitions(items):
@@ -113,7 +117,7 @@ class TestBellPolynomial:
         with pytest.raises(ValueError):
             compose_derivative(np.ones(top + 1), np.ones(top + 1), top)
         with pytest.raises(ValueError):
-            warp_expansion_terms(top)
+            expansion_term_count(top)
         # the largest order is still served
         assert bell_polynomial(MAX_ORDER, MAX_ORDER, [1.0]) == 1.0
 
@@ -155,9 +159,51 @@ class TestComposeDerivative:
             compose_derivative([1.0, 2.0], [0.0, 1.0, 0.5], 2)
 
 
+def expanded_terms(k):
+    """Reference: the k-th derivative of e o (id + f) fully expanded.
+
+    Faà di Bruno's formula with g = id + f, g' = 1 + f' and g^(i) = f^(i)
+    for i >= 2, the binomial powers of 1 + f' expanded, so that every term is
+
+        coefficient * e^(j)(id + f) * prod_i (f^(i))^(p_i).
+
+    Tuples ``(coefficient, j, powers)``, ``powers`` a dict mapping the
+    derivative order i >= 1 to its exponent.
+    """
+    terms = []
+    for j in range(1, k + 1):
+        for coef, exps in _monomials(k, j):
+            j1 = exps[0]
+            base = {i + 1: e for i, e in enumerate(exps) if i >= 1 and e}
+            for t in range(j1 + 1):
+                powers = dict(base)
+                if t:
+                    powers[1] = powers.get(1, 0) + t
+                terms.append((coef * math.comb(j1, t), j, powers))
+    return terms
+
+
+def term_by_term_bound(f, k, basis):
+    """Reference for ``hs_bound_certificate``'s bound: each expanded term
+    bounded by ``coefficient lam(n) |n|^j`` times ``c_k ||f||_{H^k}`` per
+    factor, except the top derivative's, ``||f||_{H^k}`` (it is in L2)."""
+    f_hk = f.hk_norm(k)
+    c_k = _embedding_for_order(k)
+    n, lam = _modes(basis)
+    deriv = 0.0
+    for coef, j, powers in expanded_terms(k):
+        deg = sum(powers.values())
+        if powers.get(k, 0) >= 1:
+            amp = f_hk * (c_k * f_hk) ** (deg - 1)
+        else:
+            amp = (c_k * f_hk) ** deg
+        deriv = deriv + coef * lam * np.abs(n) ** j * amp
+    return float(np.sum(lam**2 + deriv**2))
+
+
 class TestWarpExpansion:
     def test_order_two_terms(self):
-        terms = {(coef, j, tuple(sorted(p.items()))) for coef, j, p in warp_expansion_terms(2)}
+        terms = {(coef, j, tuple(sorted(p.items()))) for coef, j, p in expanded_terms(2)}
         assert terms == {
             (1, 1, ((2, 1),)),     # e' f''
             (1, 2, ()),            # e''
@@ -170,6 +216,11 @@ class TestWarpExpansion:
         for k in range(1, 7):
             partitions = sum(len(_monomials(k, j)) for j in range(1, k + 1))
             assert expansion_term_count(k) >= partitions
+
+    def test_count_is_the_bell_number_of_the_next_order(self):
+        for k in range(1, MAX_ORDER + 1):
+            assert expansion_term_count(k) == BELL_NUMBERS[k]
+            assert expansion_term_count(k) == sum(coef for coef, _, _ in expanded_terms(k))
 
     def test_only_top_term_carries_highest_derivative(self):
         for n in range(2, 9):
@@ -219,6 +270,45 @@ class TestHSCertificate:
         assert rep.actual == pytest.approx(closed, rel=1e-10)
         assert rep.holds
 
+    @pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+    def test_zero_state_bound_matches_closed_form(self, k):
+        # At f = 0 the jet is (1, 0, ..., 0) and only B_{k,k} = x_1^k = 1
+        # remains: mode n adds lam(n)^2 (1 + n^2k) and -n the same.  The
+        # closed form rounds 3 times per term and once in fsum; the bound
+        # about 6 times per mode and at most 2N times in its sum.
+        cutoff = 32
+        basis = ScaledBasis(ScalingSequence.exponential(1.0), cutoff, 128)
+        lam = basis.weights()
+        closed = math.fsum(
+            [lam[0] ** 2] + [2 * lam[n] ** 2 * (1 + n ** (2 * k)) for n in range(1, cutoff + 1)]
+        )
+        bound = hs_bound_certificate(CircleFunction.zero(128), k, basis).bound
+        assert bound == pytest.approx(closed, rel=(2 * cutoff + 10) * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
+    def test_bound_matches_the_term_by_term_oracle(self, rng, k):
+        # Both sides add and multiply nonnegative numbers, so each is within
+        # (number of roundings on a term's path) eps of the exact bound:
+        # the oracle about 2T + 2k + 2N + 10 for T expanded terms, Faà di
+        # Bruno about 2P + 10k + 2N + 6 for P partitions of k.
+        cutoff = 16
+        basis = ScaledBasis(ScalingSequence.exponential(0.5), cutoff, 64)
+        terms = len(expanded_terms(k))
+        partitions = sum(len(_monomials(k, j)) for j in range(1, k + 1))
+        rel = (2 * terms + 2 * partitions + 12 * k + 4 * cutoff + 16) * np.finfo(float).eps
+        for _ in range(5):
+            f = random_band_limited(rng, 64, 5)
+            f = f * (rng.uniform(0.0, 2.0) / f.hk_norm(k))
+            bound = hs_bound_certificate(f, k, basis).bound
+            assert bound == pytest.approx(term_by_term_bound(f, k, basis), rel=rel)
+
+    def test_bound_past_the_float_range_reads_inf(self):
+        # X^12 passes the float range at ||f||_{H^12} near 1e25; nothing
+        # warns (the suite makes a RuntimeWarning an error)
+        basis = ScaledBasis(ScalingSequence.exponential(1.0), 16, 64)
+        rep = hs_bound_certificate(CircleFunction.harmonic(64, 1, sin_amp=1e30), 12, basis)
+        assert (rep.bound, rep.holds) == (math.inf, True)
+
     def test_small_sine_below_bound(self):
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 32, 128)
         f = CircleFunction.harmonic(128, 1, sin_amp=0.1)
@@ -234,6 +324,14 @@ class TestHSCertificate:
 
 
 class TestLipschitzCertificate:
+    def test_constant_past_the_float_range_reads_inf(self):
+        # R^24 passes the float range from R near 1e12.8; nothing warns
+        basis = ScaledBasis(ScalingSequence.exponential(1.0), 16, 64)
+        f = CircleFunction.harmonic(64, 1, sin_amp=0.1)
+        g = CircleFunction.harmonic(64, 1, cos_amp=0.1)
+        rep = lipschitz_certificate(f, g, 12, 1e13, basis)
+        assert (rep.c_r, rep.holds) == (math.inf, True)
+
     def test_identical_inputs_give_zero_ratio(self):
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 16, 64)
         f = CircleFunction.harmonic(64, 1, sin_amp=0.1)

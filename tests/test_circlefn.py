@@ -148,6 +148,15 @@ class TestNorms:
         f = random_band_limited(rng, 64, 10)
         assert f.hk_norm(0) == pytest.approx(np.sqrt(2.0) * f.l2_norm(), rel=1e-14)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_mean_whose_square_overflows_gives_inf(self, k):
+        # a0^2 overflows; for k >= 1 its weight is 0^2k = 0, and 0 * inf is nan
+        f = CircleFunction.constant(1e160, 64)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert f.hk_norm(k) == math.inf
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert hk_norms(np.stack([f.grid_values] * 2), k).tolist() == [math.inf] * 2
+
     def test_linf_examples(self):
         assert CircleFunction.zero(16).linf_norm() == 0.0
         f = CircleFunction.harmonic(32, 1, sin_amp=1.0)

@@ -792,6 +792,8 @@ class TestValidationChecks:
             ),
             pytest.param({"radius": 1.0}, {"radius_within_diffeo_ball"}, id="radius-1"),
             pytest.param({"radius": 1e-9}, PILOT_CHECKS, id="radius-1e-9"),
+            # R^2k passes the float range: the Lipschitz constant reads inf
+            pytest.param({"radius": 1e80}, {"radius_within_diffeo_ball"}, id="radius-1e80"),
             # no ball of diffeomorphisms below k = 2, no certificate outside
             # the orders 1..12 of the Bell table
             pytest.param({"k": 1}, {"radius_within_diffeo_ball"}, id="k-1"),
