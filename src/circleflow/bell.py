@@ -1,10 +1,10 @@
 """Bell polynomials, the composition-derivative formula, and bound certificates.
 
-The combinatorial core is exact: admissible exponent sequences are enumerated
-by backtracking over the two Diophantine constraints and coefficients are
-integer arithmetic throughout, so there is no floating point doubt in the
-term bookkeeping.  The certificates at the bottom turn the Hilbert-Schmidt
-and local-Lipschitz estimates for the left-translation operator
+The partial Bell polynomials B_{n,k} come from their recurrence in n and k,
+one small table of floats per call with no monomial listed: integer inputs
+give exact integers, and nonnegative inputs are only multiplied and added,
+so every rounding is relative.  The certificates at the bottom turn the
+Hilbert-Schmidt and local-Lipschitz estimates for the left-translation operator
 ``f -> (g -> g o (id+f))`` into checkable numerical reports: the HS bound is
 Faà di Bruno's formula, ``bell_polynomial``, at a majorant jet of ``f``, and
 the Lipschitz constant counts that formula's expanded terms, the Bell number
@@ -13,12 +13,16 @@ B_{k+1}.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .circlefn import (
-    _require_ints, _require_reals, _warp_points, hk_norms, sobolev_embedding_constant
+    CircleFunction,
+    _require_ints,
+    _require_reals,
+    _warp_points,
+    hk_norms,
+    sobolev_embedding_constant,
 )
 
 __all__ = [
@@ -31,61 +35,32 @@ __all__ = [
     "lipschitz_certificate",
 ]
 
-MAX_ORDER = 12  # factorial bookkeeping is only exercised up to here
-
-
-@lru_cache(maxsize=None)
-def _monomials(n, k):
-    """Monomials of the partial Bell polynomial B_{n,k}, read-only.
-
-    Tuples ``(coefficient, exponents)`` where ``exponents`` ranges over the
-    variables x_1..x_{n-k+1}; every monomial satisfies sum(j_i) = k and
-    sum(i*j_i) = n.  The cache answers ``(3, 1.0)`` from the entry of
-    ``(3, 1)``, equal keys, so the public callers check their orders too.
-    """
-    _require_ints({"n": n}, lo=1, hi=MAX_ORDER + 1)
-    _require_ints({"k": k}, lo=0, hi=n + 1)
-    return tuple(_enumerate_monomials(n, k))
-
-
-def _enumerate_monomials(n, k):
-    """All (coef, exponents) with sum j = k, sum i*j_i = n over x_1..x_{n-k+1}."""
-    width = n - k + 1
-    seq = [0] * width
-
-    def rec(i, remaining_j, remaining_n):
-        if i == width:
-            if remaining_j == 0 and remaining_n == 0:
-                coef = math.factorial(n)
-                for idx, j in enumerate(seq, start=1):
-                    coef //= math.factorial(j) * math.factorial(idx) ** j
-                yield (coef, tuple(seq))
-            return
-        step = i + 1
-        for j in range(min(remaining_j, remaining_n // step) + 1):
-            seq[i] = j
-            yield from rec(i + 1, remaining_j - j, remaining_n - step * j)
-        seq[i] = 0
-
-    yield from rec(0, k, n)
+MAX_ORDER = 12  # the tested orders; K^2 = B_{k+1}^2 is an exact float up to here
 
 
 def bell_polynomial(n, k, xs):
-    """Exact evaluation of the partial Bell polynomial B_{n,k}(x_1, ...)."""
+    """The partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}).
+
+    By the recurrence B_{m,j} = sum_i C(m-1, i-1) x_i B_{m-i,j-1} (Comtet,
+    *Advanced Combinatorics*, 1974, §3.3) from B_{m,1} = x_m, one row
+    ``B_{j+d,j}``, d = 0..n-k, per j.  Integer inputs give exact results
+    while the table's products and sums stay below 2**53.
+    """
     _require_ints({"n": n}, lo=1, hi=MAX_ORDER + 1)
     _require_ints({"k": k}, lo=0, hi=n + 1)
-    monomials = _monomials(n, k)
-    xs = np.asarray(xs, dtype=float)
-    if k >= 1 and xs.size < n - k + 1:
+    if k == 0:
+        return 0.0
+    width = n - k + 1
+    xs = np.asarray(xs, dtype=float).tolist()
+    if len(xs) < width:
         raise ValueError("need n - k + 1 variables")
-    total = 0.0
-    for coef, exps in monomials:
-        term = float(coef)
-        for x, j in zip(xs, exps):
-            if j:
-                term *= x**j
-        total += term
-    return total
+    row = xs[:width]
+    for j in range(2, k + 1):
+        row = [
+            sum(math.comb(j + d - 1, i) * xs[i] * row[d - i] for i in range(d + 1))
+            for d in range(width)
+        ]
+    return row[-1]
 
 
 def compose_derivative(f_jet, g_jet, n):
@@ -110,18 +85,18 @@ def expansion_term_count(k):
 
     Faà di Bruno's formula with g = id + f, g' = 1 + f' and the binomial
     powers of 1 + f' expanded: monomial ``coef * x_1^e_1 ...`` of B_{k,j}
-    stands for ``coef * 2^e_1`` terms.  The total is the Bell number
-    B_{k+1} (2, 5, 15, 52, ...).
+    stands for ``coef * 2^e_1`` terms, so the count is
+    ``sum_j B_{k,j}(2, 1, ..., 1)``, the Bell number B_{k+1} (2, 5, 15, 52, ...).
     """
     _require_ints({"k": k}, lo=1, hi=MAX_ORDER + 1)
-    return sum(coef << exps[0] for j in range(1, k + 1) for coef, exps in _monomials(k, j))
+    xs = [2.0] + [1.0] * (k - 1)  # g' = 1 + f' counts twice
+    return int(sum(bell_polynomial(k, j, xs) for j in range(1, k + 1)))
 
 
 @dataclass(frozen=True)
 class HSBoundReport:
     actual: float
     bound: float
-    term_count: int
     embedding_constant: float
     mode_cutoff: int
 
@@ -193,6 +168,8 @@ def hs_bound_certificate(f, k, basis):
     aliasing margin is respected.  A bound past the float range reads inf.
     """
     _require_ints({"k": k}, lo=1, hi=MAX_ORDER + 1)
+    if not isinstance(f, CircleFunction):
+        raise TypeError("f must be a CircleFunction")
     actual = np.sum(hk_norms(_warped_basis(basis, f), k) ** 2)
 
     f_hk = f.hk_norm(k)
@@ -207,9 +184,7 @@ def hs_bound_certificate(f, k, basis):
         else:
             deriv = sum(lam * np.abs(n) ** j * b_j for j, b_j in enumerate(b, start=1))
             bound = np.sum(lam**2 + deriv**2)
-    return HSBoundReport(
-        float(actual), float(bound), expansion_term_count(k), c_k, basis.mode_cutoff
-    )
+    return HSBoundReport(float(actual), float(bound), c_k, basis.mode_cutoff)
 
 
 def lipschitz_certificate(f, g, k, radius, basis):
@@ -227,13 +202,16 @@ def lipschitz_certificate(f, g, k, radius, basis):
     """
     _require_ints({"k": k}, lo=1, hi=MAX_ORDER + 1)
     _require_reals({"radius": radius}, positive=True)
+    for name, fn in {"f": f, "g": g}.items():
+        if not isinstance(fn, CircleFunction):
+            raise TypeError(f"{name} must be a CircleFunction")
     f_hk = f.hk_norm(k)
     g_hk = g.hk_norm(k)
     if f_hk > radius or g_hk > radius:
         raise ValueError("inputs must lie in the H^k ball of the given radius")
 
+    denom = (f - g).hk_norm(k)  # first: it names a grid mismatch
     diff = hk_norms(_warped_basis(basis, f) - _warped_basis(basis, g), k)
-    denom = (f - g).hk_norm(k)
     ratio = 0.0 if denom == 0.0 else float(np.sqrt(np.sum(diff**2))) / denom
 
     c_k = _embedding_for_order(k)

@@ -146,6 +146,7 @@ class CircleFunction:
 
     @classmethod
     def constant(cls, value, grid_size):
+        _require_reals({"value": value})
         _require_grid_size(grid_size)
         a = np.zeros(grid_size // 2 + 1)
         a[0] = value
@@ -156,6 +157,7 @@ class CircleFunction:
         """The single mode cos_amp*cos(n theta) + sin_amp*sin(n theta)."""
         _require_grid_size(grid_size)
         _require_ints({"n": n}, lo=0, hi=grid_size // 2 + 1)
+        _require_reals({"cos_amp": cos_amp, "sin_amp": sin_amp})
         a = np.zeros(grid_size // 2 + 1)
         b = np.zeros(grid_size // 2 + 1)
         a[n] = cos_amp
@@ -234,6 +236,7 @@ class CircleFunction:
         return self._binary(other, np.subtract)
 
     def __mul__(self, scalar):
+        _require_reals({"scalar": scalar})
         return CircleFunction(self.grid_values * float(scalar))
 
     __rmul__ = __mul__

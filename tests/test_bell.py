@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from circleflow.bell import (
     MAX_ORDER,
     _embedding_for_order,
     _modes,
-    _monomials,
     _warped_basis,
     expansion_term_count,
 )
@@ -48,6 +48,40 @@ def stirling2(n, k):
     if k == 0:
         return 0
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def integer_partitions(n, largest=None):
+    """The partitions of n as non-increasing tuples (oracle)."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in integer_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _monomials(n, k):
+    """Monomials ``(coefficient, exponents)`` of B_{n,k}, one per partition
+    of n into k parts, ``exponents`` the part multiplicities over
+    x_1..x_{n-k+1} and the coefficient n! / prod_i (j_i! i!^j_i) (oracle)."""
+    monomials = []
+    for parts in integer_partitions(n):
+        if len(parts) != k:
+            continue
+        exps = tuple(parts.count(i) for i in range(1, n - k + 2))
+        coef = math.factorial(n)
+        for i, j in enumerate(exps, start=1):
+            coef //= math.factorial(j) * math.factorial(i) ** j
+        monomials.append((coef, exps))
+    return tuple(monomials)
+
+
+def monomial_sum(n, k, xs):
+    """B_{n,k} at ``xs`` summed over ``_monomials``, in the arithmetic of
+    ``xs`` (exact for ints and Fractions)."""
+    return sum(
+        coef * math.prod(x**j for x, j in zip(xs, exps)) for coef, exps in _monomials(n, k)
+    )
 
 
 def bell_via_partitions(n, k, xs):
@@ -91,6 +125,37 @@ class TestBellPolynomial:
                 ours = bell_polynomial(n, k, [float(x) for x in xs[: n - k + 1]])
                 oracle = bell_via_partitions(n, k, xs)
                 assert ours == oracle
+
+    def test_oracle_matches_set_partitions(self, rng):
+        # the monomials from integer partitions against the set partitions
+        for n in range(1, 9):
+            xs = [int(v) for v in rng.integers(-3, 4, n)]
+            for k in range(0, n + 1):
+                assert monomial_sum(n, k, xs) == bell_via_partitions(n, k, xs)
+
+    @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+    def test_float_inputs_match_the_oracle(self, rng, n):
+        # B_{n,k} by its recurrence rounds each product twice and sums at
+        # most n - k + 1 of them per level, over k - 1 levels: fewer than
+        # k (n - k + 2) roundings on any path, so the error is below that
+        # many eps times B_{n,k} at |x| (both exact in Fractions).
+        eps = Fraction(np.finfo(float).eps)
+        for k in range(0, n + 1):
+            for _ in range(3):
+                xs = rng.uniform(-2.0, 2.0, n - k + 1).tolist()
+                exact = monomial_sum(n, k, [Fraction(x) for x in xs])
+                majorant = monomial_sum(n, k, [abs(Fraction(x)) for x in xs])
+                error = abs(Fraction(bell_polynomial(n, k, xs)) - exact)
+                assert error <= k * (n - k + 2) * eps * majorant
+
+    def test_infinite_input_gives_inf(self):
+        # B_{3,2} = 3 x1 x2: no 0 * inf from a table row of B_{m,0}
+        assert bell_polynomial(3, 2, [math.inf, 1.0]) == math.inf
+
+    @pytest.mark.parametrize("xs", [[], [math.nan], [1.0, 2.0]], ids=["empty", "nan", "two"])
+    def test_order_zero_is_zero(self, xs):
+        for n in range(1, MAX_ORDER + 1):
+            assert bell_polynomial(n, 0, xs) == 0.0
 
     def test_row_sums_are_stirling_numbers(self):
         for n in range(1, 9):
@@ -225,6 +290,7 @@ class TestWarpExpansion:
     def test_only_top_term_carries_highest_derivative(self):
         for n in range(2, 9):
             assert _monomials(n, 1) == ((1, tuple([0] * (n - 1) + [1])),)
+            assert bell_polynomial(n, 1, np.arange(1.0, n + 1)) == n
 
 
 def _old_warped_basis(basis, f):
@@ -289,13 +355,16 @@ class TestHSCertificate:
     def test_bound_matches_the_term_by_term_oracle(self, rng, k):
         # Both sides add and multiply nonnegative numbers, so each is within
         # (number of roundings on a term's path) eps of the exact bound:
-        # the oracle about 2T + 2k + 2N + 10 for T expanded terms, Faà di
-        # Bruno about 2P + 10k + 2N + 6 for P partitions of k.
+        # the oracle about 2T + 2k + 2N + 10 for T expanded terms.  Faà di
+        # Bruno rounds 1 + X once and B_{k,j} by its recurrence at most
+        # (j - 1)(k - j + 2) times, so B_{k,j} at the jet carries at most
+        # j (k - j + 3) <= (k + 3)^2 / 4; two products and k - 1 sums per
+        # mode, the square, adding lam^2 and the sum over 2N + 1 modes make
+        # about (k + 3)^2 / 2 + 2k + 2N + 4.
         cutoff = 16
         basis = ScaledBasis(ScalingSequence.exponential(0.5), cutoff, 64)
         terms = len(expanded_terms(k))
-        partitions = sum(len(_monomials(k, j)) for j in range(1, k + 1))
-        rel = (2 * terms + 2 * partitions + 12 * k + 4 * cutoff + 16) * np.finfo(float).eps
+        rel = (2 * terms + (k + 3) ** 2 / 2 + 4 * k + 4 * cutoff + 14) * np.finfo(float).eps
         for _ in range(5):
             f = random_band_limited(rng, 64, 5)
             f = f * (rng.uniform(0.0, 2.0) / f.hk_norm(k))
@@ -315,12 +384,17 @@ class TestHSCertificate:
         rep = hs_bound_certificate(f, 2, basis)
         assert np.isfinite(rep.actual)
         assert rep.holds
-        assert rep.term_count == 5
 
     def test_rejects_k_zero(self):
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 4, 16)
         with pytest.raises(ValueError):
             hs_bound_certificate(CircleFunction.zero(16), 0, basis)
+
+    def test_rejects_a_state_that_is_no_function(self):
+        # an AttributeError from inside the certificate at the parent
+        basis = ScaledBasis(ScalingSequence.exponential(1.0), 8, 64)
+        with pytest.raises(TypeError, match="^f must be a CircleFunction$"):
+            hs_bound_certificate(np.zeros(64), 2, basis)
 
 
 class TestLipschitzCertificate:
@@ -355,6 +429,20 @@ class TestLipschitzCertificate:
             c_rs.append(lipschitz_certificate(f, g, 2, 0.5, basis).c_r)
         assert abs(c_rs[2] - c_rs[1]) / c_rs[1] < 1e-8
         assert abs(c_rs[1] - c_rs[0]) / c_rs[0] < 1e-8
+
+    def test_rejects_a_state_that_is_no_function(self):
+        basis = ScaledBasis(ScalingSequence.exponential(1.0), 8, 64)
+        f = CircleFunction.harmonic(64, 1, sin_amp=0.1)
+        with pytest.raises(TypeError, match="^g must be a CircleFunction$"):
+            lipschitz_certificate(f, np.zeros(64), 2, 0.5, basis)
+
+    def test_rejects_states_on_other_grids(self):
+        # numpy's broadcast error between the two warped bases at the parent
+        basis = ScaledBasis(ScalingSequence.exponential(1.0), 8, 64)
+        f = CircleFunction.harmonic(64, 1, sin_amp=0.1)
+        g = CircleFunction.harmonic(128, 1, cos_amp=0.1)
+        with pytest.raises(ValueError, match="^grid sizes differ$"):
+            lipschitz_certificate(f, g, 2, 0.5, basis)
 
     def test_rejects_states_outside_ball(self):
         basis = ScaledBasis(ScalingSequence.exponential(1.0), 8, 32)

@@ -417,7 +417,7 @@ _XS = [1.0, 1.0, 1.0]
 
 
 def _bell_after_its_integer_twin():
-    bell.bell_polynomial(3, 1, _XS)  # fills the cache entry that (3, 1.0) equals
+    bell.bell_polynomial(3, 1, _XS)  # a cache keyed on (n, k) would answer (3, 1.0) here
     return bell.bell_polynomial(3, 1.0, _XS)
 
 
@@ -565,6 +565,31 @@ def _row(name, call, message):
             lambda: ScaledBasis(None, 8, 64),
             "scaling must be a ScalingSequence, got None",
         ),
+        # a NaN function, a RuntimeWarning, numpy's unnamed message or (for
+        # "2") a doubled function at the parent
+        _row(
+            "constant-nan",
+            lambda: CircleFunction.constant(np.nan, 64),
+            "value must be a finite number, got nan",
+        ),
+        _row(
+            "constant-str",
+            lambda: CircleFunction.constant("x", 64),
+            "value must be a finite number, got 'x'",
+        ),
+        _row(
+            "harmonic-cos-inf",
+            lambda: CircleFunction.harmonic(64, 1, cos_amp=np.inf),
+            "cos_amp must be a finite number, got inf",
+        ),
+        _row(
+            "harmonic-sin-nan",
+            lambda: CircleFunction.harmonic(64, 1, sin_amp=np.nan),
+            "sin_amp must be a finite number, got nan",
+        ),
+        _row("mul-nan", lambda: _F * np.nan, "scalar must be a finite number, got nan"),
+        _row("rmul-inf", lambda: np.inf * _F, "scalar must be a finite number, got inf"),
+        _row("mul-str", lambda: _F * "2", "scalar must be a finite number, got '2'"),
     ],
 )
 def test_public_calls_name_a_bad_argument(call, message):
